@@ -98,12 +98,51 @@ size_t Instance::InsertSorted(uint32_t rel, const std::vector<Tuple>& sorted) {
       if (!vec.empty() && !(vec.back() < t)) continue;
       vec.push_back(t);
     }
-  } else {
-    for (const Tuple& t : sorted) tuples.InsertUnique(t);
+    size_t added = vec.size() - before;
+    size_ += added;
+    return added;
   }
-  size_t added = vec.size() - before;
-  size_ += added;
-  return added;
+
+  // Linear merge in place. Tuples below the run's first value stay put.
+  // Count the run's new tuples, grow the vector once, then merge from the
+  // back so every stored tuple moves at most once: O(n + m) instead of a
+  // shift per inserted tuple. A run that adds nothing (or fits the spare
+  // capacity) allocates nothing.
+  const size_t lo = static_cast<size_t>(
+      std::lower_bound(vec.begin(), vec.end(), sorted.front()) - vec.begin());
+  size_t fresh = 0;
+  {
+    size_t i = lo;
+    const Tuple* prev = nullptr;
+    for (const Tuple& t : sorted) {
+      if (prev != nullptr && !(*prev < t)) continue;  // repeated in the run
+      prev = &t;
+      while (i < before && vec[i] < t) ++i;
+      if (i == before || t < vec[i]) ++fresh;
+    }
+  }
+  if (fresh == 0) return 0;
+  vec.resize(before + fresh);
+  // out - i is the number of new tuples still to place; once it reaches 0,
+  // everything below `i` is already where it belongs.
+  size_t out = before + fresh;
+  size_t i = before;
+  size_t j = sorted.size();
+  while (out > i) {
+    const Tuple& t = sorted[j - 1];
+    if (j < sorted.size() && t == sorted[j]) {
+      --j;  // repeated in the run
+    } else if (i > lo && t < vec[i - 1]) {
+      vec[--out] = std::move(vec[--i]);
+    } else if (i > lo && t == vec[i - 1]) {
+      --j;  // already stored
+    } else {
+      vec[--out] = t;
+      --j;
+    }
+  }
+  size_ += fresh;
+  return fresh;
 }
 
 size_t Instance::InsertSorted(uint32_t rel, std::vector<Tuple>&& sorted) {

@@ -19,8 +19,9 @@ namespace calm {
 // bulk and read far more than they are mutated, so flat storage wins on both
 // sides: bulk builds are appends instead of one tree node allocation per
 // fact, and iteration/equality are linear scans over contiguous memory.
-// Mutation goes through Instance (insert/erase shift the tail, O(n) worst
-// case — fine for the small instances the checkers enumerate).
+// Mutation goes through Instance (single inserts/erases shift the tail, O(n)
+// worst case — fine for the small instances the checkers enumerate; bulk
+// inserts merge linearly).
 class TupleSet {
  public:
   using value_type = Tuple;
@@ -77,7 +78,8 @@ class Instance {
   // run extends past its current maximum — for queries that produce their
   // output in sorted order anyway (the evaluation engines and the native
   // graph queries on the checker hot path), the build is a plain append.
-  // Returns the number of new facts.
+  // Any other run is one in-place linear merge, O(n + m). Returns the
+  // number of new facts.
   size_t InsertSorted(uint32_t rel, const std::vector<Tuple>& sorted);
   // Move form: when relation `rel` is empty the buffer is adopted wholesale
   // (no per-tuple copies) — the engines' materialization path.

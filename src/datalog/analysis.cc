@@ -15,6 +15,12 @@ Status NoteArity(std::map<uint32_t, uint32_t>& arities, const Atom& atom) {
     return InvalidArgumentError("nullary atom '" + NameOf(atom.relation) +
                                 "()' not allowed (paper assumes arity >= 1)");
   }
+  if (arity > kMaxArity) {
+    return InvalidArgumentError(
+        "atom '" + NameOf(atom.relation) + "' has arity " +
+        std::to_string(arity) + "; at most " + std::to_string(kMaxArity) +
+        " allowed (join plans use 32-bit column masks)");
+  }
   auto [it, inserted] = arities.emplace(atom.relation, arity);
   if (!inserted && it->second != arity) {
     return InvalidArgumentError(

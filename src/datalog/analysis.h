@@ -37,9 +37,14 @@ struct ProgramInfo {
 // active domain of the input (the paper omits the defining rules).
 uint32_t AdomRelation();
 
+// The widest relation a program may use: compiled join plans address an
+// atom's columns with 32-bit masks.
+constexpr size_t kMaxArity = 32;
+
 // Validates well-formedness and returns ProgramInfo:
 //   * consistent arities across all uses of a relation,
-//   * nonzero arities,
+//   * arities from 1 to kMaxArity (an invention atom's invented position
+//     counts),
 //   * nonempty pos in every rule,
 //   * safety: every variable of a rule occurs in pos,
 //   * invention atoms only where `allow_invention`.

@@ -1,11 +1,48 @@
 #include "transducer/network.h"
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 
 #include "base/metrics.h"
 #include "base/trace.h"
 
 namespace calm::transducer {
+
+namespace {
+
+// Appends every value occurring in `instance` to `out` (unsorted, repeats).
+void AppendValues(const Instance& instance, std::vector<Value>* out) {
+  instance.ForEachFact([&](uint32_t, const Tuple& t) {
+    out->insert(out->end(), t.begin(), t.end());
+  });
+}
+
+void SortUnique(std::vector<Value>* values) {
+  std::sort(values->begin(), values->end());
+  values->erase(std::unique(values->begin(), values->end()), values->end());
+}
+
+// Merges the values of `facts` into the ascending `domain`.
+void AddValues(const Instance& facts, std::vector<Value>* domain) {
+  std::vector<Value> fresh;
+  facts.ForEachFact([&](uint32_t, const Tuple& t) {
+    for (Value v : t) {
+      if (!std::binary_search(domain->begin(), domain->end(), v)) {
+        fresh.push_back(v);
+      }
+    }
+  });
+  if (fresh.empty()) return;
+  SortUnique(&fresh);
+  std::vector<Value> merged;
+  merged.reserve(domain->size() + fresh.size());
+  std::merge(domain->begin(), domain->end(), fresh.begin(), fresh.end(),
+             std::back_inserter(merged));
+  domain->swap(merged);
+}
+
+}  // namespace
 
 const char* NetworkSemanticsName(NetworkSemantics semantics) {
   switch (semantics) {
@@ -35,6 +72,9 @@ Status TransducerNetwork::Initialize(const Instance& input) {
   local_inputs_ = Distribute(*policy_, nodes_, input);
   states_.clear();
   for (Value n : nodes_) states_[n];
+  node_domains_.assign(nodes_.size(), {});
+  for (size_t i = 0; i < nodes_.size(); ++i) RecomputeNodeDomain(i);
+  system_cache_.assign(nodes_.size(), SystemCache());
   buffers_.assign(nodes_.size(), net::MessageBuffer());
   staged_.assign(nodes_.size(), {});
   recovery_.assign(nodes_.size(), Instance());
@@ -72,10 +112,10 @@ const Instance& TransducerNetwork::state(Value node) const {
   return states_.at(node);
 }
 const net::MessageBuffer& TransducerNetwork::buffer(Value node) const {
-  return buffers_[IndexOf(node)];
+  return buffers_.at(IndexOf(node));
 }
 net::MessageBuffer& TransducerNetwork::mutable_buffer(Value node) {
-  return buffers_[IndexOf(node)];
+  return buffers_.at(IndexOf(node));
 }
 
 Result<Instance> TransducerNetwork::SystemFactsFor(
@@ -93,7 +133,12 @@ Result<Instance> TransducerNetwork::SystemFactsFor(
   } else {
     a.insert(node);
   }
+  return BuildSystemFacts(index, std::vector<Value>(a.begin(), a.end()));
+}
 
+Instance TransducerNetwork::BuildSystemFacts(
+    size_t index, const std::vector<Value>& a) const {
+  const Value node = nodes_[index];
   Instance s;
   if (model_.expose_id) s.Insert(Fact(IdRelation(), {node}));
   if (model_.expose_all) {
@@ -103,15 +148,14 @@ Result<Instance> TransducerNetwork::SystemFactsFor(
     for (Value v : a) s.Insert(Fact(MyAdomRelation(), {v}));
     // policy_R(a1..ak) for every tuple over A that this node is responsible
     // for ("safe" access to the distribution policy).
-    std::vector<Value> avec(a.begin(), a.end());
     for (const RelationDecl& r : transducer_->schema().in.relations()) {
       uint32_t policy_rel = PolicyRelationId(r.name);
       std::vector<size_t> idx(r.arity, 0);
-      if (avec.empty()) continue;
+      if (a.empty()) continue;
       while (true) {
         Tuple t;
         t.reserve(r.arity);
-        for (size_t i : idx) t.push_back(avec[i]);
+        for (size_t i : idx) t.push_back(a[i]);
         Fact candidate(r.name, t);
         std::set<Value> owners = policy_->NodesFor(candidate);
         if (owners.count(node) > 0) s.Insert(Fact(policy_rel, std::move(t)));
@@ -119,7 +163,7 @@ Result<Instance> TransducerNetwork::SystemFactsFor(
         bool done = false;
         while (pos > 0) {
           --pos;
-          if (++idx[pos] < avec.size()) break;
+          if (++idx[pos] < a.size()) break;
           idx[pos] = 0;
           if (pos == 0) done = true;
         }
@@ -128,6 +172,35 @@ Result<Instance> TransducerNetwork::SystemFactsFor(
     }
   }
   return s;
+}
+
+const Instance& TransducerNetwork::CachedSystemFacts(
+    size_t index, const Instance& delivered) {
+  // A = adom(H(x) + s(x)) + adom(M) + (N, or {x} without All), from the
+  // node's maintained domain, without materializing J. Outside the
+  // policy-aware model the facts (Id, All) do not read A; it stays empty.
+  std::vector<Value> a;
+  if (model_.policy_aware) {
+    std::vector<Value> extra;
+    AppendValues(delivered, &extra);
+    if (model_.expose_all) {
+      extra.insert(extra.end(), nodes_.begin(), nodes_.end());
+    } else {
+      extra.push_back(nodes_[index]);
+    }
+    SortUnique(&extra);
+    const std::vector<Value>& domain = node_domains_[index];
+    a.reserve(domain.size() + extra.size());
+    std::set_union(domain.begin(), domain.end(), extra.begin(), extra.end(),
+                   std::back_inserter(a));
+  }
+  SystemCache& cache = system_cache_[index];
+  if (!cache.valid || a != cache.domain) {
+    cache.facts = BuildSystemFacts(index, a);
+    cache.domain = std::move(a);
+    cache.valid = true;
+  }
+  return cache.facts;
 }
 
 Status TransducerNetwork::StepNode(Value node,
@@ -163,6 +236,7 @@ Status TransducerNetwork::StepNode(Value node,
       // routing it through the buffer would let the scheduler split it,
       // breaking causal order between the replayed facts.
       states_.at(nodes_[crashed]).clear();
+      RecomputeNodeDomain(crashed);
       recovery_[crashed].InsertAll(faults_->InboxOf(crashed));
       external_change = true;
     }
@@ -209,7 +283,7 @@ Status TransducerNetwork::StepNode(Value node,
     faults_->OnDeliver(index, delivered);
   }
 
-  CALM_ASSIGN_OR_RETURN(Instance system, SystemFactsFor(node, delivered));
+  const Instance& system = CachedSystemFacts(index, delivered);
 
   StepInput in{local_inputs_.at(node), states_.at(node), delivered, system};
   CALM_ASSIGN_OR_RETURN(StepOutput out, transducer_->Step(in));
@@ -222,16 +296,28 @@ Status TransducerNetwork::StepNode(Value node,
   }
 
   Instance& state = states_.at(node);
-  Instance old_state = state;
 
   // Output facts accumulate and are never retracted.
-  state.InsertAll(out.output);
-  // Memory: add ins \ del, remove del \ ins.
+  const size_t output_added = state.InsertAll(out.output);
+  // Memory: add ins \ del, remove del \ ins. The state changed iff some
+  // insert or erase took effect: out and mem are disjoint (Validate) and so
+  // are add and remove, so no fact is both added and removed.
   Instance add = Instance::Difference(out.insertions, out.deletions);
   Instance remove = Instance::Difference(out.deletions, out.insertions);
-  state.InsertAll(add);
-  remove.ForEachFact(
-      [&](uint32_t name, const Tuple& t) { state.Erase(Fact(name, t)); });
+  const size_t mem_added = state.InsertAll(add);
+  size_t erased = 0;
+  remove.ForEachFact([&](uint32_t name, const Tuple& t) {
+    if (state.Erase(Fact(name, t))) ++erased;
+  });
+  if (model_.policy_aware) {
+    // Insertions only add values to adom(s(x)); an erase may drop one.
+    if (erased > 0) {
+      RecomputeNodeDomain(index);
+    } else {
+      if (output_added > 0) AddValues(out.output, &node_domains_[index]);
+      if (mem_added > 0) AddValues(add, &node_domains_[index]);
+    }
+  }
 
   // Sends go to every other node's buffer (multiset union), through the
   // fault channel when one is attached. A held (dropped / partitioned) send
@@ -264,12 +350,18 @@ Status TransducerNetwork::StepNode(Value node,
 
   ++stats_.transitions;
   if (delivery_indices.empty()) ++stats_.heartbeats;
-  last_step_changed_ = (state != old_state) || fanout > 0 || external_change;
+  last_step_changed_ =
+      output_added + mem_added + erased > 0 || fanout > 0 || external_change;
 
-  size_t out_size = GlobalOutput().size();
-  if (out_size > stats_.output_facts) {
-    stats_.output_facts = out_size;
-    stats_.output_complete_at = stats_.transitions;
+  // output_facts is a running maximum of |GlobalOutput()|, which can only
+  // grow when this node gained output facts: no other state changed, and a
+  // crash-restart only shrinks states.
+  if (output_added > 0) {
+    size_t out_size = GlobalOutputSize();
+    if (out_size > stats_.output_facts) {
+      stats_.output_facts = out_size;
+      stats_.output_complete_at = stats_.transitions;
+    }
   }
 
   if (span.active()) {
@@ -302,6 +394,48 @@ Instance TransducerNetwork::GlobalOutput() const {
     out.InsertAll(state.Restrict(transducer_->schema().out));
   }
   return out;
+}
+
+size_t TransducerNetwork::GlobalOutputSize() const {
+  // Per out relation, a k-way merge over the nodes' sorted tuple sets that
+  // counts each distinct tuple once.
+  using Run = std::pair<TupleSet::const_iterator, TupleSet::const_iterator>;
+  std::vector<Run> runs;
+  size_t total = 0;
+  for (const RelationDecl& r : transducer_->schema().out.relations()) {
+    runs.clear();
+    for (const auto& [node, state] : states_) {
+      const TupleSet& tuples = state.TuplesOf(r.name);
+      if (!tuples.empty()) runs.emplace_back(tuples.begin(), tuples.end());
+    }
+    while (!runs.empty()) {
+      const Tuple* least = &*runs[0].first;
+      for (const Run& run : runs) {
+        if (*run.first < *least) least = &*run.first;
+      }
+      // Advancing an iterator does not move the tuple `least` points at.
+      const Tuple& t = *least;
+      for (Run& run : runs) {
+        if (*run.first == t) ++run.first;
+      }
+      ++total;
+      runs.erase(std::remove_if(runs.begin(), runs.end(),
+                                [](const Run& run) {
+                                  return run.first == run.second;
+                                }),
+                 runs.end());
+    }
+  }
+  return total;
+}
+
+void TransducerNetwork::RecomputeNodeDomain(size_t index) {
+  std::vector<Value>& domain = node_domains_[index];
+  domain.clear();
+  if (!model_.policy_aware) return;
+  AppendValues(local_inputs_.at(nodes_[index]), &domain);
+  AppendValues(states_.at(nodes_[index]), &domain);
+  SortUnique(&domain);
 }
 
 bool TransducerNetwork::BuffersEmpty() const {

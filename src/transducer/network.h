@@ -53,6 +53,8 @@ class TransducerNetwork {
 
   const Network& nodes() const { return nodes_; }
   const ModelOptions& model() const { return model_; }
+  // Per-node accessors. An unknown node, or any node before Initialize,
+  // throws std::out_of_range.
   const Instance& local_input(Value node) const;
   const Instance& state(Value node) const;
   const net::MessageBuffer& buffer(Value node) const;
@@ -103,13 +105,24 @@ class TransducerNetwork {
 
   const net::RunStats& stats() const { return stats_; }
 
-  // The system facts node `node` would see right now (exposed for tests).
+  // The system facts node `node` would see right now, built from scratch
+  // (the reference StepNode's cached system facts are tested against).
   Result<Instance> SystemFactsFor(Value node, const Instance& delivered) const;
 
  private:
   size_t IndexOf(Value node) const;
   // Enqueues a (possibly fault-injected) delivery into its receiver buffer.
   void Inject(const net::FaultPlan::Delivery& delivery);
+  // The system facts of node `index` over the ambient set `a` (ascending;
+  // only read under the policy-aware model).
+  Instance BuildSystemFacts(size_t index, const std::vector<Value>& a) const;
+  // The system facts node `index` sees in a transition delivering
+  // `delivered`: equal to SystemFactsFor, but rebuilt only when A changed.
+  const Instance& CachedSystemFacts(size_t index, const Instance& delivered);
+  // |GlobalOutput()|, counted by merging the nodes' tuple sets.
+  size_t GlobalOutputSize() const;
+  // Recomputes node_domains_[index] from the node's input and state.
+  void RecomputeNodeDomain(size_t index);
 
   Network nodes_;
   const Transducer* transducer_;
@@ -126,6 +139,21 @@ class TransducerNetwork {
   std::vector<Instance> recovery_;
   std::map<Value, Instance> local_inputs_;
   std::map<Value, Instance> states_;  // over out + mem
+  // Per node: adom(H(x) + s(x)), ascending — the part of A that persists
+  // between transitions. Grown from each transition's insertions, and
+  // recomputed after a memory deletion or a crash-restart. Maintained only
+  // under the policy-aware model, the only one that reads A.
+  std::vector<std::vector<Value>> node_domains_;
+  // Per node: the system facts of its last transition and the ambient set
+  // A they were built over. They depend only on (node, A) — and not on A
+  // at all outside the policy-aware model — so they are rebuilt only when
+  // A changes. Reset by Initialize.
+  struct SystemCache {
+    bool valid = false;
+    std::vector<Value> domain;  // A, ascending
+    Instance facts;
+  };
+  std::vector<SystemCache> system_cache_;
   std::vector<net::MessageBuffer> buffers_;
   net::RunStats stats_;
   bool last_step_changed_ = false;

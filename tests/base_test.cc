@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "base/components.h"
 #include "base/enumerator.h"
 #include "base/homomorphism.h"
@@ -133,6 +136,67 @@ TEST(InstanceTest, InsertSortedMatchesInsert) {
       {Fact("E", {V(1), V(2)}), Fact("S", {V(9)})});
   Instance facts_ref{Fact("E", {V(1), V(2)}), Fact("S", {V(9)})};
   EXPECT_EQ(facts_bulk, facts_ref);
+
+  // The merge branch: a run that does not extend past the relation's
+  // maximum, interleaving with stored tuples and repeating tuples both
+  // inside the run and against the stored ones.
+  const uint32_t e = InternName("E");
+  Instance merged{Fact("E", {V(1), V(2)}), Fact("E", {V(2), V(2)}),
+                  Fact("E", {V(4), V(1)}), Fact("S", {V(5)})};
+  Instance reference = merged;
+  const std::vector<Tuple> run{{V(0), V(9)}, {V(1), V(2)}, {V(1), V(3)},
+                               {V(1), V(3)}, {V(2), V(2)}, {V(3), V(0)},
+                               {V(4), V(1)}, {V(4), V(1)}};
+  size_t want = 0;
+  for (const Tuple& t : run) want += reference.Insert(Fact(e, t)) ? 1 : 0;
+  ASSERT_EQ(want, 3u);  // (0,9), (1,3), (3,0)
+  EXPECT_EQ(merged.InsertSorted(e, run), 3u);
+  EXPECT_EQ(merged, reference);
+  EXPECT_EQ(merged.size(), reference.size());
+
+  // A run of stored tuples only (some repeated) adds nothing.
+  EXPECT_EQ(merged.InsertSorted(e, {{V(1), V(2)}, {V(1), V(2)}, {V(4), V(1)}}),
+            0u);
+  EXPECT_EQ(merged, reference);
+
+  // InsertAll takes the same path, including into itself.
+  Instance other{Fact("E", {V(2), V(0)}), Fact("E", {V(4), V(1)}),
+                 Fact("S", {V(1)}), Fact("S", {V(5)})};
+  size_t want_all = 0;
+  other.ForEachFact([&](uint32_t name, const Tuple& t) {
+    want_all += reference.Insert(Fact(name, t)) ? 1 : 0;
+  });
+  EXPECT_EQ(merged.InsertAll(other), want_all);
+  EXPECT_EQ(merged, reference);
+  EXPECT_EQ(merged.InsertAll(merged), 0u);
+  EXPECT_EQ(merged, reference);
+  EXPECT_EQ(Instance::Union(other, merged), reference);
+
+  // Seeded runs against one-by-one Insert: random stored tuples, random
+  // sorted runs with repeats, both InsertSorted forms.
+  std::mt19937_64 rng(7);
+  auto random_tuple = [&]() {
+    return Tuple{V(rng() % 5), V(rng() % 5)};
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    Instance bulk;
+    Instance one_by_one;
+    for (size_t i = rng() % 10; i > 0; --i) {
+      Tuple t = random_tuple();
+      bulk.Insert(Fact(e, t));
+      one_by_one.Insert(Fact(e, t));
+    }
+    std::vector<Tuple> sorted(rng() % 10);
+    for (Tuple& t : sorted) t = random_tuple();
+    std::sort(sorted.begin(), sorted.end());
+    size_t added = 0;
+    for (const Tuple& t : sorted) added += one_by_one.Insert(Fact(e, t));
+    size_t got = trial % 2 == 0 ? bulk.InsertSorted(e, sorted)
+                                : bulk.InsertSorted(e, std::move(sorted));
+    EXPECT_EQ(got, added) << "trial " << trial;
+    EXPECT_EQ(bulk, one_by_one) << "trial " << trial;
+    EXPECT_EQ(bulk.size(), one_by_one.size()) << "trial " << trial;
+  }
 }
 
 TEST(FactTest, EqualityAndPrinting) {

@@ -106,6 +106,23 @@ TEST(AnalysisTest, RejectsArityConflicts) {
   EXPECT_FALSE(Analyze(ParseOrDie("T(x) :- E(x, x). T(x, y) :- E(x, y).")).ok());
 }
 
+TEST(AnalysisTest, RejectsArityAbove32) {
+  // Join plans address an atom's columns with 32-bit masks.
+  auto rule = [](size_t arity) {
+    std::string vars;
+    for (size_t i = 0; i < arity; ++i) {
+      vars += (i > 0 ? ", x" : "x") + std::to_string(i);
+    }
+    return "O(x0) :- E(" + vars + ").";
+  };
+  Result<DatalogQuery> wide = DatalogQuery::Create(ParseOrDie(rule(33)), "");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wide.status().message().find("at most 32"), std::string::npos)
+      << wide.status();
+  EXPECT_TRUE(DatalogQuery::Create(ParseOrDie(rule(32)), "").ok());
+}
+
 TEST(AnalysisTest, RejectsInventionWithoutOptIn) {
   Program p = ParseOrDie("R(*, x) :- E(x, y).");
   EXPECT_FALSE(Analyze(p).ok());

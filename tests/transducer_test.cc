@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "queries/graph_queries.h"
 #include "transducer/coordination.h"
@@ -501,6 +502,24 @@ TEST(NetworkErrorTest, StepOnUnknownNodeFails) {
                         ModelOptions::Original());
   ASSERT_TRUE(net.Initialize(Instance{}).ok());
   EXPECT_FALSE(net.StepNode(V(999), {}).ok());
+}
+
+TEST(NetworkErrorTest, BufferAccessorsRejectUnknownNodes) {
+  auto tc = queries::MakeTransitiveClosure();
+  auto transducer = MakeBroadcastTransducer(tc.get());
+  HashPolicy policy({V(900)});
+  TransducerNetwork net({V(900)}, transducer.get(), &policy,
+                        ModelOptions::Original());
+  // Before Initialize no node has a buffer yet.
+  EXPECT_THROW(net.buffer(V(900)), std::out_of_range);
+  EXPECT_THROW(net.mutable_buffer(V(900)), std::out_of_range);
+  ASSERT_TRUE(net.Initialize(Instance{}).ok());
+  EXPECT_TRUE(net.buffer(V(900)).empty());
+  EXPECT_TRUE(net.mutable_buffer(V(900)).empty());
+  EXPECT_THROW(net.buffer(V(999)), std::out_of_range);
+  EXPECT_THROW(net.mutable_buffer(V(999)), std::out_of_range);
+  EXPECT_THROW(net.state(V(999)), std::out_of_range);
+  EXPECT_THROW(net.local_input(V(999)), std::out_of_range);
 }
 
 TEST(CoordinationTest, HeartbeatPrefixFailsForWrongExpectation) {
