@@ -427,9 +427,9 @@ void BM_FindViolationCanonical(benchmark::State& state) {
 }
 BENCHMARK(BM_FindViolationCanonical)->Unit(benchmark::kMillisecond);
 
-// The ladder re-evaluates the identical I space 3 * max_i times; the cached
-// variant shares one canonical result cache across all cells, so each
-// isomorphism class of unions is evaluated once for the whole table.
+// The ladder: one sweep resolves all 3 * max_i cells, over the full space
+// (BM_LadderFull) and the symmetry-reduced one (BM_LadderCached — the name
+// the perf-smoke baseline tracks; the ladder shares no result cache).
 void BM_LadderFull(benchmark::State& state) {
   auto qtc = queries::MakeComplementTransitiveClosure();
   monotonicity::ExhaustiveOptions o;

@@ -19,8 +19,8 @@ namespace calm {
 // of the input (base/canonical.h). For a generic query, Q(pi(I)) = pi(Q(I)),
 // so one evaluation per isomorphism class suffices: results are stored in
 // canonical labels and mapped back through the inverse of the witnessing
-// permutation on every hit. ComputeLadder shares one cache across its
-// 3 * max_i cells, which otherwise each re-evaluate the identical I space.
+// permutation on every hit. The preservation checker routes its repeated
+// target and subinstance evaluations through one.
 //
 // Correctness depends on genericity — callers must gate usage behind
 // ProbeGenericity (base/query.h) or explicit opt-in, exactly like the

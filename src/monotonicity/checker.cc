@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -12,7 +13,6 @@
 #include "base/canonical.h"
 #include "base/enumerator.h"
 #include "base/metrics.h"
-#include "base/result_cache.h"
 #include "base/thread_pool.h"
 #include "base/trace.h"
 #include "monotonicity/sweep_checkpoint.h"
@@ -37,16 +37,10 @@ std::string Counterexample::ToString() const {
          ", retracted output fact: " + FactToString(retracted);
 }
 
-Status PairChecker::EvalFactsMaybeCached(const Instance& input,
-                                         std::vector<Fact>* out) {
-  if (cache_) return cache_->EvalFacts(input, out);
-  return query_.EvalFacts(input, out);
-}
-
 Result<std::optional<Counterexample>> PairChecker::Check(const Instance& j) {
   if (!base_ready_) {
     base_ready_ = true;
-    base_status_ = EvalFactsMaybeCached(i_, &base_facts_);
+    base_status_ = query_.EvalFacts(i_, &base_facts_);
     if (base_status_.ok()) union_eval_ = query_.MakeUnionEvaluator(i_);
   }
   if (!base_status_.ok()) return base_status_;
@@ -72,12 +66,6 @@ Result<std::optional<Counterexample>> CheckPair(const Query& query,
   return PairChecker(query, i).Check(j);
 }
 
-namespace {
-
-// Candidate facts for J given I, per class:
-//  * kMonotone:       every fact over adom(I) + fresh values
-//  * kDomainDistinct: facts containing at least one fresh value
-//  * kDomainDisjoint: facts over fresh values only
 std::vector<Fact> CandidateJFacts(const Schema& schema, const Instance& i,
                                   const std::vector<Value>& fresh,
                                   MonotonicityClass cls) {
@@ -108,9 +96,34 @@ std::vector<Fact> CandidateJFacts(const Schema& schema, const Instance& i,
   return out;
 }
 
-// The first stopping event (error or counterexample) a shard saw for one
-// candidate I, in that I's J enumeration order.
-struct InstanceOutcome {
+std::vector<std::map<Value, Value>> StabilizerValueMaps(
+    const Instance& i, const std::vector<Value>& fresh) {
+  constexpr size_t kMaxMaps = 512;  // dropping maps only loses reduction
+  std::vector<std::map<Value, Value>> auts = InstanceAutomorphisms(i);
+  std::vector<std::vector<Value>> fresh_perms;
+  std::vector<Value> p = fresh;
+  do {
+    fresh_perms.push_back(p);
+  } while (std::next_permutation(p.begin(), p.end()));
+
+  std::vector<std::map<Value, Value>> out;
+  out.reserve(std::min(kMaxMaps, auts.size() * fresh_perms.size()));
+  for (const std::map<Value, Value>& aut : auts) {
+    for (const std::vector<Value>& fp : fresh_perms) {
+      if (out.size() >= kMaxMaps) return out;
+      std::map<Value, Value> m = aut;
+      for (size_t t = 0; t < fresh.size(); ++t) m[fresh[t]] = fp[t];
+      out.push_back(std::move(m));
+    }
+  }
+  return out;
+}
+
+namespace {
+
+// One cell's first stopping event (error or counterexample) in its own J
+// enumeration order, at the least candidate index seen so far.
+struct CellOutcome {
   Status error;  // ok() when `cex` carries the event
   std::optional<Counterexample> cex;
 };
@@ -132,35 +145,6 @@ bool ResolveSymmetry(const Query& query, SymmetryMode mode, size_t domain_size,
                              std::min<size_t>(max_facts, 2)).ok();
   }
   return false;
-}
-
-// The violation-preserving value maps for I's J-space: Aut(I) composed with
-// every permutation of the fresh values. Both parts fix I setwise (the
-// automorphisms by definition, the fresh part vacuously), so for a generic
-// query g(J) violates at I exactly when J does, and every candidate fact
-// list is closed under g. Capped defensively — dropping maps only loses
-// reduction, never soundness.
-std::vector<std::map<Value, Value>> StabilizerValueMaps(
-    const Instance& i, const std::vector<Value>& fresh) {
-  constexpr size_t kMaxMaps = 512;
-  std::vector<std::map<Value, Value>> auts = InstanceAutomorphisms(i);
-  std::vector<std::vector<Value>> fresh_perms;
-  std::vector<Value> p = fresh;
-  do {
-    fresh_perms.push_back(p);
-  } while (std::next_permutation(p.begin(), p.end()));
-
-  std::vector<std::map<Value, Value>> out;
-  out.reserve(std::min(kMaxMaps, auts.size() * fresh_perms.size()));
-  for (const std::map<Value, Value>& aut : auts) {
-    for (const std::vector<Value>& fp : fresh_perms) {
-      if (out.size() >= kMaxMaps) return out;
-      std::map<Value, Value> m = aut;
-      for (size_t t = 0; t < fresh.size(); ++t) m[fresh[t]] = fp[t];
-      out.push_back(std::move(m));
-    }
-  }
-  return out;
 }
 
 // --- Reduced-sweep plan cache -------------------------------------------
@@ -204,15 +188,15 @@ uint64_t SubsetCountBound(uint64_t n, uint64_t max_facts, uint64_t cap) {
 }
 
 std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
-                                              MonotonicityClass cls,
+                                              const SweepCell& cell,
                                               const ExhaustiveOptions& options,
                                               const std::vector<Value>& domain,
                                               const std::vector<Value>& fresh) {
   constexpr uint64_t kMaxPlanPairs = 1u << 17;
   std::string key = schema.ToString();
   for (size_t v : {options.domain_size, options.fresh_values,
-                   options.max_facts_i, options.max_facts_j,
-                   static_cast<size_t>(cls)}) {
+                   options.max_facts_i, cell.max_facts_j,
+                   static_cast<size_t>(cell.cls)}) {
     key += '|';
     key += std::to_string(v);
   }
@@ -223,11 +207,12 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = cache->find(key);
-    if (it != cache->end()) return it->second;
+    if (it != cache->end()) return it->second;  // nullptr: over the cap
   }
 
   // Build outside the lock: concurrent misses may build duplicate plans, but
-  // the plans are identical and the first insert wins.
+  // the plans are identical and the first insert wins. An over-cap key is
+  // remembered as nullptr, so later sweeps skip straight to streaming.
   auto plan = std::make_shared<SweepPlan>();
   uint64_t pairs = 0;
   for (Instance& i : AllCanonicalInstances(schema, domain,
@@ -235,12 +220,15 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
     SweepPlanEntry entry;
     entry.i = std::move(i);
     std::vector<Fact> candidates =
-        CandidateJFacts(schema, entry.i, fresh, cls);
-    pairs += SubsetCountBound(candidates.size(), options.max_facts_j,
+        CandidateJFacts(schema, entry.i, fresh, cell.cls);
+    pairs += SubsetCountBound(candidates.size(), cell.max_facts_j,
                               kMaxPlanPairs);
-    if (pairs >= kMaxPlanPairs) return nullptr;  // too big to materialize
+    if (pairs >= kMaxPlanPairs) {  // too big to materialize
+      plan.reset();
+      break;
+    }
     ForEachCanonicalFactSubset(
-        candidates, options.max_facts_j,
+        candidates, cell.max_facts_j,
         FactIndexPermutations(candidates, StabilizerValueMaps(entry.i, fresh)),
         [&](const Instance& j) {
           entry.js.push_back(j);
@@ -253,42 +241,100 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
   return cache->emplace(key, std::move(plan)).first->second;
 }
 
+// The narrowest class whose J space holds `j` (a subset of some class's
+// candidates for I), as an int ordered like MonotonicityClass: 2 when no
+// value of j is in adom(I) (domain disjoint), 1 when every fact has one
+// outside it (domain distinct), 0 otherwise.
+int KindOf(const Instance& j, const std::set<Value>& adom_i) {
+  int kind = 2;
+  j.ForEachFact([&](uint32_t, const Tuple& t) {
+    size_t old = 0;
+    for (Value v : t) old += adom_i.count(v);
+    kind = std::min(kind, old == 0 ? 2 : old < t.size() ? 1 : 0);
+  });
+  return kind;
+}
+
+// Calls fn(c) for every cell index c set in `mask`, ascending.
+template <typename Fn>
+void ForEachCell(uint64_t mask, Fn fn) {
+  for (; mask != 0; mask &= mask - 1) {
+    fn(static_cast<size_t>(std::countr_zero(mask)));
+  }
+}
+
 }  // namespace
 
-Result<std::optional<Counterexample>> FindViolation(
-    const Query& query, MonotonicityClass cls,
+Result<std::vector<std::optional<Counterexample>>> FindViolations(
+    const Query& query, const std::vector<SweepCell>& cells,
     const ExhaustiveOptions& options) {
+  const size_t n = cells.size();
+  if (n > 64) {
+    return InvalidArgumentError("a sweep resolves at most 64 cells, got " +
+                                std::to_string(n));
+  }
+  if (n > 1 && !options.checkpoint_dir.empty()) {
+    return InvalidArgumentError("checkpoint_dir journals one-cell sweeps only");
+  }
+  std::vector<std::optional<Counterexample>> out(n);
+  if (n == 0) return out;
   const Schema& schema = query.input_schema();
   std::vector<Value> domain = IntDomain(options.domain_size);
   std::vector<Value> fresh = IntDomain(options.fresh_values, 1000);
+  auto cls_of = [&](size_t c) { return static_cast<int>(cells[c].cls); };
+  auto bound = [&](size_t c) { return cells[c].max_facts_j; };
+  uint64_t of_class[3] = {};
+  for (size_t c = 0; c < n; ++c) of_class[cls_of(c)] |= uint64_t{1} << c;
 
-  // Materialize the candidate-I space (small by construction: the paper's
-  // separations live at <= 6 values) and partition its indices across the
-  // pool. Each index records its first stopping event in a private slot;
-  // the winner is the event at the least index, which is exactly what the
-  // single-threaded nested loop returns — so verdicts and counterexamples
-  // are deterministic and thread-count-independent. `first_stop` is a
-  // monotonically decreasing cursor used only to prune work at indices that
-  // can no longer win.
+  // The head of the stream covering `open`: the widest class in it, at that
+  // class's largest bound. The stream serves every cell of `open` up to the
+  // head's bound (all are the head's class or narrower).
+  auto head_of = [&](uint64_t open) {
+    int k = 0;
+    while ((open & of_class[k]) == 0) ++k;
+    size_t head = n;
+    ForEachCell(open & of_class[k], [&](size_t c) {
+      if (head == n || bound(c) > bound(head)) head = c;
+    });
+    return head;
+  };
+
   // With the symmetry reduction active, the I stream keeps only the
-  // enumeration-least member of each isomorphism orbit; because violation
-  // existence is orbit-invariant for a generic query, the first violating
-  // representative is the first violating instance of the full stream, so
-  // the reported counterexample is byte-identical. The same argument filters
-  // each I's J-subset space under the stabilizer maps. The cache is only
-  // consulted under the same genericity gate.
+  // enumeration-least member of each isomorphism orbit; violation existence
+  // is orbit-invariant for a generic query, so the first violating
+  // representative is the full stream's first violating instance. The same
+  // argument filters each I's J space under the stabilizer maps. Plans are
+  // looked up once per stream head per sweep; all plans for these bounds
+  // hold the same I list, so the first head's plan supplies it if it has one.
   bool reduce = ResolveSymmetry(query, options.symmetry, options.domain_size,
                                 options.max_facts_i);
-  QueryResultCache* cache = reduce ? options.cache : nullptr;
-  std::shared_ptr<const SweepPlan> plan =
-      reduce ? GetSweepPlan(schema, cls, options, domain, fresh) : nullptr;
+  std::vector<std::once_flag> plan_once(n);
+  std::vector<std::shared_ptr<const SweepPlan>> plans(n);
+  auto plan_for = [&](size_t head) {
+    std::call_once(plan_once[head], [&] {
+      plans[head] = GetSweepPlan(schema, cells[head], options, domain, fresh);
+    });
+    return plans[head].get();
+  };
+  const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  const SweepPlan* i_plan = reduce ? plan_for(head_of(all)) : nullptr;
   std::vector<Instance> is =
-      plan != nullptr ? std::vector<Instance>()
+      i_plan != nullptr ? std::vector<Instance>()
       : reduce ? AllCanonicalInstances(schema, domain, options.max_facts_i)
                : AllInstances(schema, domain, options.max_facts_i);
-  const size_t space = plan != nullptr ? plan->entries.size() : is.size();
-  std::vector<InstanceOutcome> slots(space);
-  std::atomic<size_t> first_stop{space};
+  const size_t space = i_plan != nullptr ? i_plan->entries.size() : is.size();
+
+  // Candidate indices are partitioned across the pool. A cell's winner is
+  // its first stopping event at the least index, which is exactly what its
+  // single-threaded nested loop returns — so verdicts and counterexamples
+  // are deterministic and thread-count-independent. first_stop[c] is cell
+  // c's least event index so far (written under outcomes_mu); the cell is
+  // open at idx while first_stop[c] > idx, which prunes indices that can no
+  // longer win.
+  std::vector<std::atomic<size_t>> first_stop(n);
+  for (std::atomic<size_t>& f : first_stop) f.store(space);
+  std::mutex outcomes_mu;
+  std::vector<CellOutcome> outcomes(n);
 
   // Durable sweep journal (sweep_checkpoint.h). The file identity encodes
   // the query, kind, class, and every bound, and its Begin record pins
@@ -298,37 +344,33 @@ Result<std::optional<Counterexample>> FindViolation(
     CALM_ASSIGN_OR_RETURN(
         ckpt, SweepCheckpoint::Open(
                   options.checkpoint_dir,
-                  SweepFileId(query.name(), "fv", MonotonicityClassName(cls),
+                  SweepFileId(query.name(), "fv",
+                              MonotonicityClassName(cells[0].cls),
                               options.domain_size, options.fresh_values,
-                              options.max_facts_i, options.max_facts_j),
+                              options.max_facts_i, cells[0].max_facts_j),
                   space));
+    // A complete run's recorded winner is the verdict. Otherwise the least
+    // recorded stop seeds the cell and prunes everything behind it, exactly
+    // as if this run had found it itself.
+    const uint64_t winner = ckpt->complete() ? ckpt->winner()
+                            : ckpt->stops().empty()
+                                ? space
+                                : ckpt->stops().begin()->first;
+    const SweepStop* stop = winner < space ? ckpt->StopAt(winner) : nullptr;
+    if (stop != nullptr) {
+      outcomes[0].error = stop->error;
+      if (stop->has_witness) {
+        outcomes[0].cex = Counterexample{stop->i, stop->j, stop->fact};
+      }
+      first_stop[0].store(winner);
+    } else if (ckpt->complete() && winner < space) {
+      return InternalError("sweep checkpoint: complete without a stop at " +
+                           std::to_string(winner));
+    }
     if (ckpt->complete()) {
-      // A prior run finished this sweep: its recorded winner is the verdict.
-      const uint64_t winner = ckpt->winner();
-      if (winner >= space) return std::optional<Counterexample>();
-      const SweepStop* stop = ckpt->StopAt(winner);
-      if (stop == nullptr) {
-        return InternalError("sweep checkpoint: complete without a stop at " +
-                             std::to_string(winner));
-      }
-      if (!stop->has_witness) return stop->error;
-      return std::optional<Counterexample>(
-          Counterexample{stop->i, stop->j, stop->fact});
-    }
-    // Seed this run with the recorded stops: they occupy their slots and the
-    // least recorded stop prunes everything behind it, exactly as if this
-    // run had found them itself.
-    for (const auto& [idx, stop] : ckpt->stops()) {
-      if (idx >= space) continue;
-      if (stop.has_witness) {
-        slots[idx].cex = Counterexample{stop.i, stop.j, stop.fact};
-      } else {
-        slots[idx].error = stop.error;
-      }
-    }
-    if (!ckpt->stops().empty()) {
-      first_stop.store(ckpt->stops().begin()->first,
-                       std::memory_order_relaxed);
+      if (!outcomes[0].error.ok()) return outcomes[0].error;
+      out[0] = std::move(outcomes[0].cex);
+      return out;
     }
   }
   std::atomic<bool> cancelled{false};
@@ -342,27 +384,29 @@ Result<std::optional<Counterexample>> FindViolation(
   };
 
   TraceSpan span("checker.find_violation");
-  span.Arg("class", static_cast<int64_t>(cls));
+  span.Arg("class", static_cast<int64_t>(cells[0].cls));
+  span.Arg("cells", static_cast<int64_t>(n));
   span.Arg("instances", static_cast<int64_t>(space));
   span.Arg("reduced", reduce ? 1 : 0);
   const bool metrics_on = MetricsEnabled();
-  const QueryResultCache::Stats cache_before =
-      cache != nullptr ? cache->stats() : QueryResultCache::Stats{};
-  // Pair totals feed the span and the progress counters; they are only
-  // tallied when somebody is listening (the per-pair add is a sharded
-  // relaxed atomic, the per-I flush below is the normal path).
+  // Pair totals feed the span and the progress counters (labeled by the
+  // stream's class); they are only tallied when somebody is listening.
   const bool observing = metrics_on || span.active();
   std::atomic<uint64_t> pairs_total{0};
-  Counter* instances_done = nullptr;
-  Counter* pairs_done = nullptr;
+  Counter* instances_done[3] = {};
+  Counter* pairs_done[3] = {};
   Counter* skipped_done = nullptr;
   if (metrics_on) {
     MetricRegistry& registry = MetricRegistry::Global();
-    instances_done =
-        &registry.GetCounter("calm.checker.instances_examined",
-                             {{"class", MonotonicityClassName(cls)}});
-    pairs_done = &registry.GetCounter("calm.checker.pairs_checked",
-                                      {{"class", MonotonicityClassName(cls)}});
+    for (int k = 0; k < 3; ++k) {
+      if (of_class[k] == 0) continue;
+      const char* name =
+          MonotonicityClassName(static_cast<MonotonicityClass>(k));
+      instances_done[k] = &registry.GetCounter(
+          "calm.checker.instances_examined", {{"class", name}});
+      pairs_done[k] =
+          &registry.GetCounter("calm.checker.pairs_checked", {{"class", name}});
+    }
     if (ckpt != nullptr) {
       skipped_done = &registry.GetCounter("calm.durable.sweep_skipped");
     }
@@ -371,143 +415,148 @@ Result<std::optional<Counterexample>> FindViolation(
   ParallelFor(space, options.threads, [&](size_t idx) {
     if (cancel_requested()) return;
     if (ckpt != nullptr && ckpt->IsRecorded(idx)) {
-      // A prior run durably finished this candidate; its outcome (if a stop)
-      // was seeded into `slots` above.
+      // A prior run durably finished this candidate; its outcome (if the
+      // least stop) was seeded above.
       if (skipped_done != nullptr) skipped_done->Increment();
       return;
     }
-    if (first_stop.load(std::memory_order_relaxed) < idx) return;
-    InstanceOutcome& slot = slots[idx];
-    uint64_t pairs_here = 0;
+    uint64_t open = 0;
+    ForEachCell(all, [&](size_t c) {
+      if (first_stop[c].load(std::memory_order_relaxed) > idx) {
+        open |= uint64_t{1} << c;
+      }
+    });
+    if (open == 0) return;
+    const Instance& i = i_plan != nullptr ? i_plan->entries[idx].i : is[idx];
+    // One checker per outer I: Q(i) is computed at most once and reused
+    // across every stream below.
+    PairChecker checker(query, i);
+    std::set<Value> adom_i;
+    std::optional<std::vector<std::map<Value, Value>>> stabilizer;
     // A candidate pruned mid-enumeration (a lower index already stopped, or
     // a cancel arrived) was NOT fully examined, so it must not be journaled
     // as Done — the Done record means "every J was checked".
     bool pruned = false;
-    if (plan != nullptr) {
-      // Plan path: walk the precomputed J stream through one PairChecker —
-      // base evaluation stays lazy (an I with no pairs is never evaluated)
-      // and the union evaluator's per-I state amortizes across the whole
-      // stream; checks, order, and stop points match the streaming path
-      // exactly.
-      const SweepPlanEntry& entry = plan->entries[idx];
-      PairChecker checker(query, entry.i, cache);
-      for (const Instance& j : entry.js) {
-        if (first_stop.load(std::memory_order_relaxed) < idx ||
-            cancel_requested()) {
-          pruned = true;
-          break;
-        }
-        ++pairs_here;
-        Result<std::optional<Counterexample>> r = checker.Check(j);
-        if (!r.ok()) {
-          slot.error = r.status();
-          break;
-        }
-        if (r->has_value()) {
-          slot.cex = std::move(r.value());
-          break;
-        }
-      }
-    } else {
-      const Instance& i = is[idx];
-      std::vector<Fact> candidates = CandidateJFacts(schema, i, fresh, cls);
-      // One checker per outer I: Q(i) is computed once and reused across the
-      // whole J enumeration below.
-      PairChecker checker(query, i, cache);
+    bool stopped = false;
+    while (open != 0) {
+      const size_t head = head_of(open);
+      uint64_t served = 0;
+      ForEachCell(open, [&](size_t c) {
+        if (bound(c) <= bound(head)) served |= uint64_t{1} << c;
+      });
+      open &= ~served;
+      // Every J of the stream is in the head's class, so kinds only matter
+      // when it serves a narrower one.
+      const bool tag = (served & ~of_class[cls_of(head)]) != 0;
+      if (tag && adom_i.empty()) adom_i = i.ActiveDomain();
+      uint64_t pairs_here = 0;
       auto visit = [&](const Instance& j) {
-        if (first_stop.load(std::memory_order_relaxed) < idx ||
-            cancel_requested()) {
+        const int kind = tag ? KindOf(j, adom_i) : cls_of(head);
+        uint64_t live = 0;
+        uint64_t hit = 0;  // the live cells whose space holds j
+        ForEachCell(served, [&](size_t c) {
+          if (first_stop[c].load(std::memory_order_relaxed) <= idx) return;
+          live |= uint64_t{1} << c;
+          if (cls_of(c) <= kind && j.size() <= bound(c)) {
+            hit |= uint64_t{1} << c;
+          }
+        });
+        if (live == 0 || cancel_requested()) {
           pruned = true;
           return false;
         }
+        if (hit == 0) return true;
         ++pairs_here;
         Result<std::optional<Counterexample>> r = checker.Check(j);
-        if (!r.ok()) {
-          slot.error = r.status();
-          return false;
+        if (r.ok() && !r->has_value()) return true;
+        CellOutcome event{r.status(),
+                          r.ok() ? std::move(r).value() : std::nullopt};
+        stopped = true;
+        if (ckpt != nullptr) {
+          // Durable before visible: the stop is journaled before it can
+          // prune (and thus silence) higher indices in this run.
+          SweepStop stop;
+          stop.error = event.error;
+          if (event.cex.has_value()) {
+            stop.has_witness = true;
+            stop.i = event.cex->i;
+            stop.j = event.cex->j;
+            stop.fact = event.cex->retracted;
+          }
+          ckpt->RecordStop(idx, stop);
         }
-        if (r->has_value()) {
-          slot.cex = std::move(r.value());
-          return false;
-        }
-        return true;
+        std::lock_guard<std::mutex> lock(outcomes_mu);
+        ForEachCell(hit, [&](size_t c) {
+          if (idx < first_stop[c].load(std::memory_order_relaxed)) {
+            outcomes[c] = event;
+            first_stop[c].store(idx, std::memory_order_relaxed);
+          }
+        });
+        return (live & ~hit) != 0;
       };
-      if (reduce) {
-        ForEachCanonicalFactSubset(
-            candidates, options.max_facts_j,
-            FactIndexPermutations(candidates, StabilizerValueMaps(i, fresh)),
-            visit);
-      } else {
-        ForEachFactSubset(candidates, options.max_facts_j, visit);
-      }
-    }
-    if (observing) {
-      pairs_total.fetch_add(pairs_here, std::memory_order_relaxed);
-      if (metrics_on) {
-        instances_done->Increment();
-        pairs_done->Increment(pairs_here);
-      }
-    }
-    if (!slot.error.ok() || slot.cex.has_value()) {
-      if (ckpt != nullptr) {
-        // Durable before visible: the stop is journaled before it can prune
-        // (and thus silence) higher indices in this run.
-        SweepStop stop;
-        if (slot.cex.has_value()) {
-          stop.has_witness = true;
-          stop.i = slot.cex->i;
-          stop.j = slot.cex->j;
-          stop.fact = slot.cex->retracted;
-        } else {
-          stop.error = slot.error;
+      if (const SweepPlan* plan = reduce ? plan_for(head) : nullptr) {
+        // Plan path: walk the precomputed J stream; checks, order, and stop
+        // points match the streaming path exactly.
+        for (const Instance& j : plan->entries[idx].js) {
+          if (!visit(j)) break;
         }
-        ckpt->RecordStop(idx, stop);
+      } else {
+        std::vector<Fact> candidates =
+            CandidateJFacts(schema, i, fresh, cells[head].cls);
+        if (!reduce) {
+          ForEachFactSubset(candidates, bound(head), visit);
+        } else {
+          if (!stabilizer.has_value()) {
+            stabilizer = StabilizerValueMaps(i, fresh);
+          }
+          ForEachCanonicalFactSubset(
+              candidates, bound(head),
+              FactIndexPermutations(candidates, *stabilizer), visit);
+        }
       }
-      size_t cur = first_stop.load(std::memory_order_relaxed);
-      while (idx < cur &&
-             !first_stop.compare_exchange_weak(cur, idx,
-                                               std::memory_order_relaxed)) {
+      if (observing) {
+        pairs_total.fetch_add(pairs_here, std::memory_order_relaxed);
+        if (metrics_on) {
+          instances_done[cls_of(head)]->Increment();
+          pairs_done[cls_of(head)]->Increment(pairs_here);
+        }
       }
-    } else if (ckpt != nullptr && !pruned) {
-      ckpt->RecordDone(idx);
     }
+    if (ckpt != nullptr && !stopped && !pruned) ckpt->RecordDone(idx);
   });
 
   if (span.active()) {
     span.Arg("pairs", static_cast<int64_t>(
                           pairs_total.load(std::memory_order_relaxed)));
   }
-  if (cache != nullptr && metrics_on) {
-    const QueryResultCache::Stats after = cache->stats();
-    MetricRegistry& registry = MetricRegistry::Global();
-    registry.GetCounter("calm.checker.cache_hits")
-        .Increment(after.hits - cache_before.hits);
-    registry.GetCounter("calm.checker.cache_misses")
-        .Increment(after.misses - cache_before.misses);
-  }
-
   if (cancelled.load(std::memory_order_relaxed)) {
     // Everything that finished before the cancel is already journaled; a
     // rerun with the same checkpoint_dir picks up from there.
     if (ckpt != nullptr) CALM_RETURN_IF_ERROR(ckpt->io_status());
     return DeadlineExceededError("sweep cancelled");
   }
-
-  size_t winner = first_stop.load(std::memory_order_relaxed);
   if (ckpt != nullptr) {
     // The sweep ran to the end: certify the checkpoint (the winner is final)
     // — but only if every append landed; a WAL with a missing Done record
     // must not claim completeness.
     CALM_RETURN_IF_ERROR(ckpt->io_status());
-    ckpt->RecordComplete(winner);
+    ckpt->RecordComplete(first_stop[0].load(std::memory_order_relaxed));
     CALM_RETURN_IF_ERROR(ckpt->io_status());
   }
-  if (winner < space) {
-    InstanceOutcome& slot = slots[winner];
-    if (!slot.error.ok()) return slot.error;
-    return std::move(slot.cex);
+  for (size_t c = 0; c < n; ++c) {
+    if (!outcomes[c].error.ok()) return outcomes[c].error;
+    out[c] = std::move(outcomes[c].cex);
   }
-  return std::optional<Counterexample>();
+  return out;
+}
+
+Result<std::optional<Counterexample>> FindViolation(
+    const Query& query, MonotonicityClass cls,
+    const ExhaustiveOptions& options) {
+  CALM_ASSIGN_OR_RETURN(
+      std::vector<std::optional<Counterexample>> found,
+      FindViolations(query, {{cls, options.max_facts_j}}, options));
+  return std::move(found[0]);
 }
 
 Result<std::optional<Counterexample>> FindViolationRandom(

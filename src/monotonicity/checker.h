@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -10,11 +11,8 @@
 
 #include "base/instance.h"
 #include "base/query.h"
+#include "base/schema.h"
 #include "base/status.h"
-
-namespace calm {
-class QueryResultCache;
-}
 
 namespace calm::monotonicity {
 
@@ -65,17 +63,12 @@ struct ExhaustiveOptions {
   // enumeration-order-least orbit member, verdicts AND counterexamples are
   // byte-identical to the full sweep for generic queries.
   SymmetryMode symmetry = SymmetryMode::kAuto;
-  // Optional shared canonical result cache (base/result_cache.h), consulted
-  // only while the symmetry reduction is active (its correctness rests on
-  // the same genericity assumption). ComputeLadder wires one cache across
-  // its 3 * max_i cells; standalone FindViolation calls run uncached unless
-  // the caller provides one. Not owned.
-  QueryResultCache* cache = nullptr;
-  // When non-empty, the sweep journals per-candidate progress into
-  // <checkpoint_dir>/<sweep id>.wal (monotonicity/sweep_checkpoint.h) and a
-  // rerun with the same query, class, and bounds resumes: recorded indices
-  // are skipped and the verdict, witness, and stop point are identical to an
-  // uninterrupted run. The directory is created if missing.
+  // When non-empty, a one-cell sweep (FindViolation) journals per-candidate
+  // progress into <checkpoint_dir>/<sweep id>.wal
+  // (monotonicity/sweep_checkpoint.h) and a rerun with the same query,
+  // class, and bounds resumes: recorded indices are skipped and the verdict,
+  // witness, and stop point are identical to an uninterrupted run. The
+  // directory is created if missing. Multi-cell sweeps reject it.
   std::string checkpoint_dir;
   // Optional cooperative cancellation (the benches' SIGINT handler sets it).
   // When the flag becomes true the sweep stops starting new candidates and
@@ -91,6 +84,37 @@ struct ExhaustiveOptions {
 Result<std::optional<Counterexample>> FindViolation(
     const Query& query, MonotonicityClass cls,
     const ExhaustiveOptions& options = {});
+
+// One cell of a bounded sweep: the class and |J| bound of one FindViolation.
+struct SweepCell {
+  MonotonicityClass cls;
+  size_t max_facts_j;
+};
+
+// Resolves every cell in one pass over the I space; FindViolation is the
+// one-cell case. out[c] is exactly FindViolation(query, cells[c].cls, options
+// with max_facts_j = cells[c].max_facts_j), or the first cell error in cell
+// order is returned. Per I, the open cells are covered by at most 3 streams
+// (the widest open class at its largest open bound, then what that leaves),
+// and each J is checked once for every open cell containing it (DESIGN.md,
+// "One-pass ladder"). options.max_facts_j is ignored. InvalidArgument for
+// over 64 cells (cell sets are bit masks) or a checkpoint_dir on over one.
+Result<std::vector<std::optional<Counterexample>>> FindViolations(
+    const Query& query, const std::vector<SweepCell>& cells,
+    const ExhaustiveOptions& options);
+
+// The sweep's building blocks, exposed for tests. CandidateJFacts: the facts
+// J draws on per class — kMonotone: over adom(I) + fresh values, not in I;
+// kDomainDistinct: those with a fresh value; kDomainDisjoint: those over
+// fresh values only (order-preserving sublists of the kMonotone list).
+std::vector<Fact> CandidateJFacts(const Schema& schema, const Instance& i,
+                                  const std::vector<Value>& fresh,
+                                  MonotonicityClass cls);
+// StabilizerValueMaps: Aut(I) x Sym(fresh values), each fixing I and every
+// class's candidates setwise, so a generic query's violations are closed
+// under them (the reduced sweep's J filter).
+std::vector<std::map<Value, Value>> StabilizerValueMaps(
+    const Instance& i, const std::vector<Value>& fresh);
 
 struct RandomOptions {
   size_t trials = 100;
@@ -116,16 +140,7 @@ Result<std::optional<Counterexample>> FindViolationRandom(
 // candidate I; `i` must outlive the checker.
 class PairChecker {
  public:
-  // When `cache` is non-null, the base Q(i) evaluation goes through it —
-  // isomorphic outer instances anywhere in the sweep (e.g. the 3 * max_i
-  // ladder cells re-sweeping the same I space) then share one evaluation.
-  // The per-pair Q(i u j) checks always run directly through the union
-  // evaluator: unions rarely repeat within a search, so canonicalizing each
-  // one costs more than it saves. Callers must only pass a cache under the
-  // genericity gate.
-  PairChecker(const Query& query, const Instance& i,
-              QueryResultCache* cache = nullptr)
-      : query_(query), i_(i), cache_(cache) {}
+  PairChecker(const Query& query, const Instance& i) : query_(query), i_(i) {}
 
   // Returns a counterexample iff Q(i) is not a subset of Q(i u j) — the
   // retracted fact is the first one in Q(i)'s iteration order, identical to
@@ -133,11 +148,8 @@ class PairChecker {
   Result<std::optional<Counterexample>> Check(const Instance& j);
 
  private:
-  Status EvalFactsMaybeCached(const Instance& input, std::vector<Fact>* out);
-
   const Query& query_;
   const Instance& i_;
-  QueryResultCache* cache_ = nullptr;
   bool base_ready_ = false;
   Status base_status_;            // Q(i)'s error, replayed on every Check
   std::vector<Fact> base_facts_;  // Q(i) in iteration order

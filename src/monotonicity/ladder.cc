@@ -1,13 +1,6 @@
 #include "monotonicity/ladder.h"
 
-#include <algorithm>
-#include <atomic>
 #include <vector>
-
-#include "base/metrics.h"
-#include "base/result_cache.h"
-#include "base/thread_pool.h"
-#include "base/trace.h"
 
 namespace calm::monotonicity {
 
@@ -36,81 +29,19 @@ std::string Ladder::ToString() const {
 }
 
 Result<Ladder> ComputeLadder(const Query& query, size_t max_i,
-                             ExhaustiveOptions base) {
-  // The ladder is 3 * max_i independent bounded searches (one per row and
-  // class); spread the cells across the pool. A FindViolation issued from a
-  // pool task runs its own index loop serially (re-entrancy rule in
-  // base/thread_pool.h), so cell-level parallelism is the outermost and only
-  // fan-out here. Cells land in fixed slots and rows are assembled in order
-  // afterwards, keeping the ladder deterministic; the first cell error (in
-  // cell order) wins, as in the serial loop.
-  const MonotonicityClass kClasses[] = {MonotonicityClass::kMonotone,
-                                        MonotonicityClass::kDomainDistinct,
-                                        MonotonicityClass::kDomainDisjoint};
-
-  // Resolve the genericity probe once for the whole table (the cells would
-  // otherwise each re-probe under kAuto) and, when the reduction is on,
-  // share one canonical result cache across every cell: the 3 * max_i cells
-  // sweep the identical I space, so Q(I) — and any union already seen in an
-  // isomorphic form — is evaluated once instead of once per cell.
-  QueryResultCache shared_cache(query);
-  if (base.symmetry == SymmetryMode::kAuto) {
-    base.symmetry =
-        ProbeGenericity(query, base.domain_size,
-                        std::min<size_t>(base.max_facts_i, 2)).ok()
-            ? SymmetryMode::kForceOn
-            : SymmetryMode::kOff;
-  }
-  if (base.symmetry == SymmetryMode::kForceOn && base.cache == nullptr) {
-    base.cache = &shared_cache;
-  }
-
-  size_t cells = 3 * max_i;
-  std::vector<std::optional<Counterexample>> witnesses(cells);
-  std::vector<Status> errors(cells);
-
-  TraceSpan span("ladder.compute");
-  span.Arg("max_i", static_cast<int64_t>(max_i));
-  span.Arg("cells", static_cast<int64_t>(cells));
-  span.Arg("reduced", base.symmetry == SymmetryMode::kForceOn ? 1 : 0);
-  Counter* cells_done =
-      MetricsEnabled()
-          ? &MetricRegistry::Global().GetCounter("calm.ladder.cells_done")
-          : nullptr;
-
-  ParallelFor(cells, base.threads, [&](size_t cell) {
-    TraceSpan cell_span("ladder.cell");
-    cell_span.Arg("row", static_cast<int64_t>(cell / 3 + 1));
-    cell_span.Arg("class", static_cast<int64_t>(cell % 3));
-    ExhaustiveOptions o = base;
-    o.max_facts_j = cell / 3 + 1;
-    Result<std::optional<Counterexample>> r =
-        FindViolation(query, kClasses[cell % 3], o);
-    if (!r.ok()) {
-      errors[cell] = r.status();
-    } else {
-      cell_span.Arg("violated", r->has_value() ? 1 : 0);
-      witnesses[cell] = std::move(r.value());
+                             const ExhaustiveOptions& base) {
+  // Row i's M, Mdistinct and Mdisjoint cells are cells 3(i-1) .. 3(i-1)+2,
+  // all resolved by one pass over the I space (FindViolations).
+  std::vector<SweepCell> cells;
+  for (size_t i = 1; i <= max_i; ++i) {
+    for (MonotonicityClass cls : {MonotonicityClass::kMonotone,
+                                  MonotonicityClass::kDomainDistinct,
+                                  MonotonicityClass::kDomainDisjoint}) {
+      cells.push_back({cls, i});
     }
-    if (cells_done != nullptr) cells_done->Increment();
-  });
-
-  if (span.active() && base.cache != nullptr) {
-    const QueryResultCache::Stats cs = base.cache->stats();
-    span.Arg("cache_hits", static_cast<int64_t>(cs.hits));
-    span.Arg("cache_misses", static_cast<int64_t>(cs.misses));
   }
-  if (MetricsEnabled() && base.cache == &shared_cache) {
-    const QueryResultCache::Stats cs = shared_cache.stats();
-    MetricRegistry& registry = MetricRegistry::Global();
-    registry.GetCounter("calm.ladder.shared_cache_hits").Increment(cs.hits);
-    registry.GetCounter("calm.ladder.shared_cache_misses")
-        .Increment(cs.misses);
-  }
-
-  for (const Status& s : errors) {
-    if (!s.ok()) return s;
-  }
+  CALM_ASSIGN_OR_RETURN(std::vector<std::optional<Counterexample>> witnesses,
+                        FindViolations(query, cells, base));
 
   Ladder ladder;
   for (size_t i = 1; i <= max_i; ++i) {

@@ -34,10 +34,11 @@ struct Ladder {
   std::string ToString() const;
 };
 
-// Computes the ladder for i = 1..max_i. `base` supplies the instance space
-// (its max_facts_j is overridden per row by i).
+// Computes the ladder for i = 1..max_i in one FindViolations sweep. `base`
+// supplies the instance space (max_facts_j is set per row to i); max_i > 21
+// and a checkpoint_dir are InvalidArgument.
 Result<Ladder> ComputeLadder(const Query& query, size_t max_i,
-                             ExhaustiveOptions base = {});
+                             const ExhaustiveOptions& base = {});
 
 }  // namespace calm::monotonicity
 

@@ -16,7 +16,7 @@
 
 // ---------------------------------------------------------------------------
 // Sweep WAL (see DESIGN.md, "Durability and crash recovery"): journals the
-// progress of one exhaustive sweep — FindViolation, a ladder cell, or a
+// progress of one exhaustive sweep — a one-cell FindViolation or a
 // preservation sweep — onto the shared record format (base/durable.h,
 // client tag "calm.sweepwal"), so an interrupted run resumes instead of
 // restarting.

@@ -13,6 +13,7 @@
 
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -203,6 +204,102 @@ TEST(CanonicalEnumeratorTest, FactIndexPermutationsMatchValueMaps) {
 }
 
 // ---------------------------------------------------------------------------
+// The one-pass ladder's premise (FindViolations in monotonicity/checker.h):
+// a narrower class's J stream at bound k is the wider class's stream at any
+// K >= k filtered by kind and size, in the same order — for the full stream
+// and for the stabilizer-reduced one.
+// ---------------------------------------------------------------------------
+
+std::vector<Instance> JStream(const Schema& schema, const Instance& i,
+                              const std::vector<Value>& fresh,
+                              MonotonicityClass cls, size_t k, bool reduced) {
+  std::vector<Fact> candidates =
+      monotonicity::CandidateJFacts(schema, i, fresh, cls);
+  std::vector<Instance> out;
+  auto keep = [&](const Instance& j) {
+    out.push_back(j);
+    return true;
+  };
+  if (reduced) {
+    ForEachCanonicalFactSubset(
+        candidates, k,
+        FactIndexPermutations(candidates,
+                              monotonicity::StabilizerValueMaps(i, fresh)),
+        keep);
+  } else {
+    ForEachFactSubset(candidates, k, keep);
+  }
+  return out;
+}
+
+bool InClassSpace(const Instance& j, const Instance& i, MonotonicityClass c) {
+  switch (c) {
+    case MonotonicityClass::kMonotone:
+      return true;
+    case MonotonicityClass::kDomainDistinct:
+      return IsDomainDistinctFrom(j, i);
+    case MonotonicityClass::kDomainDisjoint:
+      return IsDomainDisjointFrom(j, i);
+  }
+  return false;
+}
+
+TEST(SweepStreamTest, NarrowStreamsAreFilteredWideStreams) {
+  const MonotonicityClass kClasses[] = {MonotonicityClass::kMonotone,
+                                        MonotonicityClass::kDomainDistinct,
+                                        MonotonicityClass::kDomainDisjoint};
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    std::mt19937_64 rng(seed);
+    Schema schema;
+    const size_t relations = 1 + rng() % 3;
+    for (size_t r = 0; r < relations; ++r) {
+      ASSERT_TRUE(schema
+                      .AddRelation("R" + std::to_string(r),
+                                   static_cast<uint32_t>(1 + rng() % 3))
+                      .ok());
+    }
+    const size_t domain = 2 + rng() % 2;
+    const std::vector<Value> fresh = IntDomain(1 + rng() % 3, 1000);
+    for (const Instance& i :
+         AllCanonicalInstances(schema, IntDomain(domain), 2)) {
+      // Keep each stream small enough to enumerate: high-arity schemas get
+      // lower bounds.
+      const size_t n = monotonicity::CandidateJFacts(
+                           schema, i, fresh, MonotonicityClass::kMonotone)
+                           .size();
+      const size_t max_k = n <= 20 ? 3 : n <= 60 ? 2 : 1;
+      for (bool reduced : {false, true}) {
+        std::vector<Instance> streams[3][4];  // [class][bound]
+        for (size_t c = 0; c < 3; ++c) {
+          for (size_t k = 1; k <= max_k; ++k) {
+            streams[c][k] = JStream(schema, i, fresh, kClasses[c], k, reduced);
+          }
+        }
+        for (size_t h = 0; h < 3; ++h) {
+          for (size_t big_k = 1; big_k <= max_k; ++big_k) {
+            for (size_t c = h; c < 3; ++c) {
+              for (size_t k = 1; k <= big_k; ++k) {
+                std::vector<Instance> filtered;
+                for (const Instance& j : streams[h][big_k]) {
+                  if (j.size() <= k && InClassSpace(j, i, kClasses[c])) {
+                    filtered.push_back(j);
+                  }
+                }
+                EXPECT_TRUE(filtered == streams[c][k])
+                    << "seed " << seed << " schema " << schema.ToString()
+                    << " I " << i.ToString() << " reduced " << reduced
+                    << ": class " << c << " at " << k << " vs class " << h
+                    << " at " << big_k;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Reduced sweeps vs full sweeps on the Figure 1/2 queries
 // ---------------------------------------------------------------------------
 
@@ -293,8 +390,6 @@ TEST(ReducedSweepTest, FindViolationMatchesFullSweepOnFigure12Queries) {
     for (SymmetryMode mode : {SymmetryMode::kForceOn, SymmetryMode::kAuto}) {
       ExhaustiveOptions reduced = s.opts;
       reduced.symmetry = mode;
-      QueryResultCache cache(*s.query);
-      reduced.cache = &cache;
       EXPECT_EQ(Render(FindViolation(*s.query, s.cls, reduced)), expected)
           << s.label << " (" << MonotonicityClassName(s.cls) << ", "
           << (mode == SymmetryMode::kAuto ? "auto" : "forced") << ")";
