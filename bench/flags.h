@@ -32,9 +32,11 @@ namespace calm::bench {
 //   --engine NAME     rule evaluator: "bytecode" (default) or "tree" (the
 //                     differential oracle); also settable via CALM_ENGINE,
 //                     the flag wins (SetDefaultEvalEngine)
-//   --incremental M   union evaluation in the checkers: "on" (default — reuse
-//                     the materialized Q(I) fixpoint, run each J as an
-//                     insertion delta) or "off" (from-scratch ablation); also
+//   --incremental M   union evaluation in the checkers: "on" (default — for
+//                     bases above DatalogQuery::kMaxScratchBaseRows rows,
+//                     reuse the materialized Q(I) fixpoint and run each J as
+//                     an insertion delta) or "off" (every check from
+//                     scratch); also
 //                     settable via CALM_INCREMENTAL, the flag wins
 //                     (SetDefaultIncrementalMode)
 //   --eval_threads N  worker threads for morsel-parallel stratum evaluation

@@ -121,4 +121,13 @@ Status ProbeGenericity(const Query& query, size_t domain_size,
   return Status::Ok();
 }
 
+SymmetryMode ResolveSymmetry(const Query& query, SymmetryMode mode,
+                             size_t domain_size, size_t max_facts) {
+  if (mode != SymmetryMode::kAuto) return mode;
+  return ProbeGenericity(query, domain_size, std::min<size_t>(max_facts, 2))
+                 .ok()
+             ? SymmetryMode::kForceOn
+             : SymmetryMode::kOff;
+}
+
 }  // namespace calm

@@ -200,6 +200,15 @@ enum class SymmetryMode {
 Status ProbeGenericity(const Query& query, size_t domain_size,
                        size_t max_facts, size_t samples = 12);
 
+// Settles a sweep's SymmetryMode: kForceOn and kOff stand; kAuto becomes
+// kForceOn when ProbeGenericity passes over {0..domain_size-1} with at most
+// min(max_facts, 2) facts (around a percent of a full sweep), else kOff —
+// any probe failure, evaluation errors included, means the full sweep runs,
+// which is always sound. Sweeps with equal bounds over one query can share
+// one resolution.
+SymmetryMode ResolveSymmetry(const Query& query, SymmetryMode mode,
+                             size_t domain_size, size_t max_facts);
+
 }  // namespace calm
 
 #endif  // CALM_BASE_QUERY_H_

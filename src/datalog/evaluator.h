@@ -36,9 +36,11 @@ Result<EvalEngine> ParseEvalEngine(std::string_view name);
 
 // Whether checker paths may reuse a materialized Q(I) fixpoint and evaluate
 // each Q(I ∪ J) as an epoch-scoped insertion delta (prepared.h's
-// IncrementalEval) instead of re-running from scratch. Outputs are
-// byte-identical either way (pinned by tests/incremental_test.cc and the CI
-// engine-diff leg); the mode only changes how much work each union costs.
+// IncrementalEval) instead of re-running from scratch. When on, DatalogQuery
+// does so only for bases above DatalogQuery::kMaxScratchBaseRows rows; off
+// sends every union check from scratch. Outputs are byte-identical either
+// way (pinned by tests/incremental_test.cc and the CI engine-diff leg); the
+// mode only changes how much work each union costs.
 enum class IncrementalMode {
   kDefault = 0,  // resolve through DefaultIncrementalMode()
   kOn,

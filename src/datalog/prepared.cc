@@ -949,9 +949,17 @@ void PreparedProgram::SeedInto(Database* db,
   }
 }
 
-Result<Instance> PreparedProgram::RunInPlace(Database* db, EvalStats* stats,
-                                             size_t* invented_count,
-                                             const Schema* post_restrict) const {
+Result<Database*> PreparedProgram::RunOnScratch(
+    std::initializer_list<const Instance*> parts, const Schema* pre_restrict,
+    EvalStats* stats, size_t* invented_count) const {
+  if (fixed_negation_) {
+    return InternalError(
+        "EvalParts on a fixed-negation prepared program; use "
+        "EvalFixedNegation");
+  }
+  Database* db = &LocalScratch().db;
+  db->Reset();
+  SeedInto(db, parts, pre_restrict);
   const size_t input_size = db->size();
   TraceSpan span("datalog.eval");
   span.Arg("strata", static_cast<int64_t>(strata_.size()));
@@ -978,7 +986,7 @@ Result<Instance> PreparedProgram::RunInPlace(Database* db, EvalStats* stats,
     span.Arg("rounds", static_cast<int64_t>(sink->fixpoint_rounds));
     span.Arg("derived", static_cast<int64_t>(sink->derived_facts));
   }
-  return db->ToInstance(post_restrict);
+  return db;
 }
 
 Result<Instance> PreparedProgram::Eval(const Instance& input, EvalStats* stats,
@@ -990,48 +998,57 @@ Result<Instance> PreparedProgram::EvalParts(
     std::initializer_list<const Instance*> parts, const Schema* pre_restrict,
     const Schema* post_restrict, EvalStats* stats,
     size_t* invented_count) const {
-  if (fixed_negation_) {
-    return InternalError(
-        "EvalParts on a fixed-negation prepared program; use "
-        "EvalFixedNegation");
-  }
-  Database& db = LocalScratch().db;
-  db.Reset();
-  SeedInto(&db, parts, pre_restrict);
-  return RunInPlace(&db, stats, invented_count, post_restrict);
+  CALM_ASSIGN_OR_RETURN(
+      Database * db, RunOnScratch(parts, pre_restrict, stats, invented_count));
+  return db->ToInstance(post_restrict);
 }
 
-Result<Instance> PreparedProgram::RunFixedNegation(Database db,
-                                                   const Database& neg_db,
-                                                   EvalStats* stats) const {
+Result<std::optional<Fact>> PreparedProgram::FirstMissing(
+    std::initializer_list<const Instance*> parts, const Schema* pre_restrict,
+    const std::vector<Fact>& probe) const {
+  CALM_ASSIGN_OR_RETURN(Database * db,
+                        RunOnScratch(parts, pre_restrict, nullptr, nullptr));
+  return db->FirstAbsent(probe);
+}
+
+Result<size_t> PreparedProgram::FixpointRows(
+    std::initializer_list<const Instance*> parts,
+    const Schema* pre_restrict) const {
+  CALM_ASSIGN_OR_RETURN(Database * db,
+                        RunOnScratch(parts, pre_restrict, nullptr, nullptr));
+  return db->size();
+}
+
+Status PreparedProgram::RunFixedNegation(Database* db, const Database& neg_db,
+                                         EvalStats* stats) const {
   if (!fixed_negation_) {
     return InternalError(
         "RunFixedNegation on a stratified prepared program; use Eval");
   }
-  const size_t input_size = db.size();
+  const size_t input_size = db->size();
   TraceSpan span("datalog.eval_fixed_negation");
   if (!strata_.empty()) {
     const Stratum& s = strata_[0];
     if (engine_ == EvalEngine::kBytecode) {
       CALM_RETURN_IF_ERROR(RunFixpointBytecode(compiled_, bytecode_, s.rules,
-                                               s.delta_sites, s.growing, 0,
-                                               &db, &neg_db, options_, stats,
+                                               s.delta_sites, s.growing, 0, db,
+                                               &neg_db, options_, stats,
                                                nullptr));
     } else {
       CALM_RETURN_IF_ERROR(RunFixpoint(compiled_, s.rules, s.delta_sites, 0,
-                                       &db, &neg_db, options_, stats,
-                                       nullptr));
+                                       db, &neg_db, options_, stats, nullptr));
     }
   }
-  if (stats != nullptr) stats->derived_facts = CountDerived(db, input_size);
-  return db.ToInstance();
+  if (stats != nullptr) stats->derived_facts = CountDerived(*db, input_size);
+  return Status::Ok();
 }
 
 Result<Instance> PreparedProgram::EvalFixedNegation(
     const Instance& input, const Instance& neg_reference,
     EvalStats* stats) const {
-  return RunFixedNegation(MakeSeed({&input}, nullptr), Database(neg_reference),
-                          stats);
+  Database db = MakeSeed({&input}, nullptr);
+  CALM_RETURN_IF_ERROR(RunFixedNegation(&db, Database(neg_reference), stats));
+  return db.ToInstance();
 }
 
 std::unique_ptr<IncrementalEval> PreparedProgram::BeginIncremental(
@@ -1104,9 +1121,17 @@ bool IncrementalEval::Admitted(uint32_t name, const Tuple& t) const {
 }
 
 Result<IncrementalEval::Overlay> IncrementalEval::Fallback(
-    const Instance& overlay, std::vector<Fact>* out, EvalStats* stats) {
+    const Instance& overlay, std::vector<Fact>* out,
+    const std::vector<Fact>* probe, EvalStats* stats) {
   Overlay result;
   result.fell_back = true;
+  if (probe != nullptr) {
+    CALM_ASSIGN_OR_RETURN(
+        result.missing,
+        prog_->FirstMissing({&base_, &overlay},
+                            pre_.has_value() ? &*pre_ : nullptr, *probe));
+    return result;
+  }
   CALM_ASSIGN_OR_RETURN(
       Instance inst,
       prog_->EvalParts({&base_, &overlay},
@@ -1154,16 +1179,23 @@ void IncrementalEval::RestoreStratumRows(size_t stratum) {
   }
 }
 
-Result<IncrementalEval::Overlay> IncrementalEval::EvalOverlay(
+Result<std::optional<Fact>> IncrementalEval::FirstMissing(
+    const Instance& overlay, const std::vector<Fact>& probe) {
+  CALM_ASSIGN_OR_RETURN(Overlay r, Run(overlay, nullptr, false, &probe,
+                                       nullptr));
+  return std::move(r.missing);
+}
+
+Result<IncrementalEval::Overlay> IncrementalEval::Run(
     const Instance& overlay, std::vector<Fact>* out_facts, bool materialize,
-    EvalStats* stats) {
+    const std::vector<Fact>* probe, EvalStats* stats) {
   if (!supported_) {
     if (MetricsEnabled()) {
       OverlayTallies tally;
       tally.fallback = true;
       FlushIncrementalMetrics(tally);
     }
-    return Fallback(overlay, out_facts, stats);
+    return Fallback(overlay, out_facts, probe, stats);
   }
 
   const bool metrics_on = MetricsEnabled();
@@ -1210,7 +1242,7 @@ Result<IncrementalEval::Overlay> IncrementalEval::EvalOverlay(
       ++tally.epoch_rollbacks;
       FlushIncrementalMetrics(tally);
     }
-    return Fallback(overlay, out_facts, stats);
+    return Fallback(overlay, out_facts, probe, stats);
   }
   std::vector<ExternalDelta> grew;
   for (const auto& [rel, lo] : pre_rows) {
@@ -1285,11 +1317,13 @@ Result<IncrementalEval::Overlay> IncrementalEval::EvalOverlay(
     if (!st.ok()) break;
   }
 
-  // --- Materialize, then unwind the epoch ----------------------------------
+  // --- Probe or materialize, then unwind the epoch -------------------------
   Overlay result;
   result.superset_of_base = st.ok() && recomputed_strata.empty();
-  if (st.ok() && out_facts != nullptr &&
-      (materialize || !result.superset_of_base)) {
+  if (st.ok() && probe != nullptr && !result.superset_of_base) {
+    result.missing = db_.FirstAbsent(*probe);
+  } else if (st.ok() && out_facts != nullptr &&
+             (materialize || !result.superset_of_base)) {
     out_facts->clear();
     Instance inst = db_.ToInstance(post_.has_value() ? &*post_ : nullptr);
     inst.ForEachFact(
@@ -1313,7 +1347,7 @@ Result<IncrementalEval::Overlay> IncrementalEval::EvalOverlay(
   // can reach at different round boundaries than a from-scratch run because
   // the whole base fixpoint is already resident) reroutes through the
   // from-scratch path, whose success or error is the canonical answer.
-  if (!st.ok()) return Fallback(overlay, out_facts, stats);
+  if (!st.ok()) return Fallback(overlay, out_facts, probe, stats);
   return result;
 }
 

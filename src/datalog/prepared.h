@@ -90,16 +90,32 @@ class PreparedProgram {
   Database MakeSeed(std::initializer_list<const Instance*> parts,
                     const Schema* pre_restrict) const;
 
-  // Runs the fixed-negation fixpoint over a seed built by MakeSeed. Takes
-  // the seed by value: pass a copy to reuse one seed across Gamma calls.
-  Result<Instance> RunFixedNegation(Database db, const Database& neg_db,
-                                    EvalStats* stats = nullptr) const;
+  // Runs the fixed-negation fixpoint in place over `db` (a copy of a seed
+  // built by MakeSeed), testing negated atoms against `neg_db`. When both
+  // share one dictionary (Database::ShareDict), the anti-probes run in code
+  // space.
+  Status RunFixedNegation(Database* db, const Database& neg_db,
+                          EvalStats* stats = nullptr) const;
 
-  // --- Incremental union evaluation (the checker's hot path) ---
+  // --- Union checks: Q(I) ⊆ Q(I ∪ J) ---
+
+  // The first fact of `probe` (ascending fact order) missing from the
+  // fixpoint EvalParts(parts, pre_restrict) would compute, or nullopt when
+  // all are present. Same seeding and same errors as EvalParts, but the
+  // result is probed in the thread-local stores instead of materialized.
+  Result<std::optional<Fact>> FirstMissing(
+      std::initializer_list<const Instance*> parts, const Schema* pre_restrict,
+      const std::vector<Fact>& probe) const;
+
+  // Rows of that fixpoint over all relations, the seed included (what a
+  // union evaluator sizes its route by).
+  Result<size_t> FixpointRows(std::initializer_list<const Instance*> parts,
+                              const Schema* pre_restrict) const;
 
   // Materializes the Q(base) fixpoint once into a private database and
-  // returns an evaluator whose EvalOverlay computes Q(base ∪ J) for many
-  // small J without re-running from scratch (see IncrementalEval). The
+  // returns an evaluator whose EvalOverlay computes (and FirstMissing
+  // probes) Q(base ∪ J) for many small J without re-running from scratch
+  // (see IncrementalEval). The
   // schema arguments mirror EvalParts' restriction semantics and are copied;
   // this PreparedProgram must outlive the returned evaluator. Always
   // succeeds: configurations the delta machinery cannot serve (tree engine,
@@ -132,9 +148,11 @@ class PreparedProgram {
                       const std::vector<size_t>& rule_indices) const;
   void SeedInto(Database* db, std::initializer_list<const Instance*> parts,
                 const Schema* pre_restrict) const;
-  Result<Instance> RunInPlace(Database* db, EvalStats* stats,
-                              size_t* invented_count,
-                              const Schema* post_restrict) const;
+  // Seeds `parts` into the thread-local scratch database and runs every
+  // stratum over it (EvalParts minus the materialization).
+  Result<Database*> RunOnScratch(std::initializer_list<const Instance*> parts,
+                                 const Schema* pre_restrict, EvalStats* stats,
+                                 size_t* invented_count) const;
 
   ProgramInfo info_;
   EvalOptions options_;
@@ -180,6 +198,8 @@ class IncrementalEval {
     bool superset_of_base = false;
     // The overlay ran through the from-scratch EvalParts path.
     bool fell_back = false;
+    // FirstMissing's answer: the first probe fact absent from the result.
+    std::optional<Fact> missing;
   };
 
   // Evaluates Q(base ∪ overlay). `out_facts`, when non-null, receives the
@@ -192,7 +212,17 @@ class IncrementalEval {
   Result<Overlay> EvalOverlay(const Instance& overlay,
                               std::vector<Fact>* out_facts,
                               bool materialize = false,
-                              EvalStats* stats = nullptr);
+                              EvalStats* stats = nullptr) {
+    return Run(overlay, out_facts, materialize, nullptr, stats);
+  }
+
+  // The union check: the first fact of `probe` (ascending) missing from
+  // Q(base ∪ overlay), or nullopt. Unless the overlay proves supersetness,
+  // the facts are probed in the stores before the rollback; nothing is
+  // materialized. Answers and errors equal PreparedProgram::FirstMissing
+  // over {base, overlay}, which is also the fallback route.
+  Result<std::optional<Fact>> FirstMissing(const Instance& overlay,
+                                           const std::vector<Fact>& probe);
 
   // Whether overlays can run incrementally at all; false means every
   // EvalOverlay takes the from-scratch route.
@@ -203,8 +233,13 @@ class IncrementalEval {
   IncrementalEval() = default;
 
   bool Admitted(uint32_t name, const Tuple& t) const;
+  // EvalOverlay and FirstMissing: a non-null `probe` asks for
+  // Overlay::missing instead of output facts.
+  Result<Overlay> Run(const Instance& overlay, std::vector<Fact>* out_facts,
+                      bool materialize, const std::vector<Fact>* probe,
+                      EvalStats* stats);
   Result<Overlay> Fallback(const Instance& overlay, std::vector<Fact>* out,
-                           EvalStats* stats);
+                           const std::vector<Fact>* probe, EvalStats* stats);
   void SaveStratumRows(size_t stratum);
   void RestoreStratumRows(size_t stratum);
 

@@ -10,35 +10,50 @@ namespace calm::datalog {
 
 namespace {
 
-// FirstRetracted through the prepared program's incremental evaluator: the
-// Q(i) fixpoint stays materialized across calls and each j runs as an
-// epoch-scoped insertion delta. Overlays that only grow the fixpoint prove
-// Q(i) ⊆ Q(i ∪ j) without materializing any output, so the common monotone
-// check is just the delta propagation plus a rollback.
-class IncrementalUnionEvaluator : public UnionEvaluator {
+// Union checks that re-evaluate i ∪ j from scratch for every j and probe
+// Q(i)'s facts in the evaluation stores: the stratified fixpoint in the
+// thread-local stores, or the well-founded alternation's final lo (the
+// definitely-true facts). Nothing about i is kept but the instance itself.
+class ScratchUnionEvaluator : public UnionEvaluator {
  public:
-  IncrementalUnionEvaluator(std::shared_ptr<const PreparedProgram> prepared,
-                            std::unique_ptr<IncrementalEval> inc)
-      : prepared_(std::move(prepared)), inc_(std::move(inc)) {}
+  ScratchUnionEvaluator(const DatalogQuery& query, const Instance& i)
+      : query_(query), i_(i) {}
 
   Result<std::optional<Fact>> FirstRetracted(
       const Instance& j, const std::vector<Fact>& base_facts) override {
-    CALM_ASSIGN_OR_RETURN(
-        IncrementalEval::Overlay overlay,
-        inc_->EvalOverlay(j, &out_, /*materialize=*/false));
-    if (overlay.superset_of_base) return std::optional<Fact>();
-    auto it = out_.begin();
-    for (const Fact& f : base_facts) {
-      while (it != out_.end() && *it < f) ++it;
-      if (it == out_.end() || !(*it == f)) return std::optional<Fact>(f);
+    const PreparedProgram& prepared = query_.prepared();
+    const Schema* input = &query_.input_schema();
+    if (query_.semantics() == DatalogQuery::Semantics::kStratified) {
+      return prepared.FirstMissing({&i_, &j}, input, base_facts);
     }
-    return std::optional<Fact>();
+    Database lo, hi;
+    CALM_RETURN_IF_ERROR(
+        RunAlternatingFixpoint(prepared, {&i_, &j}, input, &lo, &hi));
+    return lo.FirstAbsent(base_facts);
   }
 
  private:
-  std::shared_ptr<const PreparedProgram> prepared_;  // keeps inc_'s prog alive
+  const DatalogQuery& query_;
+  const Instance& i_;
+};
+
+// Union checks on a stratified program with a larger Q(i) fixpoint: the
+// fixpoint stays materialized in an IncrementalEval, each j runs as an
+// epoch-scoped insertion delta, and Q(i)'s facts are probed before the
+// rollback. An overlay that only grew the fixpoint proves
+// Q(i) ⊆ Q(i ∪ j) without probing at all.
+class IncrementalUnionEvaluator : public UnionEvaluator {
+ public:
+  explicit IncrementalUnionEvaluator(std::unique_ptr<IncrementalEval> inc)
+      : inc_(std::move(inc)) {}
+
+  Result<std::optional<Fact>> FirstRetracted(
+      const Instance& j, const std::vector<Fact>& base_facts) override {
+    return inc_->FirstMissing(j, base_facts);
+  }
+
+ private:
   std::unique_ptr<IncrementalEval> inc_;
-  std::vector<Fact> out_;  // Q(i ∪ j), reused across calls
 };
 
 }  // namespace
@@ -97,10 +112,10 @@ Result<Instance> DatalogQuery::EvalSeeded(
   if (semantics_ == Semantics::kStratified) {
     return prepared_->EvalParts(parts, &input_schema_, &output_schema_);
   }
-  CALM_ASSIGN_OR_RETURN(
-      WellFoundedModel model,
-      EvaluateWellFounded(*prepared_, parts, &input_schema_));
-  return model.definitely.Restrict(output_schema_);
+  Database lo, hi;
+  CALM_RETURN_IF_ERROR(
+      RunAlternatingFixpoint(*prepared_, parts, &input_schema_, &lo, &hi));
+  return lo.ToInstance(&output_schema_);
 }
 
 Result<Instance> DatalogQuery::Eval(const Instance& input) const {
@@ -114,15 +129,17 @@ Result<Instance> DatalogQuery::EvalUnion(const Instance& a,
 
 std::unique_ptr<UnionEvaluator> DatalogQuery::MakeUnionEvaluator(
     const Instance& i) const {
-  // The well-founded alternation has no single materialized fixpoint to
-  // continue from; it keeps the overlay route regardless of mode.
+  // A base whose fixpoint fails takes the from-scratch route, which
+  // reproduces EvalParts' errors check by check.
   if (semantics_ == Semantics::kStratified &&
       prepared_->incremental() == IncrementalMode::kOn) {
-    return std::make_unique<IncrementalUnionEvaluator>(
-        prepared_,
-        prepared_->BeginIncremental(i, &input_schema_, &output_schema_));
+    Result<size_t> rows = prepared_->FixpointRows({&i}, &input_schema_);
+    if (rows.ok() && *rows > kMaxScratchBaseRows) {
+      return std::make_unique<IncrementalUnionEvaluator>(
+          prepared_->BeginIncremental(i, &input_schema_, &output_schema_));
+    }
   }
-  return Query::MakeUnionEvaluator(i);
+  return std::make_unique<ScratchUnionEvaluator>(*this, i);
 }
 
 }  // namespace calm::datalog

@@ -1,6 +1,7 @@
 #include "datalog/relstore.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 
 #include "base/simd.h"
@@ -444,6 +445,9 @@ bool RelStore::Contains(const Tuple& t) const {
 }
 
 void RelStore::clear() {
+  // Scratch databases clear every relation they have ever held before each
+  // evaluation; most are already empty.
+  if (rows_ == 0 && overflow_.empty() && !has_empty_row_) return;
   rows_ = 0;
   has_empty_row_ = false;
   overflow_.clear();
@@ -647,7 +651,7 @@ const RelStore::MaskIndex& RelStore::PrepareProbe(uint32_t mask) {
 
 // --- Database --------------------------------------------------------------
 
-Database::Database() : dict_(std::make_unique<ValueDict>()) {}
+Database::Database() : dict_(std::make_shared<ValueDict>()) {}
 
 Database::Database(const Instance& instance) : Database() {
   instance.ForEachFact(
@@ -655,7 +659,7 @@ Database::Database(const Instance& instance) : Database() {
 }
 
 Database::Database(const Database& o)
-    : dict_(std::make_unique<ValueDict>(*o.dict_)),
+    : dict_(std::make_shared<ValueDict>(*o.dict_)),
       rels_(o.rels_),
       epochs_(o.epochs_),
       last_(o.last_.load(std::memory_order_relaxed)) {
@@ -664,7 +668,7 @@ Database::Database(const Database& o)
 
 Database& Database::operator=(const Database& o) {
   if (this == &o) return *this;
-  dict_ = std::make_unique<ValueDict>(*o.dict_);
+  dict_ = std::make_shared<ValueDict>(*o.dict_);
   rels_ = o.rels_;
   epochs_ = o.epochs_;
   last_.store(o.last_.load(std::memory_order_relaxed),
@@ -687,6 +691,15 @@ Database& Database::operator=(Database&& o) noexcept {
   last_.store(o.last_.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
   return *this;
+}
+
+Database Database::ShareDict() const {
+  Database out;
+  out.dict_ = dict_;
+  out.rels_ = rels_;  // stores keep pointing at the shared dictionary
+  out.last_.store(last_.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+  return out;
 }
 
 RelStore* Database::Find(uint32_t rel) const {
@@ -737,6 +750,13 @@ bool Database::Contains(uint32_t rel, const Tuple& t) const {
   return store != nullptr && store->Contains(t);
 }
 
+std::optional<Fact> Database::FirstAbsent(const std::vector<Fact>& facts) const {
+  for (const Fact& f : facts) {
+    if (!Contains(f.relation, f.args)) return f;
+  }
+  return std::nullopt;
+}
+
 RelStore* Database::Store(uint32_t rel) { return Find(rel); }
 
 void Database::Reset() {
@@ -744,6 +764,7 @@ void Database::Reset() {
 }
 
 void Database::BeginEpoch() {
+  assert(dict_.use_count() == 1 && "epochs need a private dictionary");
   EpochFrame f;
   f.dict_size = dict_->size();
   f.rel_count = rels_.size();

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "base/fact.h"
@@ -451,9 +452,9 @@ class RelStore {
 // The per-relation stores of one evaluation, all interning through one
 // shared ValueDict. Relations are kept in a small flat vector (programs
 // have a handful of relations); lookups linear-scan with a
-// most-recently-used cache. Copyable, so a prepared seed database can be
-// reused across the well-founded alternation's Gamma calls (the copy owns a
-// deep copy of the dictionary with identical code assignments).
+// most-recently-used cache. Copyable (the copy owns a deep copy of the
+// dictionary with identical code assignments); ShareDict copies the rows but
+// keeps the dictionary object itself.
 class Database {
  public:
   Database();
@@ -463,10 +464,21 @@ class Database {
   Database(Database&& o) noexcept;
   Database& operator=(Database&& o) noexcept;
 
+  // A copy of the rows that interns through this database's dictionary
+  // object rather than a copy of it, so a code means the same value in
+  // both. The well-founded alternation keeps its seed and every Gamma
+  // result this way: each can be another's negation reference, and the
+  // bytecode anti-probes stay in code space (they require one dictionary).
+  // Neither database may open an epoch while the dictionary is shared.
+  Database ShareDict() const;
+
   bool Insert(uint32_t rel, const Tuple& t);
   // Code-row insert (bytecode emission path).
   bool InsertCodes(uint32_t rel, const uint32_t* codes, uint32_t arity);
   bool Contains(uint32_t rel, const Tuple& t) const;
+  // The first of `facts` not stored here, or nullopt (a union check's probe
+  // of Q(I)'s facts against the stores Q(I ∪ J) was evaluated into).
+  std::optional<Fact> FirstAbsent(const std::vector<Fact>& facts) const;
 
   // Pre-creates empty stores for `rels`. The direct-insert evaluator holds
   // RelStore pointers across inserts into the round's head relations; with
@@ -535,7 +547,7 @@ class Database {
   RelStore* Find(uint32_t rel) const;
   RelStore* FindOrCreate(uint32_t rel);
 
-  std::unique_ptr<ValueDict> dict_;  // heap: address stable across moves
+  std::shared_ptr<ValueDict> dict_;  // heap: address stable across moves
   std::vector<std::pair<uint32_t, RelStore>> rels_;
   std::vector<EpochFrame> epochs_;
   // MRU index into rels_. Atomic (relaxed) because morsel lanes call Find

@@ -1,6 +1,7 @@
 #include "datalog/wellfounded.h"
 
 #include <string>
+#include <utility>
 
 #include "datalog/analysis.h"
 
@@ -14,14 +15,25 @@ Result<WellFoundedModel> EvaluateWellFounded(const Program& program,
   return EvaluateWellFounded(prepared, {&input}, nullptr);
 }
 
-Result<WellFoundedModel> EvaluateWellFounded(
-    const PreparedProgram& prepared,
-    std::initializer_list<const Instance*> parts,
-    const Schema* pre_restrict) {
+Status RunAlternatingFixpoint(const PreparedProgram& prepared,
+                              std::initializer_list<const Instance*> parts,
+                              const Schema* pre_restrict, Database* lo,
+                              Database* hi) {
+  // The seed (restricted input + Adom) is built once. Every Gamma runs over
+  // a copy sharing its dictionary, so the seed, lo and hi keep one code
+  // assignment and each Gamma's anti-probes into the other stay in code
+  // space.
+  const Database seed = prepared.MakeSeed(parts, pre_restrict);
+  auto gamma = [&](const Database& neg, Database* out) {
+    *out = seed.ShareDict();
+    return prepared.RunFixedNegation(out, neg);
+  };
+
+  // The initial underapproximation is the restricted input *without* Adom
+  // seeding (Gamma outputs do include seeded Adom facts).
   const Schema& sch = prepared.info().sch;
-  // The restricted input, *without* Adom seeding: the alternation's initial
-  // underapproximation (Gamma outputs do include seeded Adom facts).
-  Instance restricted;
+  *lo = seed.ShareDict();
+  lo->Reset();
   for (const Instance* part : parts) {
     part->ForEachFact([&](uint32_t name, const Tuple& t) {
       uint32_t arity = sch.ArityOf(name);
@@ -30,34 +42,37 @@ Result<WellFoundedModel> EvaluateWellFounded(
         uint32_t pre_arity = pre_restrict->ArityOf(name);
         if (pre_arity == 0 || t.size() != pre_arity) return;
       }
-      restricted.Insert(Fact(name, t));
+      lo->Insert(name, t);
     });
   }
 
-  // The seed (restricted input + Adom) is built once; every Gamma call runs
-  // the compiled fixpoint over a copy of it.
-  Database seed = prepared.MakeSeed(parts, pre_restrict);
-
-  // Gamma(S): least fixpoint with negation tested against fixed S.
-  auto gamma = [&](const Instance& s) -> Result<Instance> {
-    return prepared.RunFixedNegation(seed, Database(s));
-  };
-
   // Alternating fixpoint: lo underapproximates the true facts, hi
-  // overapproximates them; both are fixed after finitely many rounds.
-  Instance lo = std::move(restricted);
-  CALM_ASSIGN_OR_RETURN(Instance hi, gamma(lo));
+  // overapproximates them. Gamma is antimonotone and lo starts inside
+  // Gamma's seed, so lo only grows and hi only shrinks: equal sizes mean
+  // equal sets.
+  CALM_RETURN_IF_ERROR(gamma(*lo, hi));
+  Database new_lo, new_hi;
   while (true) {
-    CALM_ASSIGN_OR_RETURN(Instance new_lo, gamma(hi));
-    CALM_ASSIGN_OR_RETURN(Instance new_hi, gamma(new_lo));
-    if (new_lo == lo && new_hi == hi) break;
-    lo = std::move(new_lo);
-    hi = std::move(new_hi);
+    CALM_RETURN_IF_ERROR(gamma(*hi, &new_lo));
+    CALM_RETURN_IF_ERROR(gamma(new_lo, &new_hi));
+    const bool fixed =
+        new_lo.size() == lo->size() && new_hi.size() == hi->size();
+    std::swap(*lo, new_lo);
+    std::swap(*hi, new_hi);
+    if (fixed) return Status::Ok();
   }
+}
 
+Result<WellFoundedModel> EvaluateWellFounded(
+    const PreparedProgram& prepared,
+    std::initializer_list<const Instance*> parts,
+    const Schema* pre_restrict) {
+  Database lo, hi;
+  CALM_RETURN_IF_ERROR(
+      RunAlternatingFixpoint(prepared, parts, pre_restrict, &lo, &hi));
   WellFoundedModel model;
-  model.definitely = std::move(lo);
-  model.possibly = std::move(hi);
+  model.definitely = lo.ToInstance();
+  model.possibly = hi.ToInstance();
   return model;
 }
 

@@ -43,6 +43,16 @@ Result<WellFoundedModel> EvaluateWellFounded(
     std::initializer_list<const Instance*> parts,
     const Schema* pre_restrict = nullptr);
 
+// The alternation behind EvaluateWellFounded, kept in code space: no Gamma
+// step builds a Database from an Instance or materializes one. On success
+// `lo` holds the definitely-true facts and `hi` the possibly-true ones, as
+// databases sharing the seed's dictionary (Database::ShareDict). Union
+// checks probe `lo` directly.
+Status RunAlternatingFixpoint(const PreparedProgram& prepared,
+                              std::initializer_list<const Instance*> parts,
+                              const Schema* pre_restrict, Database* lo,
+                              Database* hi);
+
 // The "doubled program" transformation (paper's conclusion): given a
 // Datalog¬ program P over predicates R, produces a *stratifiable* program
 // over duplicated predicates whose stratified evaluation computes the

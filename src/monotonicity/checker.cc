@@ -128,25 +128,6 @@ struct CellOutcome {
   std::optional<Counterexample> cex;
 };
 
-// Whether the symmetry reduction applies: forced modes answer directly,
-// kAuto runs the sampling genericity probe over a small slice of the sweep
-// space (max_facts capped at 2 keeps the probe around a percent of a full
-// sweep). Any probe failure — genericity violation or evaluation error —
-// means the full sweep runs, which is always sound.
-bool ResolveSymmetry(const Query& query, SymmetryMode mode, size_t domain_size,
-                     size_t max_facts) {
-  switch (mode) {
-    case SymmetryMode::kOff:
-      return false;
-    case SymmetryMode::kForceOn:
-      return true;
-    case SymmetryMode::kAuto:
-      return ProbeGenericity(query, domain_size,
-                             std::min<size_t>(max_facts, 2)).ok();
-  }
-  return false;
-}
-
 // --- Reduced-sweep plan cache -------------------------------------------
 //
 // Everything the reduced sweep enumerates — the canonical I representatives,
@@ -307,7 +288,7 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
   // looked up once per stream head per sweep; all plans for these bounds
   // hold the same I list, so the first head's plan supplies it if it has one.
   bool reduce = ResolveSymmetry(query, options.symmetry, options.domain_size,
-                                options.max_facts_i);
+                                options.max_facts_i) == SymmetryMode::kForceOn;
   std::vector<std::once_flag> plan_once(n);
   std::vector<std::shared_ptr<const SweepPlan>> plans(n);
   auto plan_for = [&](size_t head) {

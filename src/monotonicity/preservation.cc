@@ -121,19 +121,9 @@ Result<std::optional<PreservationViolation>> FindPreservationViolation(
   // untouched, and the first violating representative is the first violating
   // source) and route the repeated target evaluations through a canonical
   // result cache.
-  bool reduce;
-  switch (options.symmetry) {
-    case SymmetryMode::kOff:
-      reduce = false;
-      break;
-    case SymmetryMode::kForceOn:
-      reduce = true;
-      break;
-    default:
-      reduce = ProbeGenericity(query, options.domain_size,
-                               std::min<size_t>(options.max_facts, 2)).ok();
-      break;
-  }
+  const bool reduce = ResolveSymmetry(query, options.symmetry,
+                                     options.domain_size, options.max_facts) ==
+                     SymmetryMode::kForceOn;
   QueryResultCache shared_cache(query);
   QueryResultCache* cache = reduce ? &shared_cache : nullptr;
 

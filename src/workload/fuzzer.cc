@@ -623,11 +623,17 @@ Result<Classification> ClassifyProgram(const GeneratedProgram& program,
   // Stage 3: the bounded ladder, with coherence cross-checks, witness
   // re-verification, and the fragment theorems as assertions.
   const ShapeGuarantee guarantee = GuaranteeFor(program.shape);
+  // The ladder and both preservation sweeps would each probe genericity
+  // with identical arguments; one probe answers for all three.
+  const SymmetryMode symmetry =
+      ResolveSymmetry(*query, SymmetryMode::kAuto, options.domain_size,
+                      options.max_facts_i);
   ExhaustiveOptions base;
   base.domain_size = options.domain_size;
   base.max_facts_i = options.max_facts_i;
   base.fresh_values = options.fresh_values;
   base.threads = options.threads;
+  base.symmetry = symmetry;
   Result<Ladder> ladder = ComputeLadder(*query, options.max_i, base);
   if (!ladder.ok()) {
     diverge("ladder", ladder.status().ToString());
@@ -721,6 +727,7 @@ Result<Classification> ClassifyProgram(const GeneratedProgram& program,
     po.domain_size = options.domain_size;
     po.max_facts = options.max_facts_i;
     po.threads = options.threads;
+    po.symmetry = symmetry;
     Result<std::optional<monotonicity::PreservationViolation>> e =
         FindPreservationViolation(*query,
                                   monotonicity::PreservationClass::kExtensions,

@@ -1,12 +1,14 @@
 // Parity and rollback tests for incremental union evaluation (DESIGN.md
-// "Incremental evaluation and epoch-versioned storage"): EvalOverlay over a
-// materialized base fixpoint must produce byte-identical facts to the
-// from-scratch EvalParts run on every overlay — across random stratified
+// "Union checks: size-selected probes, overlays and epoch-versioned
+// storage"): EvalOverlay over a materialized base fixpoint must produce
+// byte-identical facts to the from-scratch EvalParts run on every
+// overlay — across random stratified
 // programs, the Adom/negation recompute path, the fallback gates, and
 // repeated overlays on one evaluator (which exercises the epoch rollback
 // and base-row restoration between checks). The checker-level tests pin
 // verdict identity between --incremental=on and off at several thread
-// counts, for both Datalog and native closure queries.
+// counts, for both Datalog and native closure queries, and the union-check
+// routes (from scratch, overlay, reference) agree pair by pair.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "base/enumerator.h"
 #include "base/instance.h"
+#include "base/metrics.h"
 #include "base/query.h"
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
@@ -453,6 +457,80 @@ TEST(IncrementalEvalTest, NestedEpochRollbackRestoresDatabase) {
   EXPECT_EQ(db.ToInstance().ToString(), want.ToString());
 }
 
+// The reference union check: materialize Q(base ∪ j) through EvalParts and
+// merge Q(base)'s sorted facts against it.
+Result<std::optional<Fact>> ReferenceFirstMissing(
+    const PreparedProgram& prepared, const Instance& base, const Instance& j,
+    const std::vector<Fact>& probe) {
+  CALM_ASSIGN_OR_RETURN(Instance out, prepared.EvalParts({&base, &j}, nullptr));
+  const std::vector<Fact> facts = InstanceFacts(out);
+  auto it = facts.begin();
+  for (const Fact& f : probe) {
+    while (it != facts.end() && *it < f) ++it;
+    if (it == facts.end() || !(*it == f)) return std::optional<Fact>(f);
+  }
+  return std::optional<Fact>();
+}
+
+std::string Describe(const Result<std::optional<Fact>>& r) {
+  if (!r.ok()) return "error: " + r.status().ToString();
+  return r->has_value() ? FactToString(**r) : "<none>";
+}
+
+// The three union-check routes answer every (I, J) of the seeded corpus
+// identically: the from-scratch probe (PreparedProgram::FirstMissing), the
+// overlay probe (IncrementalEval::FirstMissing) and the EvalParts + merge
+// reference — the same first missing fact, or the same error under a small
+// max_total_facts. The corpus spans bases on both sides of DatalogQuery's
+// route cut-off.
+TEST(UnionCheckRoutesTest, ScratchOverlayAndReferenceAgree) {
+  size_t small_bases = 0, large_bases = 0, errors = 0, missing = 0;
+  for (size_t cap : {size_t{0}, size_t{14}}) {
+    for (unsigned seed = 0; seed < 40; ++seed) {
+      std::mt19937 rng(9000 + seed);
+      Result<Program> program = Parse(RandomProgram(rng));
+      ASSERT_TRUE(program.ok()) << "generator bug, seed " << seed;
+      EvalOptions options = BytecodeOptions();
+      if (cap > 0) options.max_total_facts = cap;
+      Result<PreparedProgram> prepared =
+          PreparedProgram::Prepare(*program, options);
+      Result<PreparedProgram> uncapped =
+          PreparedProgram::Prepare(*program, BytecodeOptions());
+      ASSERT_TRUE(prepared.ok() && uncapped.ok()) << "seed " << seed;
+      Instance base = RandomBase(rng);
+      Result<Instance> base_out = uncapped->EvalParts({&base}, nullptr);
+      ASSERT_TRUE(base_out.ok()) << "seed " << seed;
+      const std::vector<Fact> probe = InstanceFacts(*base_out);
+      Result<size_t> rows = uncapped->FixpointRows({&base}, nullptr);
+      ASSERT_TRUE(rows.ok());
+      ++(*rows > DatalogQuery::kMaxScratchBaseRows ? large_bases
+                                                     : small_bases);
+
+      std::unique_ptr<IncrementalEval> inc = prepared->BeginIncremental(base);
+      for (int k = 0; k < 8; ++k) {
+        Instance j = RandomOverlay(rng);
+        const std::string ctx = "cap " + std::to_string(cap) + " seed " +
+                                std::to_string(seed) + " overlay " +
+                                std::to_string(k) + ": " + j.ToString() +
+                                "\nbase: " + base.ToString();
+        const std::string want =
+            Describe(ReferenceFirstMissing(*prepared, base, j, probe));
+        EXPECT_EQ(want,
+                  Describe(prepared->FirstMissing({&base, &j}, nullptr, probe)))
+            << "from-scratch route, " << ctx;
+        EXPECT_EQ(want, Describe(inc->FirstMissing(j, probe)))
+            << "overlay route, " << ctx;
+        errors += want.rfind("error", 0) == 0;
+        missing += want.find('(') != std::string::npos;
+      }
+    }
+  }
+  EXPECT_GT(small_bases, 0u);
+  EXPECT_GT(large_bases, 0u);
+  EXPECT_GT(errors, 0u);
+  EXPECT_GT(missing, 0u);
+}
+
 // UnionEvaluator parity at the Query layer: the engine-specific evaluators
 // (closure matrix for TC/Q_TC, incremental fixpoint for DatalogQuery) must
 // report the byte-identical first-retracted fact the overlay route reports,
@@ -574,6 +652,66 @@ TEST(IncrementalCheckerTest, VerdictsIdenticalOnVsOffAcrossThreads) {
       }
     }
   }
+}
+
+// A sweep whose bases all sit above the route cut-off, so its union checks
+// run through IncrementalEval overlays: eight copies of Adom put every
+// non-empty I's fixpoint past it. (The empty I has the empty Q(I), whose
+// checks are trivially true on any route.) Verdicts and witnesses must
+// equal the from-scratch route's, which incremental mode off forces
+// everywhere.
+TEST(IncrementalCheckerTest, OverlayRouteVerdictsMatchFromScratch) {
+  ModeGuard guard;
+  std::string text;
+  for (int k = 0; k < 8; ++k) {
+    text += "C" + std::to_string(k) + "(x) :- Adom(x).\n";
+  }
+  text +=
+      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
+      "O(x, y) :- Adom(x), Adom(y), !T(x, y). .output O";
+  monotonicity::ExhaustiveOptions options;
+  options.domain_size = 2;
+  options.max_facts_i = 2;
+  options.fresh_values = 2;
+  options.threads = 1;
+  const std::vector<monotonicity::SweepCell> cells = {
+      {monotonicity::MonotonicityClass::kMonotone, 1},
+      {monotonicity::MonotonicityClass::kMonotone, 2},
+      {monotonicity::MonotonicityClass::kDomainDistinct, 2},
+      {monotonicity::MonotonicityClass::kDomainDisjoint, 2},
+  };
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(true);
+  Counter& overlays =
+      MetricRegistry::Global().GetCounter("calm.eval.incremental.overlays");
+
+  std::vector<std::string> verdicts[2];
+  uint64_t overlay_runs[2] = {0, 0};
+  for (int mode = 0; mode < 2; ++mode) {
+    SetDefaultIncrementalMode(mode == 0 ? IncrementalMode::kOn
+                                        : IncrementalMode::kOff);
+    DatalogQuery q = DatalogQuery::FromTextOrDie(text, "adom-copies-qtc");
+    for (const Instance& i :
+         AllInstances(q.input_schema(), IntDomain(options.domain_size),
+                      options.max_facts_i)) {
+      if (i.empty()) continue;
+      Result<size_t> rows = q.prepared().FixpointRows({&i}, &q.input_schema());
+      ASSERT_TRUE(rows.ok());
+      ASSERT_GT(*rows, DatalogQuery::kMaxScratchBaseRows) << i.ToString();
+    }
+    const uint64_t before = overlays.Value();
+    auto r = monotonicity::FindViolations(q, cells, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    overlay_runs[mode] = overlays.Value() - before;
+    for (const auto& cell : *r) {
+      verdicts[mode].push_back(cell.has_value() ? cell->ToString()
+                                                : "<no violation>");
+    }
+  }
+  SetMetricsEnabled(metrics_were_on);
+  EXPECT_GT(overlay_runs[0], 0u) << "the sweep never took the overlay route";
+  EXPECT_EQ(overlay_runs[1], 0u);
+  EXPECT_EQ(verdicts[0], verdicts[1]);
 }
 
 }  // namespace

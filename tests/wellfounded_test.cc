@@ -1,0 +1,271 @@
+// The code-space well-founded alternation (datalog/wellfounded.cc) against
+// an Instance-based reference: equal definitely/possibly models on seeded
+// random fixed-negation programs, the fuzzer's win-move shape and the
+// bench_winmove game families; equal statuses under a small
+// max_total_facts; and the monotone alternation (lo only grows, hi only
+// shrinks) that lets the production loop stop on equal sizes. Well-founded
+// union checks, which probe the final lo, must match the generic overlay
+// evaluator's first retracted fact.
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "base/instance.h"
+#include "base/query.h"
+#include "datalog/parser.h"
+#include "datalog/prepared.h"
+#include "datalog/program.h"
+#include "datalog/wellfounded.h"
+#include "workload/fuzzer.h"
+#include "workload/graph_gen.h"
+#include "workload/instance_gen.h"
+
+namespace calm::datalog {
+namespace {
+
+// The alternation with every Gamma step over Instances: the negation
+// reference is rebuilt from an Instance and the result materialized each
+// time. Clears *monotone if lo ever shrinks or hi ever grows.
+Result<WellFoundedModel> ReferenceWellFounded(const PreparedProgram& prepared,
+                                              const Instance& input,
+                                              bool* monotone) {
+  auto gamma = [&](const Instance& s) {
+    return prepared.EvalFixedNegation(input, s);
+  };
+  Instance lo = input.Restrict(prepared.info().sch);
+  CALM_ASSIGN_OR_RETURN(Instance hi, gamma(lo));
+  while (true) {
+    CALM_ASSIGN_OR_RETURN(Instance new_lo, gamma(hi));
+    CALM_ASSIGN_OR_RETURN(Instance new_hi, gamma(new_lo));
+    if (!lo.IsSubsetOf(new_lo) || !new_hi.IsSubsetOf(hi)) *monotone = false;
+    if (new_lo == lo && new_hi == hi) break;
+    lo = std::move(new_lo);
+    hi = std::move(new_hi);
+  }
+  WellFoundedModel model;
+  model.definitely = std::move(lo);
+  model.possibly = std::move(hi);
+  return model;
+}
+
+size_t Rand(std::mt19937& rng, size_t bound) {
+  return std::uniform_int_distribution<size_t>(0, bound - 1)(rng);
+}
+
+// Safe Datalog¬ with negation anywhere, recursion through negation
+// included: E/F are edb, W/P/Q idb.
+std::string RandomFixedNegationProgram(std::mt19937& rng) {
+  struct Rel {
+    const char* name;
+    uint32_t arity;
+  };
+  constexpr Rel kRels[] = {{"E", 2}, {"F", 1}, {"W", 1}, {"P", 2}, {"Q", 1}};
+  constexpr const char* kVars[] = {"x", "y", "z"};
+  std::string text;
+  for (size_t head = 2; head < 5; ++head) {
+    for (size_t r = 0, n = 1 + Rand(rng, 2); r < n; ++r) {
+      std::vector<std::string> bound;
+      std::string body;
+      for (size_t a = 0, m = 1 + Rand(rng, 2); a < m; ++a) {
+        const Rel& rel = kRels[Rand(rng, 5)];
+        body += std::string(body.empty() ? "" : ", ") + rel.name + "(";
+        for (uint32_t i = 0; i < rel.arity; ++i) {
+          std::string term = Rand(rng, 8) == 0 ? std::to_string(Rand(rng, 3))
+                                               : kVars[Rand(rng, 3)];
+          if (term[0] >= 'a') bound.push_back(term);
+          body += (i > 0 ? ", " : "") + term;
+        }
+        body += ")";
+      }
+      auto term = [&] {
+        return bound.empty() ? std::to_string(Rand(rng, 3))
+                             : bound[Rand(rng, bound.size())];
+      };
+      for (size_t k = 0, m = Rand(rng, 3); k < m; ++k) {
+        const Rel& rel = kRels[Rand(rng, 5)];
+        body += std::string(", !") + rel.name + "(";
+        for (uint32_t i = 0; i < rel.arity; ++i) {
+          body += (i > 0 ? ", " : "") + term();
+        }
+        body += ")";
+      }
+      std::string rule = std::string(kRels[head].name) + "(";
+      for (uint32_t i = 0; i < kRels[head].arity; ++i) {
+        rule += (i > 0 ? ", " : "") + term();
+      }
+      text += rule + ") :- " + body + ".\n";
+    }
+  }
+  return text;
+}
+
+// The edb relations of `prepared`, Adom aside: what random inputs range over.
+Schema InputSchema(const PreparedProgram& prepared) {
+  Schema schema;
+  for (const RelationDecl& r : prepared.info().edb.relations()) {
+    if (r.name != AdomRelation()) (void)schema.AddRelation(r);
+  }
+  return schema;
+}
+
+// Production and reference agree on `input` under `options`, statuses
+// included; an error both return counts into *errors.
+void ExpectModelsMatch(const Program& program, const EvalOptions& options,
+                       const Instance& input, const std::string& label,
+                       size_t* errors) {
+  Result<PreparedProgram> prepared =
+      PreparedProgram::PrepareFixedNegation(program, options);
+  ASSERT_TRUE(prepared.ok()) << label;
+  bool monotone = true;
+  Result<WellFoundedModel> want =
+      ReferenceWellFounded(*prepared, input, &monotone);
+  Result<WellFoundedModel> got = EvaluateWellFounded(*prepared, {&input});
+  const std::string ctx = label + "\ninput: " + input.ToString();
+  EXPECT_TRUE(monotone) << "lo shrank or hi grew: " << ctx;
+  ASSERT_EQ(want.ok(), got.ok())
+      << ctx << "\nreference: " << want.status().ToString()
+      << "\ncode space: " << got.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(want.status().ToString(), got.status().ToString()) << ctx;
+    ++*errors;
+    return;
+  }
+  EXPECT_EQ(want->definitely.ToString(), got->definitely.ToString()) << ctx;
+  EXPECT_EQ(want->possibly.ToString(), got->possibly.ToString()) << ctx;
+}
+
+TEST(WellFoundedTest, RandomFixedNegationProgramsMatchReference) {
+  size_t errors = 0, undefined = 0;
+  for (unsigned seed = 0; seed < 60; ++seed) {
+    std::mt19937 rng(11000 + seed);
+    const std::string text = RandomFixedNegationProgram(rng);
+    Result<Program> program = Parse(text);
+    ASSERT_TRUE(program.ok()) << "generator bug: " << text;
+    Result<PreparedProgram> prepared =
+        PreparedProgram::PrepareFixedNegation(*program);
+    ASSERT_TRUE(prepared.ok()) << text;
+    for (uint64_t k = 0; k < 4; ++k) {
+      const Instance input =
+          workload::RandomInstance(InputSchema(*prepared), 2 + 2 * k, 4,
+                                   seed * 16 + k);
+      for (size_t cap : {size_t{0}, size_t{12}}) {
+        EvalOptions options;
+        if (cap > 0) options.max_total_facts = cap;
+        ExpectModelsMatch(*program, options, input,
+                          text + "cap " + std::to_string(cap), &errors);
+      }
+      Result<WellFoundedModel> m = EvaluateWellFounded(*prepared, {&input});
+      if (m.ok() && !m->Undefined().empty()) ++undefined;
+    }
+  }
+  EXPECT_GT(errors, 0u) << "the small cap never bit";
+  EXPECT_GT(undefined, 0u) << "no program left a fact undefined";
+}
+
+TEST(WellFoundedTest, FuzzerWinMoveShapeMatchesReference) {
+  size_t errors = 0;
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    workload::FuzzerOptions fo;
+    fo.seed = seed;
+    fo.shape = workload::ProgramShape::kWinMove;
+    const workload::GeneratedProgram gen = workload::GenerateProgram(fo);
+    Result<Program> program = Parse(gen.text);
+    ASSERT_TRUE(program.ok()) << gen.text;
+    Result<PreparedProgram> prepared =
+        PreparedProgram::PrepareFixedNegation(*program);
+    ASSERT_TRUE(prepared.ok()) << gen.text;
+    const Instance input =
+        workload::RandomInstance(InputSchema(*prepared), 6, 4, seed);
+    for (size_t cap : {size_t{0}, size_t{10}}) {
+      EvalOptions options;
+      if (cap > 0) options.max_total_facts = cap;
+      ExpectModelsMatch(*program, options, input,
+                        gen.text + "cap " + std::to_string(cap), &errors);
+    }
+  }
+  EXPECT_GT(errors, 0u);
+}
+
+Instance AsGame(const Instance& graph) {
+  Instance out;
+  for (const Tuple& t : graph.TuplesOf(InternName("E"))) {
+    out.Insert(Fact("Move", t));
+  }
+  return out;
+}
+
+// The games bench_winmove plays.
+TEST(WellFoundedTest, WinMoveGameFamiliesMatchReference) {
+  Result<Program> win = Parse("Win(x) :- Move(x, y), !Win(y).");
+  ASSERT_TRUE(win.ok());
+  std::vector<Instance> games;
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    games.push_back(AsGame(workload::RandomGraph(8, 0.3, seed)));
+  }
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    games.push_back(AsGame(workload::RandomGraph(6, 0.35, seed)));
+  }
+  games.push_back(AsGame(workload::Path(6)));
+  games.push_back(AsGame(workload::Cycle(4)));
+  Instance mixed = AsGame(workload::Path(4));
+  mixed.InsertAll(AsGame(workload::Cycle(3, 100)));
+  games.push_back(mixed);
+  size_t errors = 0;
+  for (size_t g = 0; g < games.size(); ++g) {
+    for (size_t cap : {size_t{0}, size_t{16}}) {
+      EvalOptions options;
+      if (cap > 0) options.max_total_facts = cap;
+      ExpectModelsMatch(*win, options, games[g],
+                        "game " + std::to_string(g) + " cap " +
+                            std::to_string(cap),
+                        &errors);
+    }
+  }
+  EXPECT_GT(errors, 0u);
+}
+
+// Well-founded union checks run the alternation over {I, J} and probe the
+// final lo; the generic overlay evaluator materializes Q(I ∪ J) instead.
+TEST(WellFoundedTest, UnionChecksMatchOverlayEvaluator) {
+  size_t retracted = 0;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    workload::FuzzerOptions fo;
+    fo.seed = seed;
+    fo.shape = workload::ProgramShape::kWinMove;
+    const workload::GeneratedProgram gen = workload::GenerateProgram(fo);
+    DatalogQuery q = DatalogQuery::FromTextOrDie(
+        gen.text, "wf", DatalogQuery::Semantics::kWellFounded);
+    std::mt19937 rng(12000 + seed);
+    for (uint64_t k = 0; k < 4; ++k) {
+      const Instance i =
+          workload::RandomInstance(q.input_schema(), 1 + k, 3, seed * 8 + k);
+      std::vector<Fact> base;
+      ASSERT_TRUE(q.EvalFacts(i, &base).ok());
+      std::unique_ptr<UnionEvaluator> probe = q.MakeUnionEvaluator(i);
+      std::unique_ptr<UnionEvaluator> overlay = MakeOverlayUnionEvaluator(q, i);
+      for (int n = 0; n < 6; ++n) {
+        const Instance j = workload::RandomInstance(
+            q.input_schema(), 1 + Rand(rng, 2), 4, 5000 + seed * 64 + k * 8 + n);
+        Result<std::optional<Fact>> a = probe->FirstRetracted(j, base);
+        Result<std::optional<Fact>> b = overlay->FirstRetracted(j, base);
+        ASSERT_TRUE(a.ok() && b.ok()) << gen.text;
+        ASSERT_EQ(a->has_value(), b->has_value())
+            << gen.text << "i: " << i.ToString() << "\nj: " << j.ToString();
+        if (a->has_value()) {
+          EXPECT_EQ(FactToString(**a), FactToString(**b)) << gen.text;
+          ++retracted;
+        }
+      }
+    }
+  }
+  EXPECT_GT(retracted, 0u);
+}
+
+}  // namespace
+}  // namespace calm::datalog
