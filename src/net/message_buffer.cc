@@ -6,12 +6,25 @@ namespace calm::net {
 
 Instance MessageBuffer::TakeCollapsed(const std::vector<size_t>& indices) {
   Instance delivered;
-  // Remove back to front so earlier indices stay valid.
-  for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
-    size_t i = *it;
-    delivered.Insert(std::move(entries_[i].fact));
-    entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
+  if (indices.empty()) return delivered;
+  // One compaction pass from the first taken index: taken entries move out,
+  // kept ones slide left in order.
+  std::vector<Fact> taken;
+  taken.reserve(indices.size());
+  size_t write = indices.front();
+  size_t next = 0;
+  for (size_t read = write; read < entries_.size(); ++read) {
+    if (next < indices.size() && indices[next] == read) {
+      taken.push_back(std::move(entries_[read].fact));
+      ++next;
+    } else {
+      entries_[write++] = std::move(entries_[read]);
+    }
   }
+  entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(write),
+                 entries_.end());
+  std::sort(taken.begin(), taken.end());
+  delivered.InsertSortedFacts(taken);
   return delivered;
 }
 

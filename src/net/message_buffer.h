@@ -41,7 +41,9 @@ class MessageBuffer {
   const std::vector<Entry>& entries() const { return entries_; }
 
   // Removes the entries at `indices` (strictly increasing) and returns the
-  // delivered submultiset collapsed to a set (the transition's M).
+  // delivered submultiset collapsed to a set (the transition's M). One pass
+  // over the buffer plus a sort of the taken facts:
+  // O(|buffer| + |M| log |M|).
   Instance TakeCollapsed(const std::vector<size_t>& indices);
 
   // Indices of every entry (deliver-all).

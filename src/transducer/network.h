@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "base/instance.h"
+#include "base/metrics.h"
 #include "base/status.h"
 #include "net/fault.h"
 #include "net/message_buffer.h"
@@ -106,7 +107,8 @@ class TransducerNetwork {
   const net::RunStats& stats() const { return stats_; }
 
   // The system facts node `node` would see right now, built from scratch
-  // (the reference StepNode's cached system facts are tested against).
+  // with one DistributionPolicy::NodesFor call per policy tuple (the
+  // reference StepNode's cached system facts are tested against).
   Result<Instance> SystemFactsFor(Value node, const Instance& delivered) const;
 
  private:
@@ -114,11 +116,17 @@ class TransducerNetwork {
   // Enqueues a (possibly fault-injected) delivery into its receiver buffer.
   void Inject(const net::FaultPlan::Delivery& delivery);
   // The system facts of node `index` over the ambient set `a` (ascending;
-  // only read under the policy-aware model).
-  Instance BuildSystemFacts(size_t index, const std::vector<Value>& a) const;
+  // only read under the policy-aware model). With `per_value`, which needs
+  // a domain-guided policy, node ownership is decided once per value of A:
+  // the node holds R(a1..ak) iff it is in some alpha(ai). Otherwise the
+  // policy is asked once per tuple of A^k.
+  Instance BuildSystemFacts(size_t index, const std::vector<Value>& a,
+                            bool per_value) const;
   // The system facts node `index` sees in a transition delivering
   // `delivered`: equal to SystemFactsFor, but rebuilt only when A changed.
-  const Instance& CachedSystemFacts(size_t index, const Instance& delivered);
+  // Sets `*rebuilt` to whether this call rebuilt them.
+  const Instance& CachedSystemFacts(size_t index, const Instance& delivered,
+                                    bool* rebuilt);
   // |GlobalOutput()|, counted by merging the nodes' tuple sets.
   size_t GlobalOutputSize() const;
   // Recomputes node_domains_[index] from the node's input and state.
@@ -154,6 +162,15 @@ class TransducerNetwork {
     Instance facts;
   };
   std::vector<SystemCache> system_cache_;
+  // policy_R per relation of the transducer's Yin, in relations() order;
+  // resolved by Initialize.
+  std::vector<uint32_t> policy_relations_;
+  // Per node: the strategy's last evaluation of its query (transducer.h).
+  // Cleared by Initialize and by the node's crash-restart.
+  std::vector<EvalMemo> memos_;
+  // Per node: calm.net.node_transitions{node=i}, resolved at the first
+  // metrics flush after Initialize.
+  std::vector<Counter*> node_transitions_;
   std::vector<net::MessageBuffer> buffers_;
   net::RunStats stats_;
   bool last_step_changed_ = false;

@@ -1,8 +1,9 @@
 #include "transducer/strategies.h"
 
+#include <algorithm>
 #include <map>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace calm::transducer {
@@ -36,20 +37,46 @@ void AddCompanions(const Schema& in, const std::string& prefix, int extra,
   }
 }
 
+// Adds relation `name`/`arity` to `schema`; returns its id.
+uint32_t AddRelation(Schema* schema, const char* name, uint32_t arity) {
+  const uint32_t id = InternName(name);
+  (void)schema->AddRelation(RelationDecl(id, arity));
+  return id;
+}
+
 // Collects input-relation facts stored under companion relations back into
-// original-name facts: state[m_E(t)] -> E(t).
+// original-name facts: state[m_E(t)] -> E(t). Each relation is one sorted
+// merge.
 void DecodeInto(const Instance& store, const RelMap& map, Instance* out) {
   for (const auto& [companion, original] : map.to_original) {
-    for (const Tuple& t : store.TuplesOf(companion)) {
-      out->Insert(Fact(original, t));
-    }
+    const TupleSet& tuples = store.TuplesOf(companion);
+    out->InsertSorted(original,
+                      std::vector<Tuple>(tuples.begin(), tuples.end()));
   }
 }
 
 // The node's own id from the system relation Id.
 Value SelfId(const Instance& system) {
-  const TupleSet& ids = system.TuplesOf(InternName("Id"));
+  const TupleSet& ids = system.TuplesOf(IdRelation());
   return ids.empty() ? Value() : (*ids.begin())[0];
+}
+
+// Q(known), reusing the node's memo when `known` equals its last input.
+// A null memo evaluates every time; errors are returned and not memoized.
+Result<Instance> EvalWithMemo(const Query& query, Instance known,
+                              EvalMemo* memo) {
+  if (memo == nullptr) return query.Eval(known);
+  if (memo->valid && memo->input == known) {
+    ++memo->hits;
+    return memo->output;
+  }
+  ++memo->misses;
+  Result<Instance> q = query.Eval(known);
+  if (!q.ok()) return q;
+  memo->input = std::move(known);
+  memo->output = *q;
+  memo->valid = true;
+  return q;
 }
 
 // ---------------------------------------------------------------------------
@@ -92,7 +119,7 @@ class BroadcastTransducer : public Transducer {
     in.messages.ForEachFact([&](uint32_t rel, const Tuple& t) {
       known.Insert(Fact(msg_.to_original.at(rel), t));
     });
-    Result<Instance> q = query_->Eval(known);
+    Result<Instance> q = EvalWithMemo(*query_, std::move(known), in.memo);
     if (!q.ok()) return q.status();
     out.output = std::move(q).value();
     return out;
@@ -122,9 +149,13 @@ class AbsenceTransducer : public Transducer {
     // Nodes advertise their own identifier so that, in the no-All model,
     // responsible nodes still learn every node id and can broadcast
     // absences of facts mentioning it (needed for completeness).
-    (void)schema_.msg.AddRelation("nida", 1);
-    (void)schema_.mem.AddRelation("nids", 1);
-    (void)schema_.mem.AddRelation("sentid", 1);
+    nida_ = AddRelation(&schema_.msg, "nida", 1);
+    nids_ = AddRelation(&schema_.mem, "nids", 1);
+    sentid_ = AddRelation(&schema_.mem, "sentid", 1);
+    in_relations_ = schema_.in.relations();
+    for (const RelationDecl& r : in_relations_) {
+      policy_.push_back(PolicyRelationId(r.name));
+    }
   }
 
   const TransducerSchema& schema() const override { return schema_; }
@@ -135,10 +166,10 @@ class AbsenceTransducer : public Transducer {
 
     // Advertise own node id once (see constructor comment).
     Value self = SelfId(in.system);
-    if (!in.state.Contains(Fact("sentid", {self}))) {
-      out.sends.Insert(Fact("nida", {self}));
-      out.insertions.Insert(Fact("sentid", {self}));
-      out.insertions.Insert(Fact("nids", {self}));
+    if (!in.state.Contains(Fact(sentid_, {self}))) {
+      out.sends.Insert(Fact(nida_, {self}));
+      out.insertions.Insert(Fact(sentid_, {self}));
+      out.insertions.Insert(Fact(nids_, {self}));
     }
 
     // Broadcast local input facts once.
@@ -152,8 +183,8 @@ class AbsenceTransducer : public Transducer {
 
     // Store received facts, absences, and node ids.
     in.messages.ForEachFact([&](uint32_t rel, const Tuple& t) {
-      if (rel == InternName("nida")) {
-        out.insertions.Insert(Fact("nids", t));
+      if (rel == nida_) {
+        out.insertions.Insert(Fact(nids_, t));
         return;
       }
       auto fact_it = msg_.to_original.find(rel);
@@ -184,7 +215,7 @@ class AbsenceTransducer : public Transducer {
 
     // MyAdom values A (includes node ids and everything received).
     std::vector<Value> adom;
-    for (const Tuple& t : in.system.TuplesOf(InternName("MyAdom"))) {
+    for (const Tuple& t : in.system.TuplesOf(MyAdomRelation())) {
       adom.push_back(t[0]);
     }
 
@@ -192,14 +223,14 @@ class AbsenceTransducer : public Transducer {
     // responsible for (policy_R present) but that are absent locally, and
     // check completeness: every tuple over A is known present or absent.
     bool complete = true;
-    for (const RelationDecl& r : schema_.in.relations()) {
-      uint32_t policy_rel = PolicyRelationId(r.name);
+    for (size_t i = 0; i < in_relations_.size(); ++i) {
+      const RelationDecl& r = in_relations_[i];
+      const TupleSet& policy = in.system.TuplesOf(policy_[i]);
       ForEachTuple(adom, r.arity, [&](const Tuple& t) {
         Fact fact(r.name, t);
         bool present = known.Contains(fact);
-        bool known_absent = absent.Contains(Fact(r.name, t));
-        if (!present && !known_absent &&
-            in.system.Contains(Fact(policy_rel, t)) &&
+        bool known_absent = absent.Contains(fact);
+        if (!present && !known_absent && policy.contains(t) &&
             !in.local_input.Contains(fact)) {
           // Responsible and locally missing => globally absent.
           known_absent = true;
@@ -216,7 +247,7 @@ class AbsenceTransducer : public Transducer {
     }
 
     if (complete) {
-      Result<Instance> q = query_->Eval(known);
+      Result<Instance> q = EvalWithMemo(*query_, std::move(known), in.memo);
       if (!q.ok()) return q.status();
       out.output = std::move(q).value();
     }
@@ -248,12 +279,20 @@ class AbsenceTransducer : public Transducer {
   const Query* query_;
   TransducerSchema schema_;
   RelMap msg_, msg_abs_, got_, abs_, sent_fact_, sent_abs_;
+  uint32_t nida_ = 0, nids_ = 0, sentid_ = 0;
+  std::vector<RelationDecl> in_relations_;
+  std::vector<uint32_t> policy_;  // policy_R, aligned with in_relations_
 };
 
 // ---------------------------------------------------------------------------
 // Domain-request strategy (Mdisjoint) — proof of Theorem 4.4.
 // ---------------------------------------------------------------------------
 
+// A served request is never served again. The strategy inserts sento(x, a)
+// only in a step that holds or inserts the sx_R(x, t) marker of every local
+// fact R(t) containing a; it never deletes, the local input never changes,
+// and a crash-restart clears markers and sento alike. So once sento(x, a)
+// is in state, serving (x, a) would send nothing and insert nothing.
 class DomainRequestTransducer : public Transducer {
  public:
   explicit DomainRequestTransducer(const Query* query) : query_(query) {
@@ -261,22 +300,27 @@ class DomainRequestTransducer : public Transducer {
     schema_.out = query->output_schema();
     // Messages: adv(a); req(x, a); ok(x, a); per-R transfer x_R(x, t) and
     // ack k_R(x, t).
-    (void)schema_.msg.AddRelation("adv", 1);
-    (void)schema_.msg.AddRelation("req", 2);
-    (void)schema_.msg.AddRelation("ok", 2);
+    adv_ = AddRelation(&schema_.msg, "adv", 1);
+    req_ = AddRelation(&schema_.msg, "req", 2);
+    ok_ = AddRelation(&schema_.msg, "ok", 2);
     AddCompanions(schema_.in, "x_", 1, &schema_.msg, &msg_xfer_);
     AddCompanions(schema_.in, "k_", 1, &schema_.msg, &msg_ack_);
     // Memory.
-    (void)schema_.mem.AddRelation("vals", 1);    // known domain values
-    (void)schema_.mem.AddRelation("senta", 1);   // advertised own values
-    (void)schema_.mem.AddRelation("sentr", 1);   // requested values
-    (void)schema_.mem.AddRelation("okd", 1);     // values OK'd to me
-    (void)schema_.mem.AddRelation("reqs", 2);    // stored foreign requests
-    (void)schema_.mem.AddRelation("sento", 2);   // ok(x, a) already sent
+    vals_ = AddRelation(&schema_.mem, "vals", 1);    // known domain values
+    senta_ = AddRelation(&schema_.mem, "senta", 1);  // advertised own values
+    sentr_ = AddRelation(&schema_.mem, "sentr", 1);  // requested values
+    okd_ = AddRelation(&schema_.mem, "okd", 1);      // values OK'd to me
+    reqs_ = AddRelation(&schema_.mem, "reqs", 2);    // stored foreign requests
+    sento_ = AddRelation(&schema_.mem, "sento", 2);  // ok(x, a) already sent
     AddCompanions(schema_.in, "got_", 0, &schema_.mem, &got_);
     AddCompanions(schema_.in, "sx_", 1, &schema_.mem, &sent_xfer_);
     AddCompanions(schema_.in, "ka_", 1, &schema_.mem, &acked_);
     AddCompanions(schema_.in, "sk_", 0, &schema_.mem, &sent_ack_);
+    for (const RelationDecl& r : schema_.in.relations()) {
+      rels_.push_back({r.name, r.arity, msg_xfer_.Of(r.name),
+                       sent_xfer_.Of(r.name), acked_.Of(r.name),
+                       PolicyRelationId(r.name)});
+    }
   }
 
   const TransducerSchema& schema() const override { return schema_; }
@@ -287,18 +331,15 @@ class DomainRequestTransducer : public Transducer {
   Result<StepOutput> Step(const StepInput& in) const override {
     StepOutput out;
     Value self = SelfId(in.system);
-    uint32_t rel_adv = InternName("adv");
-    uint32_t rel_req = InternName("req");
-    uint32_t rel_ok = InternName("ok");
 
     // -- Incorporate received messages into memory.
     in.messages.ForEachFact([&](uint32_t rel, const Tuple& t) {
-      if (rel == rel_adv) {
-        out.insertions.Insert(Fact("vals", t));
-      } else if (rel == rel_req) {
-        out.insertions.Insert(Fact("reqs", t));
-      } else if (rel == rel_ok) {
-        if (t[0] == self) out.insertions.Insert(Fact("okd", {t[1]}));
+      if (rel == adv_) {
+        out.insertions.Insert(Fact(vals_, t));
+      } else if (rel == req_) {
+        out.insertions.Insert(Fact(reqs_, t));
+      } else if (rel == ok_) {
+        if (t[0] == self) out.insertions.Insert(Fact(okd_, {t[1]}));
       } else {
         auto xfer_it = msg_xfer_.to_original.find(rel);
         if (xfer_it != msg_xfer_.to_original.end() && t[0] == self) {
@@ -315,9 +356,9 @@ class DomainRequestTransducer : public Transducer {
 
     // -- Advertise own active domain once.
     for (Value v : in.local_input.ActiveDomain()) {
-      if (!in.state.Contains(Fact("senta", {v}))) {
-        out.sends.Insert(Fact(rel_adv, {v}));
-        out.insertions.Insert(Fact("senta", {v}));
+      if (!in.state.Contains(Fact(senta_, {v}))) {
+        out.sends.Insert(Fact(adv_, {v}));
+        out.insertions.Insert(Fact(senta_, {v}));
       }
     }
 
@@ -334,69 +375,88 @@ class DomainRequestTransducer : public Transducer {
       }
     });
 
-    // -- Serve stored requests (including ones stored just now).
-    Instance requests;
-    for (const Tuple& t : in.state.TuplesOf(InternName("reqs"))) {
-      requests.Insert(Fact("reqs", t));
+    // The known values A (MyAdom, ascending) and the ones this node is
+    // responsible for: a with some policy_R(a, ..., a) shown (proof of
+    // Theorem 4.4). policy_R only holds tuples over A.
+    std::vector<Value> known_values;
+    std::vector<Value> owned;
+    for (const Tuple& t : in.system.TuplesOf(MyAdomRelation())) {
+      const Value v = t[0];
+      known_values.push_back(v);
+      for (const InRel& r : rels_) {
+        if (in.system.TuplesOf(r.policy).contains(Tuple(r.arity, v))) {
+          owned.push_back(v);
+          break;
+        }
+      }
     }
-    in.messages.ForEachFact([&](uint32_t rel, const Tuple& t) {
-      if (rel == rel_req) requests.Insert(Fact("reqs", t));
-    });
-    requests.ForEachFact([&](uint32_t, const Tuple& rt) {
-      Value target = rt[0];
-      Value value = rt[1];
-      if (target == self) return;
-      if (!Responsible(in.system, value)) return;
+    auto responsible = [&](Value v) {
+      return std::binary_search(owned.begin(), owned.end(), v);
+    };
+
+    // -- Serve stored requests (including ones stored just now). Served
+    // requests are skipped (see the class comment). The local input is
+    // indexed by value on the first request that needs serving.
+    std::vector<Holding> holdings;
+    bool indexed = false;
+    const TupleSet& sento = in.state.TuplesOf(sento_);
+    auto serve = [&](const Tuple& rt) {
+      const Value target = rt[0];
+      const Value value = rt[1];
+      if (target == self || !responsible(value) || sento.contains(rt)) return;
+      if (!indexed) {
+        IndexByValue(in.local_input, &holdings);
+        indexed = true;
+      }
       // Transfer every local fact containing `value` (once per target+fact),
       // then OK once all of them are acked.
       bool all_acked = true;
-      in.local_input.ForEachFact([&](uint32_t rel, const Tuple& t) {
-        bool contains = false;
-        for (Value v : t) contains = contains || v == value;
-        if (!contains) return;
+      auto first = std::lower_bound(
+          holdings.begin(), holdings.end(), value,
+          [](const Holding& h, Value v) { return h.value < v; });
+      for (auto it = first; it != holdings.end() && it->value == value; ++it) {
+        const InRel& r = rels_[it->rel];
         Tuple addressed;
-        addressed.reserve(t.size() + 1);
+        addressed.reserve(it->tuple->size() + 1);
         addressed.push_back(target);
-        addressed.append(t.begin(), t.end());
-        Fact sent_marker(sent_xfer_.Of(rel), addressed);
+        addressed.append(it->tuple->begin(), it->tuple->end());
+        Fact sent_marker(r.sent_xfer, addressed);
         if (!in.state.Contains(sent_marker)) {
-          out.sends.Insert(Fact(msg_xfer_.Of(rel), addressed));
+          out.sends.Insert(Fact(r.xfer, addressed));
           out.insertions.Insert(sent_marker);
         }
-        Fact ack(acked_.Of(rel), addressed);
+        Fact ack(r.acked, std::move(addressed));
         if (!in.state.Contains(ack) && !out.insertions.Contains(ack)) {
           all_acked = false;
         }
-      });
-      if (all_acked) {
-        Fact ok_marker("sento", {target, value});
-        if (!in.state.Contains(ok_marker)) {
-          out.sends.Insert(Fact(rel_ok, {target, value}));
-          out.insertions.Insert(ok_marker);
-        }
       }
-    });
+      if (all_acked) {
+        out.sends.Insert(Fact(ok_, rt));
+        out.insertions.Insert(Fact(sento_, rt));
+      }
+    };
+    const TupleSet& stored = in.state.TuplesOf(reqs_);
+    for (const Tuple& rt : stored) serve(rt);
+    for (const Tuple& rt : in.messages.TuplesOf(req_)) {
+      if (!stored.contains(rt)) serve(rt);
+    }
 
     // -- Issue requests for known values I am not responsible for.
-    std::set<Value> known_values;
-    for (const Tuple& t : in.system.TuplesOf(InternName("MyAdom"))) {
-      known_values.insert(t[0]);
-    }
     for (Value v : known_values) {
-      if (Responsible(in.system, v)) continue;
-      if (in.state.Contains(Fact("sentr", {v}))) continue;
-      out.sends.Insert(Fact(rel_req, {self, v}));
-      out.insertions.Insert(Fact("sentr", {v}));
+      if (responsible(v)) continue;
+      if (in.state.Contains(Fact(sentr_, {v}))) continue;
+      out.sends.Insert(Fact(req_, {self, v}));
+      out.insertions.Insert(Fact(sentr_, {v}));
     }
 
     // -- Completeness: every known value is owned or OK'd.
     bool complete = true;
     auto okd = [&](Value v) {
-      return in.state.Contains(Fact("okd", {v})) ||
-             out.insertions.Contains(Fact("okd", {v}));
+      return in.state.Contains(Fact(okd_, {v})) ||
+             out.insertions.Contains(Fact(okd_, {v}));
     };
     for (Value v : known_values) {
-      if (!Responsible(in.system, v) && !okd(v)) {
+      if (!responsible(v) && !okd(v)) {
         complete = false;
         break;
       }
@@ -409,7 +469,7 @@ class DomainRequestTransducer : public Transducer {
         auto it = got_.to_original.find(rel);
         if (it != got_.to_original.end()) known.Insert(Fact(it->second, t));
       });
-      Result<Instance> q = query_->Eval(known);
+      Result<Instance> q = EvalWithMemo(*query_, std::move(known), in.memo);
       if (!q.ok()) return q.status();
       out.output = std::move(q).value();
     }
@@ -417,19 +477,48 @@ class DomainRequestTransducer : public Transducer {
   }
 
  private:
-  // Responsible for value a under the domain assignment iff some
-  // policy_R(a, ..., a) is shown (proof of Theorem 4.4).
-  bool Responsible(const Instance& system, Value a) const {
-    for (const RelationDecl& r : schema_.in.relations()) {
-      Tuple t(r.arity, a);
-      if (system.Contains(Fact(PolicyRelationId(r.name), t))) return true;
+  // An input relation R and the relation ids the request protocol uses
+  // for it.
+  struct InRel {
+    uint32_t name;
+    uint32_t arity;
+    uint32_t xfer;       // x_R(x, t): transfer of R(t) to x
+    uint32_t sent_xfer;  // sx_R(x, t): that transfer was sent
+    uint32_t acked;      // ka_R(x, t): x acked it
+    uint32_t policy;     // policy_R
+  };
+  // A local fact rels_[rel](*tuple) that contains `value`.
+  struct Holding {
+    Value value;
+    size_t rel;
+    const Tuple* tuple;
+  };
+
+  // One Holding per local fact and distinct value in it, sorted by value
+  // (then by fact order).
+  void IndexByValue(const Instance& local_input,
+                    std::vector<Holding>* holdings) const {
+    for (size_t r = 0; r < rels_.size(); ++r) {
+      for (const Tuple& t : local_input.TuplesOf(rels_[r].name)) {
+        for (size_t i = 0; i < t.size(); ++i) {
+          if (std::find(t.begin(), t.begin() + i, t[i]) != t.begin() + i) {
+            continue;  // a repeated value names the fact once
+          }
+          holdings->push_back({t[i], r, &t});
+        }
+      }
     }
-    return false;
+    std::stable_sort(
+        holdings->begin(), holdings->end(),
+        [](const Holding& a, const Holding& b) { return a.value < b.value; });
   }
 
   const Query* query_;
   TransducerSchema schema_;
   RelMap msg_xfer_, msg_ack_, got_, sent_xfer_, acked_, sent_ack_;
+  uint32_t adv_ = 0, req_ = 0, ok_ = 0;
+  uint32_t vals_ = 0, senta_ = 0, sentr_ = 0, okd_ = 0, reqs_ = 0, sento_ = 0;
+  std::vector<InRel> rels_;  // schema_.in.relations() order
 };
 
 // ---------------------------------------------------------------------------
@@ -439,11 +528,11 @@ class DomainRequestTransducer : public Transducer {
 class RacyElectionTransducer : public Transducer {
  public:
   RacyElectionTransducer() {
-    (void)schema_.in.AddRelation("P", 1);
-    (void)schema_.out.AddRelation("First", 1);
-    (void)schema_.msg.AddRelation("cast", 1);
-    (void)schema_.mem.AddRelation("sentc", 1);
-    (void)schema_.mem.AddRelation("won", 1);
+    p_ = AddRelation(&schema_.in, "P", 1);
+    first_ = AddRelation(&schema_.out, "First", 1);
+    cast_ = AddRelation(&schema_.msg, "cast", 1);
+    sentc_ = AddRelation(&schema_.mem, "sentc", 1);
+    won_ = AddRelation(&schema_.mem, "won", 1);
   }
 
   const TransducerSchema& schema() const override { return schema_; }
@@ -453,10 +542,10 @@ class RacyElectionTransducer : public Transducer {
     StepOutput out;
 
     // Cast every local P-fact once.
-    for (const Tuple& t : in.local_input.TuplesOf(InternName("P"))) {
-      Fact marker(InternName("sentc"), t);
+    for (const Tuple& t : in.local_input.TuplesOf(p_)) {
+      Fact marker(sentc_, t);
       if (!in.state.Contains(marker)) {
-        out.sends.Insert(Fact(InternName("cast"), t));
+        out.sends.Insert(Fact(cast_, t));
         out.insertions.Insert(marker);
       }
     }
@@ -464,17 +553,18 @@ class RacyElectionTransducer : public Transducer {
     // Commit to the minimum value among the casts in the first delivery
     // that contains any. Deterministic per step — the nondeterminism is in
     // *which* casts share that first delivery, i.e. the schedule.
-    const TupleSet& casts = in.messages.TuplesOf(InternName("cast"));
-    if (!casts.empty() && in.state.TuplesOf(InternName("won")).empty()) {
+    const TupleSet& casts = in.messages.TuplesOf(cast_);
+    if (!casts.empty() && in.state.TuplesOf(won_).empty()) {
       const Tuple& winner = *casts.begin();  // sorted: the minimum value
-      out.output.Insert(Fact(InternName("First"), winner));
-      out.insertions.Insert(Fact(InternName("won"), winner));
+      out.output.Insert(Fact(first_, winner));
+      out.insertions.Insert(Fact(won_, winner));
     }
     return out;
   }
 
  private:
   TransducerSchema schema_;
+  uint32_t p_ = 0, first_ = 0, cast_ = 0, sentc_ = 0, won_ = 0;
 };
 
 }  // namespace

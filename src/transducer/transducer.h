@@ -10,14 +10,31 @@
 
 namespace calm::transducer {
 
+// One node's last evaluation of a strategy's query: Q(input) = output.
+// TransducerNetwork owns one memo per node and clears it on Initialize and
+// on that node's crash-restart; it cannot live in the transducer, which
+// confluence runs share across threads. A strategy whose next input equals
+// `input` reuses `output` instead of evaluating Q again. Errors are never
+// memoized. `hits` and `misses` tally lookups until the network flushes
+// them to its metrics, once per transition.
+struct EvalMemo {
+  bool valid = false;
+  Instance input;
+  Instance output;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
 // What a node sees during a transition (Section 4.1.3): its local input
 // fragment H(x), its stored state s(x) (over out+mem), the delivered message
-// set M, and the system facts S. D is their union.
+// set M, and the system facts S. D is their union. `memo` is the node's
+// EvalMemo, or null; a null memo must yield the same StepOutput.
 struct StepInput {
   const Instance& local_input;
   const Instance& state;
   const Instance& messages;
   const Instance& system;
+  EvalMemo* memo = nullptr;
 
   Instance D() const {
     Instance d = local_input;

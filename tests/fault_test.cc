@@ -406,6 +406,26 @@ TEST(RunnerTest, RunConsistentlyNamesDivergingSchedule) {
 // Confluence oracle.
 // ---------------------------------------------------------------------------
 
+// Everything a ConfluenceReport says, as one comparable string.
+std::string ReportSummary(const ConfluenceReport& report) {
+  const net::FaultStats& f = report.total_faults;
+  std::string out = report.reference.ToString() + " runs=" +
+                    std::to_string(report.runs) +
+                    " faulted=" + std::to_string(report.faulted_runs);
+  for (size_t n : {f.duplicates, f.drops, f.retransmits, f.reorders,
+                   f.partitions, f.partition_holds, f.crashes}) {
+    out += " " + std::to_string(n);
+  }
+  for (const DivergenceWitness& w : report.divergences) {
+    out += " witness " + std::to_string(w.plan_seed) + " " +
+           w.observed.ToString();
+  }
+  return out;
+}
+
+// Serial, and again at 4 threads: the runs share one transducer (and so
+// one query) across threads, each network keeping its own memos, and the
+// report must not change.
 TEST(ConfluenceOracleTest, CoordinationFreeStrategiesAreConfluent) {
   using MakeScenario = Scenario (*)(size_t, uint64_t);
   for (MakeScenario make :
@@ -422,6 +442,12 @@ TEST(ConfluenceOracleTest, CoordinationFreeStrategiesAreConfluent) {
         << s.transducer->name() << " diverged: first witness under "
         << SchedulerKindName(report->divergences[0].scheduler) << " plan seed "
         << report->divergences[0].plan_seed;
+
+    opts.threads = 4;
+    Result<ConfluenceReport> parallel = CheckConfluence(s.Factory(), opts);
+    ASSERT_TRUE(parallel.ok()) << parallel.status();
+    EXPECT_EQ(ReportSummary(*parallel), ReportSummary(*report))
+        << s.transducer->name();
   }
 }
 

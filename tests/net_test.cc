@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <vector>
 
 #include "net/message_buffer.h"
 #include "net/scheduler.h"
@@ -59,6 +61,45 @@ TEST(MessageBufferTest, InsertAtPositionsAndClamps) {
   // The true enqueue tick survives reordering (fairness bookkeeping).
   EXPECT_EQ(buf.entries()[0].enqueued_at, 2u);
   EXPECT_EQ(buf.IndicesOlderThan(1).size(), 2u);  // F(1)@0 and F(2)@1 only
+}
+
+// TakeCollapsed against the obvious reference: erase the chosen entries one
+// at a time, back to front, inserting each fact. Random buffers hold
+// repeated facts over two relations, some entries placed by InsertAt.
+TEST(MessageBufferTest, TakeCollapsedMatchesOneAtATimeReference) {
+  std::mt19937_64 rng(17);
+  auto below = [&](uint64_t n) { return rng() % n; };
+  for (int round = 0; round < 300; ++round) {
+    MessageBuffer buf;
+    const uint64_t n = below(24);
+    for (uint64_t tick = 0; tick < n; ++tick) {
+      Fact fact(below(2) == 0 ? "M" : "N", {V(below(6)), V(below(3))});
+      if (below(4) == 0) {
+        buf.InsertAt(below(buf.size() + 2), std::move(fact), tick);
+      } else {
+        buf.Add(std::move(fact), tick);
+      }
+    }
+    std::vector<size_t> indices;
+    for (size_t i = 0; i < buf.size(); ++i) {
+      if (below(3) == 0) indices.push_back(i);
+    }
+
+    std::vector<MessageBuffer::Entry> rest = buf.entries();
+    Instance expected;
+    for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
+      expected.Insert(rest[*it].fact);
+      rest.erase(rest.begin() + static_cast<ptrdiff_t>(*it));
+    }
+
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_EQ(buf.TakeCollapsed(indices), expected);
+    ASSERT_EQ(buf.size(), rest.size());
+    for (size_t i = 0; i < rest.size(); ++i) {
+      EXPECT_EQ(buf.entries()[i].fact, rest[i].fact) << i;
+      EXPECT_EQ(buf.entries()[i].enqueued_at, rest[i].enqueued_at) << i;
+    }
+  }
 }
 
 TEST(RunStatsTest, RendersEveryCounter) {

@@ -17,6 +17,7 @@
 #include "base/trace.h"
 #include "datalog/evaluator.h"
 #include "monotonicity/checker.h"
+#include "net/fault.h"
 #include "net/message_buffer.h"
 #include "queries/graph_queries.h"
 #include "queries/paper_programs.h"
@@ -180,6 +181,169 @@ TEST_F(ObservabilityTest, NetworkSpansMatchRunStats) {
     across_nodes += count;
   }
   EXPECT_EQ(across_nodes, stats.messages_delivered);
+}
+
+// Counts Eval calls through to `inner`.
+class CountingQuery : public Query {
+ public:
+  explicit CountingQuery(const Query* inner) : inner_(inner) {}
+  const Schema& input_schema() const override {
+    return inner_->input_schema();
+  }
+  const Schema& output_schema() const override {
+    return inner_->output_schema();
+  }
+  Result<Instance> Eval(const Instance& input) const override {
+    ++evals_;
+    return inner_->Eval(input);
+  }
+  std::string name() const override { return inner_->name(); }
+  uint64_t evals() const { return evals_; }
+
+ private:
+  const Query* inner_;
+  mutable uint64_t evals_ = 0;
+};
+
+// Forwards to `inner` with the node's EvalMemo withheld.
+class WithoutMemo : public transducer::Transducer {
+ public:
+  explicit WithoutMemo(const transducer::Transducer* inner) : inner_(inner) {}
+  const transducer::TransducerSchema& schema() const override {
+    return inner_->schema();
+  }
+  std::string name() const override { return inner_->name(); }
+  Result<transducer::StepOutput> Step(
+      const transducer::StepInput& in) const override {
+    transducer::StepInput bare = in;
+    bare.memo = nullptr;
+    return inner_->Step(bare);
+  }
+
+ private:
+  const transducer::Transducer* inner_;
+};
+
+uint64_t CounterValue(const std::string& name) {
+  return MetricRegistry::Global().GetCounter(name).Value();
+}
+
+// Domain-request on Q_TC under a chaos fault plan (crash-restarts included)
+// and the random scheduler: every net.step has exactly one child span per
+// sub-layer; memo hits plus misses equal the evaluations a memo-less run
+// makes, and misses equal this run's evaluations; system-fact rebuilds are
+// counted; and the run is the same with tracing and metrics on or off.
+TEST_F(ObservabilityTest, NetworkSubLayerSpansAndCounters) {
+  auto qtc = queries::MakeComplementTransitiveClosure();
+  const Instance graph = workload::RandomGraph(7, 0.3, /*seed=*/4);
+  transducer::Network nodes{V(900), V(901), V(902)};
+  transducer::HashDomainGuidedPolicy policy(nodes, /*salt=*/3);
+
+  // Runs `machine` to quiescence under the fixed schedule and fault plan.
+  auto run = [&](const transducer::Transducer& machine)
+      -> Result<transducer::RunResult> {
+    net::FaultPlan plan =
+        net::FaultPlan::Random(/*seed=*/9, net::FaultProfile::Chaos());
+    transducer::TransducerNetwork network(
+        nodes, &machine, &policy, transducer::ModelOptions::PolicyAware());
+    CALM_RETURN_IF_ERROR(network.Initialize(graph));
+    transducer::RunOptions ro;
+    ro.scheduler = transducer::RunOptions::SchedulerKind::kRandom;
+    ro.seed = 6;
+    ro.faults = &plan;
+    ro.record_choices = true;
+    return transducer::RunToQuiescence(network, ro);
+  };
+
+  CountingQuery plain_query(qtc.get());
+  auto plain_machine = transducer::MakeDomainRequestTransducer(&plain_query);
+  Result<transducer::RunResult> plain = run(*plain_machine);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ASSERT_TRUE(plain->quiesced);
+
+  CountingQuery bare_query(qtc.get());
+  auto bare_inner = transducer::MakeDomainRequestTransducer(&bare_query);
+  WithoutMemo bare_machine(bare_inner.get());
+  Result<transducer::RunResult> bare = run(bare_machine);
+  ASSERT_TRUE(bare.ok()) << bare.status();
+
+  Trace::SetEnabled(true);
+  SetMetricsEnabled(true);
+  MetricRegistry::Global().ResetValues();
+  CountingQuery traced_query(qtc.get());
+  auto traced_machine =
+      transducer::MakeDomainRequestTransducer(&traced_query);
+  Result<transducer::RunResult> traced = run(*traced_machine);
+  ASSERT_TRUE(traced.ok()) << traced.status();
+  SetMetricsEnabled(false);
+  Trace::SetEnabled(false);
+
+  // Same run with instrumentation on or off, and with or without the memo.
+  for (const transducer::RunResult* other : {&*bare, &*traced}) {
+    EXPECT_EQ(other->output, plain->output);
+    EXPECT_EQ(net::RunStatsToString(other->stats),
+              net::RunStatsToString(plain->stats));
+    ASSERT_EQ(other->choices.size(), plain->choices.size());
+    for (size_t i = 0; i < plain->choices.size(); ++i) {
+      EXPECT_EQ(other->choices[i].node_index, plain->choices[i].node_index);
+      EXPECT_EQ(other->choices[i].deliveries, plain->choices[i].deliveries);
+    }
+  }
+  const size_t transitions = plain->stats.transitions;
+
+  // The memo answers each evaluation once: a hit or a miss, and only a
+  // miss evaluates Q.
+  const uint64_t hits = CounterValue("calm.transducer.memo_hits");
+  const uint64_t misses = CounterValue("calm.transducer.memo_misses");
+  EXPECT_EQ(hits + misses, bare_query.evals());
+  EXPECT_EQ(misses, traced_query.evals());
+  EXPECT_EQ(traced_query.evals(), plain_query.evals());
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  const uint64_t builds = CounterValue("calm.net.system_fact_builds");
+  EXPECT_GT(builds, 0u);
+  EXPECT_LE(builds, transitions);
+  EXPECT_EQ(CounterValue("calm.net.transitions"), transitions);
+  uint64_t per_node = 0;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    per_node += MetricRegistry::Global()
+                    .GetCounter("calm.net.node_transitions",
+                                {{"node", std::to_string(i)}})
+                    .Value();
+  }
+  EXPECT_EQ(per_node, transitions);
+
+  // The rest reads spans, which CALM_TRACING=OFF compiles out.
+  if (!TracingCompiledIn()) return;
+
+  // One child span per sub-layer under every net.step.
+  const char* const kChildren[] = {"net.deliver",   "net.system_facts",
+                                   "transducer.step", "net.apply",
+                                   "net.send",      "net.output_recount"};
+  Json exported = Trace::ExportJson();
+  std::map<uint64_t, std::map<std::string, int>> children;  // step id -> name
+  for (const Json& e : exported.Find("traceEvents")->items()) {
+    const std::string name = e.GetString("name").value();
+    const Json* args = e.Find("args");
+    if (name == "net.step") {
+      children[args->GetUint("id").value()];
+      continue;
+    }
+    for (const char* child : kChildren) {
+      if (name != child) continue;
+      ASSERT_TRUE(args->Find("parent") != nullptr) << name;
+      ++children[args->GetUint("parent").value()][name];
+    }
+  }
+  EXPECT_EQ(Trace::SpanCount("net.step"), transitions);
+  EXPECT_EQ(children.size(), transitions);
+  for (const auto& [step, names] : children) {
+    for (const char* child : kChildren) {
+      auto it = names.find(child);
+      EXPECT_TRUE(it != names.end() && it->second == 1)
+          << "net.step " << step << " child " << child;
+    }
+  }
 }
 
 // The drift pin: console stats lines are rendered from the same Json object

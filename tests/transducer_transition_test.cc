@@ -5,17 +5,24 @@
 //     memory deletions;
 //   * whole runs of the Figure 2 strategies on one seeded graph are pinned:
 //     output, every RunStats field, BSP supersteps and the recorded
-//     scheduler choices.
+//     scheduler choices. Every pinned transition also steps a second time
+//     without the node's EvalMemo, and the two StepOutputs must be equal;
+//     domain-request runs check the invariant that lets served requests be
+//     skipped;
+//   * the distribution policies keep the contract the per-value system-fact
+//     build relies on.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "base/fact.h"
 #include "net/fault.h"
 #include "queries/graph_queries.h"
 #include "transducer/datalog_transducer.h"
@@ -67,6 +74,68 @@ class CheckingTransducer : public Transducer {
   const Transducer* inner_;
   const TransducerNetwork* network_ = nullptr;
   mutable size_t checks_ = 0;
+};
+
+// Forwards to `inner`, stepping every transition twice: once with the
+// network's EvalMemo and once with a null memo. The four StepOutput
+// instances must be equal. With `check_served` (domain-request only), also
+// checks on every transition the invariant behind skipping served
+// requests: each sento(x, a) in state comes with the sx_R(x, t) marker of
+// every local fact R(t) containing a.
+class MemoCheckingTransducer : public Transducer {
+ public:
+  MemoCheckingTransducer(const Transducer* inner, bool check_served)
+      : inner_(inner), check_served_(check_served) {}
+
+  size_t checks() const { return checks_; }
+  size_t memo_steps() const { return memo_steps_; }
+
+  const TransducerSchema& schema() const override { return inner_->schema(); }
+  std::string name() const override { return inner_->name(); }
+
+  Result<StepOutput> Step(const StepInput& in) const override {
+    if (check_served_) CALM_RETURN_IF_ERROR(CheckServed(in));
+    CALM_ASSIGN_OR_RETURN(StepOutput with_memo, inner_->Step(in));
+    StepInput bare = in;
+    bare.memo = nullptr;
+    CALM_ASSIGN_OR_RETURN(StepOutput without, inner_->Step(bare));
+    if (with_memo.output != without.output ||
+        with_memo.insertions != without.insertions ||
+        with_memo.deletions != without.deletions ||
+        with_memo.sends != without.sends) {
+      return InternalError("transition " + std::to_string(checks_) +
+                           " differs with and without the memo");
+    }
+    ++checks_;
+    if (in.memo != nullptr) ++memo_steps_;
+    return with_memo;
+  }
+
+ private:
+  Status CheckServed(const StepInput& in) const {
+    for (const Tuple& ok : in.state.TuplesOf(InternName("sento"))) {
+      Status status = Status::Ok();
+      in.local_input.ForEachFact([&](uint32_t rel, const Tuple& t) {
+        bool contains = false;
+        for (Value v : t) contains = contains || v == ok[1];
+        if (!contains) return;
+        Tuple addressed{ok[0]};
+        addressed.append(t.begin(), t.end());
+        Fact marker(InternName("sx_" + NameOf(rel)), addressed);
+        if (status.ok() && !in.state.Contains(marker)) {
+          status = InternalError("sento" + TupleToString(ok) +
+                                 " in state without " + FactToString(marker));
+        }
+      });
+      CALM_RETURN_IF_ERROR(status);
+    }
+    return Status::Ok();
+  }
+
+  const Transducer* inner_;
+  bool check_served_;
+  mutable size_t checks_ = 0;
+  mutable size_t memo_steps_ = 0;
 };
 
 enum class Mode { kRoundRobin, kRandom, kFault, kBsp };
@@ -135,7 +204,8 @@ Instance SourcesAndTargets(const Instance& graph) {
   return out;
 }
 
-// Runs `transducer` wrapped in a CheckingTransducer under every mode and
+// Runs `transducer` wrapped in a MemoCheckingTransducer (`check_served`
+// for domain-request) inside a CheckingTransducer under every mode and
 // expects every run to quiesce with `expected`, every transition checked.
 // Adds the fault runs' crash-restarts to `*crashes`.
 void ExpectCachedSystemFactsMatch(const Transducer& transducer,
@@ -143,7 +213,8 @@ void ExpectCachedSystemFactsMatch(const Transducer& transducer,
                                   const Instance& expected,
                                   const DistributionPolicy& policy,
                                   const Network& nodes, ModelOptions model,
-                                  size_t* crashes) {
+                                  size_t* crashes,
+                                  bool check_served = false) {
   for (Mode mode : kModes) {
     for (uint64_t seed : {3u, 8u}) {
       if ((mode == Mode::kRoundRobin || mode == Mode::kBsp) && seed != 3) {
@@ -152,7 +223,8 @@ void ExpectCachedSystemFactsMatch(const Transducer& transducer,
       SCOPED_TRACE(transducer.name() + " " + model.ToString() + " " +
                    kModeNames[static_cast<int>(mode)] + " seed " +
                    std::to_string(seed));
-      CheckingTransducer checking(&transducer);
+      MemoCheckingTransducer memo_checking(&transducer, check_served);
+      CheckingTransducer checking(&memo_checking);
       TransducerNetwork network(nodes, &checking, &policy, model);
       checking.set_network(&network);
       ASSERT_TRUE(network.Initialize(input).ok());
@@ -161,6 +233,7 @@ void ExpectCachedSystemFactsMatch(const Transducer& transducer,
       EXPECT_TRUE(run.result->quiesced);
       EXPECT_EQ(run.result->output, expected);
       EXPECT_EQ(checking.checks(), run.result->stats.transitions);
+      EXPECT_EQ(memo_checking.checks(), run.result->stats.transitions);
       *crashes += run.faults.crashes;
     }
   }
@@ -178,8 +251,26 @@ TEST(CachedSystemFactsTest, DomainRequestMatchesReferenceInEveryMode) {
   for (ModelOptions model :
        {ModelOptions::PolicyAware(), ModelOptions::PolicyAwareNoAll()}) {
     ExpectCachedSystemFactsMatch(*transducer, graph, *expected, policy,
-                                 nodes, model, &crashes);
+                                 nodes, model, &crashes,
+                                 /*check_served=*/true);
   }
+  EXPECT_GT(crashes, 0u) << "no fault run exercised a crash-restart";
+}
+
+TEST(CachedSystemFactsTest, DomainRequestWinMoveMatchesReferenceInEveryMode) {
+  auto wm = queries::MakeWinMove();
+  auto transducer = MakeDomainRequestTransducer(wm.get());
+  Instance moves;
+  Graph().ForEachFact(
+      [&](uint32_t, const Tuple& t) { moves.Insert(Fact("Move", t)); });
+  Result<Instance> expected = wm->Eval(moves);
+  ASSERT_TRUE(expected.ok());
+  Network nodes{V(900), V(901), V(902)};
+  HashDomainGuidedPolicy policy(nodes, /*salt=*/4);
+  size_t crashes = 0;
+  ExpectCachedSystemFactsMatch(*transducer, moves, *expected, policy, nodes,
+                               ModelOptions::PolicyAware(), &crashes,
+                               /*check_served=*/true);
   EXPECT_GT(crashes, 0u) << "no fault run exercised a crash-restart";
 }
 
@@ -304,21 +395,26 @@ std::string PinToString(const RunPin& p) {
          std::to_string(p.output_digest) + "ull},";
 }
 
-// The pins of one strategy, one per mode (kModes order).
+// The pins of one strategy, one per mode (kModes order). Every transition
+// runs through a MemoCheckingTransducer; `check_served` is for
+// domain-request.
 void ExpectPinned(const Transducer& transducer,
                   const DistributionPolicy& policy, ModelOptions model,
                   const Instance& input, const Instance& expected,
-                  const std::vector<RunPin>& pins) {
+                  const std::vector<RunPin>& pins, bool check_served = false) {
   ASSERT_EQ(pins.size(), 4u);
   Network nodes{V(900), V(901), V(902)};
   for (size_t m = 0; m < 4; ++m) {
-    TransducerNetwork network(nodes, &transducer, &policy, model);
+    MemoCheckingTransducer checking(&transducer, check_served);
+    TransducerNetwork network(nodes, &checking, &policy, model);
     ASSERT_TRUE(network.Initialize(input).ok());
     ModeRun run = RunInMode(network, kModes[m], /*seed=*/5);
     ASSERT_TRUE(run.result.ok()) << run.result.status();
     const RunResult& r = *run.result;
     EXPECT_TRUE(r.quiesced);
     EXPECT_EQ(r.output, expected);
+    EXPECT_EQ(checking.checks(), r.stats.transitions);
+    EXPECT_EQ(checking.memo_steps(), r.stats.transitions);
     const std::string name = transducer.name() + "/" + kModeNames[m];
     RunPin got{pins[m].run,
                r.stats.transitions,
@@ -392,7 +488,113 @@ TEST(WholeRunPinTest, DomainRequest) {
                     15436628627799694536ull, 12276790757250408181ull},
                    {"bsp", 21, 6, 520, 520, 152, 14, 7, 21,
                     14108020232816004965ull, 12276790757250408181ull},
-               });
+               },
+               /*check_served=*/true);
+}
+
+// Win-move over the same graph's edges as Move facts. The protocol's
+// messages do not depend on the query, so the runs match Q_TC's; only the
+// output differs.
+TEST(WholeRunPinTest, DomainRequestWinMove) {
+  auto wm = queries::MakeWinMove();
+  auto transducer = MakeDomainRequestTransducer(wm.get());
+  Instance moves;
+  Graph().ForEachFact(
+      [&](uint32_t, const Tuple& t) { moves.Insert(Fact("Move", t)); });
+  Network nodes{V(900), V(901), V(902)};
+  HashDomainGuidedPolicy policy(nodes);
+  ExpectPinned(*transducer, policy, ModelOptions::PolicyAware(), moves,
+               wm->Eval(moves).value(),
+               {
+                   {"rr", 14, 4, 520, 520, 6, 8, 0, 14,
+                    16351549898106027475ull, 3082414199068549854ull},
+                   {"random", 53, 12, 520, 520, 6, 37, 0, 53,
+                    12605949367317197985ull, 3082414199068549854ull},
+                   {"fault", 31, 4, 680, 680, 6, 23, 0, 31,
+                    15436628627799694536ull, 3082414199068549854ull},
+                   {"bsp", 21, 6, 520, 520, 6, 14, 7, 21,
+                    14108020232816004965ull, 3082414199068549854ull},
+               },
+               /*check_served=*/true);
+}
+
+// ---------------------------------------------------------------------------
+// The policy contract behind the per-value system-fact build: under a
+// domain-guided policy, P(R(a1..ak)) is the union of the alpha(ai).
+// ---------------------------------------------------------------------------
+
+std::set<Value> UnionOfValueOwners(const DistributionPolicy& policy,
+                                   const Fact& fact) {
+  std::set<Value> out;
+  for (Value v : fact.args) {
+    for (Value n : policy.NodesForValue(v)) out.insert(n);
+  }
+  return out;
+}
+
+TEST(PolicyContractTest, DomainGuidedPoliciesOwnFactsThroughTheirValues) {
+  Network nodes{V(900), V(901), V(902), V(903)};
+  HashDomainGuidedPolicy hash(nodes, /*salt=*/7);
+  AllToOnePolicy all_to_one(V(902));
+  MapDomainGuidedPolicy map(
+      nodes, {{V(1), {V(900)}}, {V(2), {V(901), V(903)}}, {V(5), {V(902)}}},
+      /*fallback=*/V(903));
+  std::mt19937_64 rng(23);
+  for (const DistributionPolicy* policy :
+       std::vector<const DistributionPolicy*>{&hash, &all_to_one, &map}) {
+    SCOPED_TRACE(policy->name());
+    EXPECT_TRUE(policy->is_domain_guided());
+    for (int i = 0; i < 500; ++i) {
+      Tuple t;
+      const size_t arity = 1 + rng() % 3;
+      for (size_t k = 0; k < arity; ++k) t.push_back(V(rng() % 8));
+      const Fact fact(rng() % 2 == 0 ? "E" : "Move", t);
+      EXPECT_EQ(policy->NodesFor(fact), UnionOfValueOwners(*policy, fact))
+          << FactToString(fact);
+    }
+  }
+}
+
+TEST(PolicyContractTest, OverridePolicyIsNotDomainGuided) {
+  Network nodes{V(900), V(901), V(902)};
+  HashDomainGuidedPolicy base(nodes);
+  OverridePolicy policy(&base, {{Fact("E", {V(1), V(2)}), {V(900)}}});
+  EXPECT_FALSE(policy.is_domain_guided());
+}
+
+// A policy that claims to be domain-guided but breaks the contract: every
+// value belongs to node 900, yet every fact goes to every node. The cached
+// system facts follow alpha, SystemFactsFor asks NodesFor, so the checking
+// wrapper must see them differ — the reference does not share the fast
+// path.
+class ContractBreakingPolicy : public DistributionPolicy {
+ public:
+  explicit ContractBreakingPolicy(Network nodes) : nodes_(std::move(nodes)) {}
+  std::set<Value> NodesFor(const Fact&) const override {
+    return {nodes_.begin(), nodes_.end()};
+  }
+  bool is_domain_guided() const override { return true; }
+  std::set<Value> NodesForValue(Value) const override { return {nodes_[0]}; }
+  std::string name() const override { return "contract-breaking"; }
+
+ private:
+  Network nodes_;
+};
+
+TEST(CachedSystemFactsTest, ReferenceDoesNotShareThePerValueBuild) {
+  auto qtc = queries::MakeComplementTransitiveClosure();
+  auto transducer = MakeDomainRequestTransducer(qtc.get());
+  Network nodes{V(900), V(901), V(902)};
+  ContractBreakingPolicy policy(nodes);
+  CheckingTransducer checking(transducer.get());
+  TransducerNetwork network(nodes, &checking, &policy,
+                            ModelOptions::PolicyAware());
+  checking.set_network(&network);
+  ASSERT_TRUE(network.Initialize(Graph()).ok());
+  Status status = network.Heartbeat(V(901));
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+  EXPECT_NE(status.message().find("saw system facts"), std::string::npos)
+      << status;
 }
 
 }  // namespace
