@@ -329,35 +329,53 @@ BENCHMARK(BM_EvalPreparedThreads)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-// Incremental union evaluation: the Q(I) fixpoint is materialized once by
-// MakeUnionEvaluator; each single-fact J then runs as an epoch-scoped
-// insertion delta over the versioned columnar store and rolls back. A J
-// that only grows the fixpoint (here: a fresh disjoint edge — TC is
-// monotone) proves Q(I) ⊆ Q(I ∪ J) with no output materialization at all,
-// so the tracked number is this benchmark against BM_EvalPrepared at the
-// same Arg: the from-scratch cost of the identical subset check
-// (tools/compare_bench.py guards the ratio in CI).
-void BM_EvalIncrementalOverlay(benchmark::State& state) {
+// Union checks against one I, 64 J's at a time: Arg(1) answers each batch
+// with one world-masked fixpoint (FirstRetractedBatch), Arg(0) asks the
+// same evaluator one J at a time (the from-scratch probe). The layer probe
+// behind the checker's batched union checks; the program is the complement
+// of TC (Adom, negation), the shape of the paper's Mdistinct separations.
+void BM_UnionCheckBatch(benchmark::State& state) {
   datalog::DatalogQuery q = datalog::DatalogQuery::FromTextOrDie(
-      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z). .output T",
-      "tc-incremental");
-  Instance input =
-      workload::RandomGraphM(state.range(0), 3 * state.range(0), /*seed=*/7);
+      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
+      "O(x, y) :- Adom(x), Adom(y), !T(x, y).",
+      "qtc-union-batch");
+  Instance input = workload::RandomGraphM(4, 4, /*seed=*/7);
   std::vector<Fact> base;
   if (!q.EvalFacts(input, &base).ok()) {
     state.SkipWithError("base evaluation failed");
     return;
   }
-  std::unique_ptr<UnionEvaluator> ev = q.MakeUnionEvaluator(input);
-  Instance j;
-  j.Insert(Fact("E", {Value::FromInt(1000), Value::FromInt(1001)}));
-  for (auto _ : state) {
-    Result<std::optional<Fact>> r = ev->FirstRetracted(j, base);
-    benchmark::DoNotOptimize(r);
+  // Every single edge over {0..3} and two fresh values, plus edge pairs
+  // out of a fresh vertex: 64 J's.
+  std::vector<Instance> js;
+  std::vector<Value> vals;
+  for (uint64_t v : {0, 1, 2, 3, 1000, 1001}) vals.push_back(Value::FromInt(v));
+  for (Value a : vals) {
+    for (Value b : vals) js.push_back(Instance{Fact("E", {a, b})});
   }
-  state.SetItemsProcessed(state.iterations());
+  for (size_t k = 0; js.size() < 64; ++k) {
+    js.push_back(Instance{Fact("E", {vals[4], vals[k % 6]}),
+                          Fact("E", {vals[k % 4], vals[5]})});
+  }
+  std::vector<const Instance*> ptrs;
+  for (const Instance& j : js) ptrs.push_back(&j);
+  std::unique_ptr<UnionEvaluator> ev = q.MakeUnionEvaluator(input);
+  std::vector<Result<std::optional<Fact>>> out;
+  const bool batched = state.range(0) == 1;
+  for (auto _ : state) {
+    if (batched) {
+      ev->FirstRetractedBatch(ptrs, base, &out);
+      benchmark::DoNotOptimize(out);
+    } else {
+      for (const Instance& j : js) {
+        Result<std::optional<Fact>> r = ev->FirstRetracted(j, base);
+        benchmark::DoNotOptimize(r);
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * js.size());
 }
-BENCHMARK(BM_EvalIncrementalOverlay)->Arg(8)->Arg(32);
+BENCHMARK(BM_UnionCheckBatch)->Arg(0)->Arg(1);
 
 void BM_EvalCompileEveryCall(benchmark::State& state) {
   Instance input =
@@ -611,83 +629,6 @@ int CrossCheckTrace() {
   return 0;
 }
 
-// Same idea for the incremental union path: one overlay evaluation through a
-// fresh union evaluator must record exactly one datalog.eval.delta span (and
-// bump calm.eval.incremental.overlays by one, with no fallback) when the
-// mode is on, and exactly zero when --incremental=off routed the check to
-// the overlay evaluator instead.
-int CrossCheckIncrementalTrace() {
-  if (!calm::TracingEnabled()) return 0;
-  datalog::DatalogQuery q = datalog::DatalogQuery::FromTextOrDie(
-      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z). .output T",
-      "tc-trace-check");
-  Instance input = workload::RandomGraphM(16, 48, /*seed=*/7);
-  std::vector<Fact> base;
-  Status bs = q.EvalFacts(input, &base);
-  if (!bs.ok()) {
-    std::fprintf(stderr, "incremental cross-check base eval failed: %s\n",
-                 bs.ToString().c_str());
-    return 1;
-  }
-  const bool metrics_on = calm::MetricsEnabled();
-  Counter* overlays =
-      metrics_on ? &MetricRegistry::Global().GetCounter(
-                       "calm.eval.incremental.overlays")
-                 : nullptr;
-  Counter* fallbacks =
-      metrics_on ? &MetricRegistry::Global().GetCounter(
-                       "calm.eval.incremental.fallbacks")
-                 : nullptr;
-  const uint64_t overlays_before = metrics_on ? overlays->Value() : 0;
-  const uint64_t fallbacks_before = metrics_on ? fallbacks->Value() : 0;
-  const size_t deltas_before = calm::Trace::SpanCount("datalog.eval.delta");
-
-  std::unique_ptr<UnionEvaluator> ev = q.MakeUnionEvaluator(input);
-  Instance j;
-  j.Insert(Fact("E", {Value::FromInt(1000), Value::FromInt(1001)}));
-  Result<std::optional<Fact>> r = ev->FirstRetracted(j, base);
-  if (!r.ok()) {
-    std::fprintf(stderr, "incremental cross-check union failed: %s\n",
-                 r.status().ToString().c_str());
-    return 1;
-  }
-  if (r->has_value()) {
-    std::fprintf(stderr,
-                 "incremental cross-check failed: TC reported a retracted "
-                 "fact for a monotone overlay\n");
-    return 1;
-  }
-
-  const bool incremental_on =
-      datalog::DefaultIncrementalMode() == datalog::IncrementalMode::kOn;
-  const size_t expected = incremental_on ? 1 : 0;
-  const size_t deltas =
-      calm::Trace::SpanCount("datalog.eval.delta") - deltas_before;
-  if (deltas != expected) {
-    std::fprintf(stderr,
-                 "incremental cross-check failed: %zu datalog.eval.delta "
-                 "spans for one overlay evaluation (expected %zu)\n",
-                 deltas, expected);
-    return 1;
-  }
-  if (metrics_on) {
-    const uint64_t new_overlays = overlays->Value() - overlays_before;
-    const uint64_t new_fallbacks = fallbacks->Value() - fallbacks_before;
-    if (new_overlays != expected || new_fallbacks != 0) {
-      std::fprintf(stderr,
-                   "incremental cross-check failed: overlays +%llu / "
-                   "fallbacks +%llu for one overlay evaluation (expected "
-                   "+%zu / +0)\n",
-                   static_cast<unsigned long long>(new_overlays),
-                   static_cast<unsigned long long>(new_fallbacks), expected);
-      return 1;
-    }
-  }
-  std::printf("incremental cross-check ok: %zu delta span(s), no fallback\n",
-              deltas);
-  return 0;
-}
-
 }  // namespace
 
 // Custom main: strip --threads/--json/--metrics_out/--trace_out
@@ -702,7 +643,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   int rc = CrossCheckTrace();
-  rc |= CrossCheckIncrementalTrace();
   calm::bench::WriteObservability(flags);
   return rc;
 }

@@ -32,13 +32,6 @@ namespace calm::bench {
 //   --engine NAME     rule evaluator: "bytecode" (default) or "tree" (the
 //                     differential oracle); also settable via CALM_ENGINE,
 //                     the flag wins (SetDefaultEvalEngine)
-//   --incremental M   union evaluation in the checkers: "on" (default — for
-//                     bases above DatalogQuery::kMaxScratchBaseRows rows,
-//                     reuse the materialized Q(I) fixpoint and run each J as
-//                     an insertion delta) or "off" (every check from
-//                     scratch); also
-//                     settable via CALM_INCREMENTAL, the flag wins
-//                     (SetDefaultIncrementalMode)
 //   --eval_threads N  worker threads for morsel-parallel stratum evaluation
 //                     inside a single bytecode fixpoint (default 1 = serial;
 //                     results are byte-identical at any count); also settable
@@ -62,7 +55,6 @@ struct Flags {
   std::string metrics_out;  // empty = metrics registry stays disabled
   std::string trace_out;    // empty = tracing stays disabled
   std::string engine;       // empty = CALM_ENGINE / bytecode default
-  std::string incremental;  // empty = CALM_INCREMENTAL / on default
   size_t eval_threads = 0;  // 0 = CALM_EVAL_THREADS / serial default
   std::string checkpoint_dir;  // empty = sweeps run without a journal
 };
@@ -97,8 +89,6 @@ inline std::vector<FlagSpec> FlagSpecs(Flags* flags) {
        &flags->trace_out, nullptr, false},
       {"--engine", "NAME", "rule evaluator: bytecode (default) or tree",
        &flags->engine, nullptr, false},
-      {"--incremental", "MODE", "union evaluation: on (default) or off",
-       &flags->incremental, nullptr, false},
       {"--checkpoint_dir", "DIR",
        "journal sweep progress into DIR; a rerun resumes",
        &flags->checkpoint_dir, nullptr, false},
@@ -235,16 +225,6 @@ inline Flags ParseFlags(int* argc, char** argv,
       std::exit(2);
     }
     datalog::SetDefaultEvalEngine(*engine);
-  }
-  if (!flags.incremental.empty()) {
-    Result<datalog::IncrementalMode> mode =
-        datalog::ParseIncrementalMode(flags.incremental);
-    if (!mode.ok()) {
-      std::fprintf(stderr, "--incremental expects on or off, got %s\n",
-                   flags.incremental.c_str());
-      std::exit(2);
-    }
-    datalog::SetDefaultIncrementalMode(*mode);
   }
   if (flags.threads != 0) SetDefaultThreads(flags.threads);
   if (flags.eval_threads != 0) {

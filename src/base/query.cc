@@ -52,6 +52,15 @@ class OverlayUnionEvaluator : public UnionEvaluator {
 
 }  // namespace
 
+void UnionEvaluator::FirstRetractedBatch(
+    const std::vector<const Instance*>& js,
+    const std::vector<Fact>& base_facts,
+    std::vector<Result<std::optional<Fact>>>* out) {
+  out->clear();
+  out->reserve(js.size());
+  for (const Instance* j : js) out->push_back(FirstRetracted(*j, base_facts));
+}
+
 std::unique_ptr<UnionEvaluator> MakeOverlayUnionEvaluator(const Query& query,
                                                           const Instance& i) {
   return std::make_unique<OverlayUnionEvaluator>(query, i);

@@ -29,6 +29,22 @@ class UnionEvaluator {
   // from-scratch evaluation and sorted merge would report.
   virtual Result<std::optional<Fact>> FirstRetracted(
       const Instance& j, const std::vector<Fact>& base_facts) = 0;
+
+  // FirstRetracted for a batch of j's: `out` is resized to js.size() and
+  // (*out)[k] is exactly FirstRetracted(*js[k], base_facts), errors
+  // included. The default asks one j at a time; an evaluator that shares
+  // work across a batch (DatalogQuery's stratified evaluator runs one
+  // fixpoint whose facts carry per-j world masks) overrides both this and
+  // MaxBatch.
+  virtual void FirstRetractedBatch(
+      const std::vector<const Instance*>& js,
+      const std::vector<Fact>& base_facts,
+      std::vector<Result<std::optional<Fact>>>* out);
+
+  // The most j's one FirstRetractedBatch call shares work across; callers
+  // gain nothing from larger batches, and at 1 (the default) nothing from
+  // batching at all.
+  virtual size_t MaxBatch() const { return 1; }
 };
 
 // A query: a generic mapping from instances over an input schema to
@@ -77,10 +93,11 @@ class Query {
   // on a persistent copy of i — j's facts inserted before an EvalFacts, a
   // sorted merge against base_facts, the overlay erased after — so no
   // per-pair Instance::Union copy is made. Engines that can do better
-  // override this: DatalogQuery reuses a materialized fixpoint and runs j
-  // as an insertion delta; the native closure queries merge j into a
-  // precomputed reachability matrix. Every implementation returns the
-  // byte-identical first-retracted fact; only the work per check differs.
+  // override this: DatalogQuery probes its evaluation stores and answers
+  // batches of j's with one world-masked fixpoint; the native closure
+  // queries merge j into a precomputed reachability matrix. Every
+  // implementation returns the byte-identical first-retracted fact; only
+  // the work per check differs.
   // `i` (and this query) must outlive the returned evaluator.
   virtual std::unique_ptr<UnionEvaluator> MakeUnionEvaluator(
       const Instance& i) const;
@@ -146,7 +163,7 @@ class NativeQuery : public Query {
 
   // Builds a query-specific UnionEvaluator for `i`, or returns nullptr to
   // decline (the default overlay evaluator is used then). Lets native
-  // queries ship incremental union evaluation (graph_queries.cc wires a
+  // queries ship specialized union evaluation (graph_queries.cc wires a
   // closure-matrix evaluator onto TC and Q_TC) without subclassing.
   using UnionEvalFactory = std::function<std::unique_ptr<UnionEvaluator>(
       const Query&, const Instance&)>;

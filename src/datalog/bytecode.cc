@@ -33,10 +33,13 @@ ValueSrc IneqSide(std::vector<Value>* pool, int slot, Value constant) {
 // equality and inequality checks. Returns whether the child survived.
 // Everything compares dictionary codes — the shared dictionary makes code
 // equality coincide with value equality.
+// Masked frames (kMasked) end in two slots holding their world set, which
+// the child takes as `worlds` (the parent's set ANDed with the row's mask).
+template <bool kMasked>
 inline bool ExpandRow(const JoinOp& op, const RelStore& store, uint32_t row,
                       const uint32_t* parent, size_t stride,
                       const uint32_t* const_codes,
-                      std::vector<uint32_t>& next) {
+                      std::vector<uint32_t>& next, uint64_t worlds) {
   size_t base = next.size();
   next.resize(base + stride);
   uint32_t* child = next.data() + base;
@@ -60,7 +63,16 @@ inline bool ExpandRow(const JoinOp& op, const RelStore& store, uint32_t row,
       return false;
     }
   }
+  if constexpr (kMasked) {
+    child[stride - 2] = static_cast<uint32_t>(worlds);
+    child[stride - 1] = static_cast<uint32_t>(worlds >> 32);
+  }
   return true;
+}
+
+// A masked frame's world set (its two trailing slots).
+inline uint64_t FrameWorlds(const uint32_t* frame, size_t stride) {
+  return frame[stride - 2] | (static_cast<uint64_t>(frame[stride - 1]) << 32);
 }
 
 }  // namespace
@@ -188,17 +200,19 @@ BytecodeExecutor::BytecodeExecutor(
       invention_(invention),
       counters_(counters),
       scratch_(scratch),
-      pool_(&program.const_pool) {
+      pool_(&program.const_pool),
+      masked_(db->masked()) {
   const_codes_.resize(pool_->size());
   for (size_t i = 0; i < pool_->size(); ++i) {
     const_codes_[i] = db->dict().Intern((*pool_)[i]);
   }
 }
 
+template <bool kMasked>
 void BytecodeExecutor::EmitRow(const RuleBytecode& rule, const JoinOp& op,
                                const RelStore* store, uint32_t row,
                                const uint32_t* parent, size_t stride,
-                               bool emit_ok) {
+                               bool emit_ok, uint64_t worlds) {
   uint32_t* child = scratch_->child.data();
   std::copy(parent, parent + stride, child);
   for (const auto& [col, slot] : op.loads) {
@@ -220,7 +234,23 @@ void BytecodeExecutor::EmitRow(const RuleBytecode& rule, const JoinOp& op,
   // per-leaf Finish does.
   if (!emit_ok) return;
   const ValueDict& dict = db_->dict();
-  if (!rule.negs.empty()) {
+  if (kMasked && !rule.negs.empty()) {
+    // A negated fact's world set is final (its stratum is complete); the
+    // head holds in the frame's worlds outside it.
+    for (size_t n = 0; n < rule.negs.size(); ++n) {
+      const NegCheck& neg = rule.negs[n];
+      const RelStore* target = neg_plan_[n].store;
+      if (target == nullptr) continue;
+      neg_codes_.clear();
+      for (const ValueSrc& src : neg.args) {
+        neg_codes_.push_back(src.slot >= 0 ? child[src.slot]
+                                           : const_codes_[src.const_id]);
+      }
+      worlds &= ~target->FullMask(neg_codes_.data(),
+                                  static_cast<uint32_t>(neg.args.size()));
+      if (worlds == 0) return;
+    }
+  } else if (!rule.negs.empty()) {
     // Code-space anti-probes (the common case, per the plan BuildNegPlan
     // computed once for this Eval): stage every key first and prefetch its
     // dedup bucket, then resolve in order, so the cache misses overlap
@@ -278,6 +308,14 @@ void BytecodeExecutor::EmitRow(const RuleBytecode& rule, const JoinOp& op,
   }
   for (const ValueSrc& src : rule.head) {
     head[h++] = src.slot >= 0 ? child[src.slot] : ccodes[src.const_id];
+  }
+  if constexpr (kMasked) {
+    if (head_store_->InsertMasked(head, static_cast<uint32_t>(h), worlds)) {
+      ++counters_->inserted;
+    } else {
+      ++counters_->rejected;
+    }
+    return;
   }
   if (sink_ != nullptr) {
     for (size_t i = 0; i < h; ++i) (*sink_)[i].push_back(head[i]);
@@ -581,7 +619,17 @@ bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
 
 void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
                             uint32_t delta_lo, uint32_t delta_hi) {
-  const size_t stride = rule.slot_count;
+  if (masked_) {
+    EvalRule<true>(rule, delta_index, delta_lo, delta_hi);
+  } else {
+    EvalRule<false>(rule, delta_index, delta_lo, delta_hi);
+  }
+}
+
+template <bool kMasked>
+void BytecodeExecutor::EvalRule(const RuleBytecode& rule, size_t delta_index,
+                                uint32_t delta_lo, uint32_t delta_hi) {
+  const size_t stride = rule.slot_count + (kMasked ? 2 : 0);
   const uint32_t* ccodes = const_codes_.data();
   // Constant-only inequalities (ready_after == 0): frame-independent, but a
   // failure must not skip the joins — the tree matcher still walks them
@@ -603,15 +651,24 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
   cur.clear();
   cur.resize(stride);  // level 0: one frame, all slots free
   size_t frames = 1;
+  // Masked: the level-0 frame holds in every world.
+  const uint64_t all_worlds = db_->worlds();
+  if constexpr (kMasked) {
+    cur[stride - 2] = static_cast<uint32_t>(all_worlds);
+    cur[stride - 1] = static_cast<uint32_t>(all_worlds >> 32);
+  }
 
   const size_t nops = rule.ops.size();
   if (nops == 0) {
     // Bodyless rule: a single empty match.
     static const JoinOp kNoOp;
-    EmitRow(rule, kNoOp, nullptr, 0, cur.data(), stride, emit_ok);
+    EmitRow<kMasked>(rule, kNoOp, nullptr, 0, cur.data(), stride, emit_ok,
+                     all_worlds);
     return;
   }
-  if (nops == 2 && rule.fused && rule.ops[0].mask == 0 &&
+  // The fused scan→probe→emit loop materializes no frames, so it has no
+  // place for world masks.
+  if (!kMasked && nops == 2 && rule.fused && rule.ops[0].mask == 0 &&
       rule.ops[0].checks.empty() && rule.ops[0].ineqs.empty() &&
       rule.ops[1].mask != 0 &&
       EvalScanProbeFused(rule, delta_index, delta_lo, delta_hi, emit_ok)) {
@@ -637,13 +694,14 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
     const RelStore::MaskIndex* index =
         op.mask != 0 ? &store->PrepareProbe(op.mask) : nullptr;
     const bool bound_hits = store->row_count() > end;
-    const bool fused = last && rule.fused;
+    const bool fused = !kMasked && last && rule.fused;
     const RuleBytecode::FusedSrc* plan = rule.fused_head.data();
     const uint32_t nhead = static_cast<uint32_t>(rule.fused_head.size());
     // One matched row of the last op, straight to the database: the fused
     // plan skips the child frame entirely; the general path goes through
     // EmitRow (residual checks, inequalities, negation, invention).
-    auto emit_one = [&](uint32_t row, const uint32_t* parent) {
+    auto emit_one = [&](uint32_t row, const uint32_t* parent,
+                        uint64_t worlds) {
       if (fused) {
         if (!emit_ok) return;  // constant inequality failed: count, emit not
         uint32_t* head = scratch_->head.data();
@@ -666,7 +724,24 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
           ++counters_->rejected;
         }
       } else {
-        EmitRow(rule, op, store, row, parent, stride, emit_ok);
+        EmitRow<kMasked>(rule, op, store, row, parent, stride, emit_ok,
+                         worlds);
+      }
+    };
+    // One candidate row for one parent frame: masked frames first AND in
+    // the row's mask and drop a frame left with no world.
+    uint64_t parent_worlds = 0;
+    auto visit_row = [&](uint32_t row, const uint32_t* parent) {
+      uint64_t worlds = 0;
+      if constexpr (kMasked) {
+        worlds = parent_worlds & store->RowMask(row);
+        if (worlds == 0) return;
+      }
+      if (last) {
+        emit_one(row, parent, worlds);
+      } else {
+        survivors += ExpandRow<kMasked>(op, *store, row, parent, stride,
+                                        ccodes, next, worlds);
       }
     };
     // A scan's row-local predicates (in-atom repeated-variable checks,
@@ -685,27 +760,24 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
                                        &scan_rows, &scan_rows_n);
     }
     for (size_t f = 0; f < frames; ++f) {
+      // A level past the frame limit ends the rule (and, via exhausted(),
+      // the fixpoint); checked per parent, so one parent's matches bound
+      // the overshoot.
+      if (!last && next.size() > frame_limit_) {
+        exhausted_ = true;
+        return;
+      }
       const uint32_t* parent = cur.data() + f * stride;
+      if constexpr (kMasked) parent_worlds = FrameWorlds(parent, stride);
       if (op.mask == 0) {
         if (prefiltered) {
           for (size_t j = 0; j < scan_rows_n; ++j) {
-            const uint32_t row = scan_rows[j];
-            if (last) {
-              emit_one(row, parent);
-            } else {
-              survivors +=
-                  ExpandRow(op, *store, row, parent, stride, ccodes, next);
-            }
+            visit_row(scan_rows[j], parent);
           }
           continue;
         }
         for (uint32_t row = scan_begin; row < scan_end; ++row) {
-          if (last) {
-            emit_one(row, parent);
-          } else {
-            survivors +=
-                ExpandRow(op, *store, row, parent, stride, ccodes, next);
-          }
+          visit_row(row, parent);
         }
         continue;
       }
@@ -728,16 +800,13 @@ void BytecodeExecutor::Eval(const RuleBytecode& rule, size_t delta_index,
         if (delta_hi < end) he = std::lower_bound(hb, he, delta_hi);
       }
       counters_->probe_hits += static_cast<uint64_t>(he - hb);
-      for (; hb != he; ++hb) {
-        if (last) {
-          emit_one(*hb, parent);
-        } else {
-          survivors +=
-              ExpandRow(op, *store, *hb, parent, stride, ccodes, next);
-        }
-      }
+      for (; hb != he; ++hb) visit_row(*hb, parent);
     }
     if (last) return;
+    if (next.size() > frame_limit_) {
+      exhausted_ = true;
+      return;
+    }
     cur.swap(next);
     frames = survivors;
   }

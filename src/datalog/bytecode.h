@@ -1,6 +1,7 @@
 #ifndef CALM_DATALOG_BYTECODE_H_
 #define CALM_DATALOG_BYTECODE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -196,6 +197,14 @@ class BytecodeExecutor {
   // Pass nullptr to restore direct insertion.
   void SetSink(std::vector<std::vector<uint32_t>>* sink) { sink_ = sink; }
 
+  // Bounds each op's frame level: once a level holds more than `limit`
+  // code slots (frames × stride), Eval stops and exhausted() turns true —
+  // the stratum loop reports ResourceExhausted, as it does for stored rows.
+  // A rule body whose partial matches multiply (a long chain of atoms
+  // sharing one variable) would otherwise allocate without bound.
+  void SetFrameLimit(size_t limit) { frame_limit_ = limit; }
+  bool exhausted() const { return exhausted_; }
+
  private:
   // The exclusive row bound visible to this round for `rel`, and whether
   // the relation is a growing one (grows_out).
@@ -211,13 +220,24 @@ class BytecodeExecutor {
     return store.row_count();
   }
 
+  // Eval's body. kMasked runs over a masked database (RelStore's world
+  // masks): frames carry their world set in two trailing slots, each op
+  // ANDs in the matched row's mask and drops frames left with no world.
+  template <bool kMasked>
+  void EvalRule(const RuleBytecode& rule, size_t delta_index,
+                uint32_t delta_lo, uint32_t delta_hi);
+
   // Last-op fast path: joins the final atom's row into a stack frame and,
   // if it survives, runs negation checks and emits the head row straight
   // into the database — no intermediate frame level.
   // `store` is null only for bodyless rules (op has no loads/checks).
+  // Masked: `worlds` is the frame's world set after the row's mask; each
+  // negated fact's world set (its stratum is complete) is subtracted, and
+  // the head is inserted for what is left.
+  template <bool kMasked>
   void EmitRow(const RuleBytecode& rule, const JoinOp& op,
                const RelStore* store, uint32_t row, const uint32_t* parent,
-               size_t stride, bool emit_ok);
+               size_t stride, bool emit_ok, uint64_t worlds);
 
   // Whole-rule fast path for the dominant shape (e.g. transitive closure):
   // a fused two-op rule whose first op is an unfiltered scan and whose
@@ -261,6 +281,9 @@ class BytecodeExecutor {
   std::vector<std::vector<uint32_t>>* sink_ = nullptr;
   std::vector<NegPlan> neg_plan_;
   std::vector<uint32_t> neg_codes_;  // staged code-space anti-probe keys
+  const bool masked_;  // the database was in masked mode at construction
+  size_t frame_limit_ = SIZE_MAX;
+  bool exhausted_ = false;
   // The current rule's head store, resolved once per Eval. Non-null because
   // the driver pre-creates every growing (head) relation's store
   // (Database::EnsureStores), which also pins it against reallocation.

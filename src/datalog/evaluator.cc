@@ -27,20 +27,6 @@ std::atomic<EvalEngine>& GlobalEngine() {
   return engine;
 }
 
-IncrementalMode EnvIncremental() {
-  const char* env = std::getenv("CALM_INCREMENTAL");
-  if (env != nullptr &&
-      (std::string_view(env) == "off" || std::string_view(env) == "0")) {
-    return IncrementalMode::kOff;
-  }
-  return IncrementalMode::kOn;
-}
-
-std::atomic<IncrementalMode>& GlobalIncremental() {
-  static std::atomic<IncrementalMode> mode{EnvIncremental()};
-  return mode;
-}
-
 int EnvEvalThreads() {
   const char* env = std::getenv("CALM_EVAL_THREADS");
   if (env != nullptr) {
@@ -71,23 +57,6 @@ Result<EvalEngine> ParseEvalEngine(std::string_view name) {
   if (name == "tree") return EvalEngine::kTree;
   if (name == "bytecode") return EvalEngine::kBytecode;
   return InvalidArgumentError("unknown engine (want tree|bytecode): " +
-                              std::string(name));
-}
-
-IncrementalMode DefaultIncrementalMode() {
-  return GlobalIncremental().load(std::memory_order_relaxed);
-}
-
-void SetDefaultIncrementalMode(IncrementalMode mode) {
-  GlobalIncremental().store(
-      mode == IncrementalMode::kDefault ? EnvIncremental() : mode,
-      std::memory_order_relaxed);
-}
-
-Result<IncrementalMode> ParseIncrementalMode(std::string_view name) {
-  if (name == "on") return IncrementalMode::kOn;
-  if (name == "off") return IncrementalMode::kOff;
-  return InvalidArgumentError("unknown incremental mode (want on|off): " +
                               std::string(name));
 }
 

@@ -34,28 +34,6 @@ void SetDefaultEvalEngine(EvalEngine engine);
 // Parses "tree" / "bytecode" (the --engine flag and CALM_ENGINE values).
 Result<EvalEngine> ParseEvalEngine(std::string_view name);
 
-// Whether checker paths may reuse a materialized Q(I) fixpoint and evaluate
-// each Q(I ∪ J) as an epoch-scoped insertion delta (prepared.h's
-// IncrementalEval) instead of re-running from scratch. When on, DatalogQuery
-// does so only for bases above DatalogQuery::kMaxScratchBaseRows rows; off
-// sends every union check from scratch. Outputs are byte-identical either
-// way (pinned by tests/incremental_test.cc and the CI engine-diff leg); the
-// mode only changes how much work each union costs.
-enum class IncrementalMode {
-  kDefault = 0,  // resolve through DefaultIncrementalMode()
-  kOn,
-  kOff,
-};
-
-// The process-wide mode that IncrementalMode::kDefault resolves to. Starts
-// as kOn unless the CALM_INCREMENTAL environment variable says "off".
-IncrementalMode DefaultIncrementalMode();
-// Overrides the process-wide default (bench/test plumbing for
-// --incremental). Passing kDefault restores the environment-derived value.
-void SetDefaultIncrementalMode(IncrementalMode mode);
-// Parses "on" / "off" (the --incremental flag and CALM_INCREMENTAL values).
-Result<IncrementalMode> ParseIncrementalMode(std::string_view name);
-
 // The process-wide worker count that EvalOptions::eval_threads == 0 resolves
 // to. Starts as 1 (serial) unless the CALM_EVAL_THREADS environment variable
 // names a larger count. Morsel-parallel stratum evaluation partitions
@@ -79,16 +57,14 @@ struct EvalOptions {
   // domain of the input (the paper's convention; the defining rules are
   // omitted in its examples).
   bool populate_adom = true;
-  // Abort with ResourceExhausted when more facts than this are stored.
+  // Abort with ResourceExhausted when more facts than this are stored, or
+  // (bytecode engine) when one rule's partial matches need more frame
+  // slots than this.
   size_t max_total_facts = 10'000'000;
   // Rule evaluator selection, resolved against DefaultEvalEngine() at
   // Prepare time. Results are engine-independent (differential-tested);
   // only the execution strategy differs.
   EvalEngine engine = EvalEngine::kDefault;
-  // Incremental union evaluation, resolved against DefaultIncrementalMode()
-  // at Prepare time. Only consulted by the checker's union path; results
-  // are identical either way (differential-tested).
-  IncrementalMode incremental = IncrementalMode::kDefault;
   // Worker threads for morsel-parallel stratum evaluation (bytecode engine
   // only), resolved against DefaultEvalThreads() at Prepare time when 0.
   // Results are byte-identical at any count (differential-tested); only

@@ -1,11 +1,13 @@
 #include "datalog/prepared.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <climits>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "base/metrics.h"
@@ -448,6 +450,7 @@ Status RunFixpointBytecode(
   std::vector<std::pair<uint32_t, uint32_t>>& ranges = scratch.ranges;
   BytecodeExecutor executor(bytecode, db, negation_db, &growing, &ranges,
                             stats, invention, &exec, &scratch.bytecode);
+  executor.SetFrameLimit(options.max_total_facts);
   const Database* cdb = db;
   auto size_of = [&](uint32_t rel) {
     const RelStore* s = cdb->Store(rel);
@@ -473,16 +476,6 @@ Status RunFixpointBytecode(
   // matching the tree matcher's emitted-tuple count.
   auto attempts = [&] { return exec.inserted + exec.rejected; };
 
-  // Round 0: evaluate every rule against the full database.
-  for (uint32_t r : rules) {
-    uint64_t before = attempts();
-    executor.Eval(bytecode.rules[r], BytecodeExecutor::kNoDelta, 0, 0);
-    if (metrics_on) rule_derived[r] += attempts() - before;
-  }
-  bool any = advance();
-  if (stats != nullptr) ++stats->fixpoint_rounds;
-  ++rounds;
-
   auto finish = [&](Status status) {
     counters.probes = exec.probes;
     counters.probe_hits = exec.probe_hits;
@@ -502,6 +495,20 @@ Status RunFixpointBytecode(
     }
     return status;
   };
+  auto frames_exhausted = [] {
+    return ResourceExhaustedError("rule evaluation exceeded max_total_facts");
+  };
+
+  // Round 0: evaluate every rule against the full database.
+  for (uint32_t r : rules) {
+    uint64_t before = attempts();
+    executor.Eval(bytecode.rules[r], BytecodeExecutor::kNoDelta, 0, 0);
+    if (executor.exhausted()) return finish(frames_exhausted());
+    if (metrics_on) rule_derived[r] += attempts() - before;
+  }
+  bool any = advance();
+  if (stats != nullptr) ++stats->fixpoint_rounds;
+  ++rounds;
 
   if (!options.semi_naive) {
     // Naive: re-run all rules on the full database until no change.
@@ -515,6 +522,7 @@ Status RunFixpointBytecode(
       for (uint32_t r : rules) {
         uint64_t before = attempts();
         executor.Eval(bytecode.rules[r], BytecodeExecutor::kNoDelta, 0, 0);
+        if (executor.exhausted()) return finish(frames_exhausted());
         if (metrics_on) rule_derived[r] += attempts() - before;
       }
       advance();
@@ -541,7 +549,8 @@ Status RunFixpointBytecode(
   // Sites the argument does not cover (delta atom not outermost, invented
   // or nullary heads) run serially in place, after flushing the queue so
   // site order is preserved.
-  const int threads = std::max(1, options.eval_threads);
+  // Masked runs stay serial: the lane sinks carry no world masks.
+  const int threads = db->masked() ? 1 : std::max(1, options.eval_threads);
   constexpr uint32_t kMorselRows = 1024;
   struct PendingSite {
     uint32_t rule;
@@ -554,8 +563,9 @@ Status RunFixpointBytecode(
   std::vector<PendingSite> pending;
   std::vector<MorselTask> tasks;
   std::vector<BytecodeExecutor> lane_exec;
+  // Returns false when a lane exhausted its frame limit.
   auto flush_pending = [&] {
-    if (pending.empty()) return;
+    if (pending.empty()) return true;
     while (scratch.lanes.size() < tasks.size()) {
       scratch.lanes.push_back(std::make_unique<MorselLane>());
     }
@@ -574,6 +584,7 @@ Status RunFixpointBytecode(
                              /*stats=*/nullptr, /*invention=*/nullptr,
                              &lane.counters, &lane.bytecode);
       lane_exec.back().SetSink(&lane.sink);
+      lane_exec.back().SetFrameLimit(options.max_total_facts);
     }
     // Pre-extend every probe index the lanes will touch: lazy index
     // building is the one store mutation inside Eval, so it must happen
@@ -589,6 +600,9 @@ Status RunFixpointBytecode(
       lane_exec[t].Eval(bytecode.rules[pending[tasks[t].site].rule],
                         /*delta_index=*/0, tasks[t].lo, tasks[t].hi);
     });
+    for (const BytecodeExecutor& lane : lane_exec) {
+      if (lane.exhausted()) return false;
+    }
     for (size_t t = 0; t < tasks.size(); ++t) {
       const PendingSite& site = pending[tasks[t].site];
       const RuleBytecode& rb = bytecode.rules[site.rule];
@@ -608,6 +622,7 @@ Status RunFixpointBytecode(
     }
     pending.clear();
     tasks.clear();
+    return true;
   };
   while (any) {
     if (db->size() > options.max_total_facts) {
@@ -635,186 +650,18 @@ Status RunFixpointBytecode(
         }
         continue;
       }
-      flush_pending();
+      if (!flush_pending()) return finish(frames_exhausted());
       uint64_t before = attempts();
       executor.Eval(rb, atom_index, lo, hi);
+      if (executor.exhausted()) return finish(frames_exhausted());
       if (metrics_on) rule_derived[r] += attempts() - before;
     }
-    flush_pending();
+    if (!flush_pending()) return finish(frames_exhausted());
     any = advance();
     if (stats != nullptr) ++stats->fixpoint_rounds;
     ++rounds;
   }
   return finish(Status::Ok());
-}
-
-// A contiguous slice of rows some relation gained from outside a stratum's
-// own fixpoint: overlay-seeded EDB rows, or an upstream stratum's delta.
-struct ExternalDelta {
-  uint32_t rel = 0;
-  uint32_t lo = 0;
-  uint32_t hi = 0;  // rows [lo, hi) are new
-};
-
-// Continues one stratum's already-completed fixpoint after external facts
-// appeared in relations it reads. Round 0 feeds each external row range
-// through every (rule, positive-atom) site over its relation — the δR ×
-// full-db half of the semi-naive recurrence; derivations made purely of old
-// facts already sit in the store from the base run — and the normal
-// delta_sites rounds then propagate recursive growth. Only sound when no
-// negated relation of the stratum changed (new facts would retract
-// derivations; callers recompute the stratum in that case), which also
-// means every store strictly grows.
-Status RunStratumDeltaBytecode(
-    const std::vector<CompiledRule>& compiled, const BytecodeProgram& bytecode,
-    const std::vector<uint32_t>& rules,
-    const std::vector<std::pair<uint32_t, uint32_t>>& delta_sites,
-    const std::vector<uint32_t>& growing, size_t stratum_index,
-    const std::vector<ExternalDelta>& external, Database* db,
-    const EvalOptions& options, EvalStats* stats, uint64_t* rounds_out) {
-  TraceSpan span("datalog.stratum");
-  span.Arg("stratum", static_cast<int64_t>(stratum_index));
-  span.Arg("delta", 1);
-  FixpointCounters counters;
-  ExecCounters exec;
-  const bool metrics_on = MetricsEnabled();
-  std::vector<uint64_t> rule_derived;
-  if (metrics_on) rule_derived.assign(compiled.size(), 0);
-  size_t rounds = 0;
-
-  db->EnsureStores(growing);
-  EvalScratch& scratch = LocalScratch();
-  std::vector<std::pair<uint32_t, uint32_t>>& ranges = scratch.ranges;
-  BytecodeExecutor executor(bytecode, db, db, &growing, &ranges, stats,
-                            /*invention=*/nullptr, &exec, &scratch.bytecode);
-  const Database* cdb = db;
-  auto size_of = [&](uint32_t rel) {
-    const RelStore* s = cdb->Store(rel);
-    return s == nullptr ? 0u : s->row_count();
-  };
-  // The base fixpoint is complete, so round 0's horizon is the full current
-  // extent of every growing store (empty delta); the first advance() below
-  // turns whatever round 0 inserted into the first recursive delta.
-  ranges.resize(growing.size());
-  for (size_t g = 0; g < growing.size(); ++g) {
-    uint32_t n = size_of(growing[g]);
-    ranges[g] = {n, n};
-  }
-  auto advance = [&] {
-    bool any = false;
-    for (size_t g = 0; g < growing.size(); ++g) {
-      uint32_t lo = ranges[g].second;
-      uint32_t hi = size_of(growing[g]);
-      any |= hi > lo;
-      ranges[g] = {lo, hi};
-    }
-    return any;
-  };
-  auto attempts = [&] { return exec.inserted + exec.rejected; };
-
-  // Round 0: every (rule, atom) site over an externally grown relation runs
-  // with that atom restricted to the new rows. A rule reading two changed
-  // relations fires once per site; the cross-delta derivations come out of
-  // both runs and dedup in the store.
-  for (const ExternalDelta& d : external) {
-    if (d.lo >= d.hi) continue;
-    for (uint32_t r : rules) {
-      const CompiledRule& rule = compiled[r];
-      for (uint32_t a = 0; a < rule.pos.size(); ++a) {
-        if (rule.pos[a].relation != d.rel) continue;
-        uint64_t before = attempts();
-        executor.Eval(bytecode.rules[r], a, d.lo, d.hi);
-        if (metrics_on) rule_derived[r] += attempts() - before;
-      }
-    }
-  }
-  bool any = advance();
-  if (stats != nullptr) ++stats->fixpoint_rounds;
-  ++rounds;
-
-  auto finish = [&](Status status) {
-    counters.probes = exec.probes;
-    counters.probe_hits = exec.probe_hits;
-    counters.inserts = exec.inserted;
-    counters.dedup_rejected = exec.rejected;
-    if (stats != nullptr) stats->rule_applications += exec.applications;
-    if (rounds_out != nullptr) *rounds_out += rounds;
-    if (span.active()) {
-      span.Arg("rounds", static_cast<int64_t>(rounds));
-      span.Arg("inserts", static_cast<int64_t>(counters.inserts));
-      span.Arg("probes", static_cast<int64_t>(counters.probes));
-      span.Arg("probe_hits", static_cast<int64_t>(counters.probe_hits));
-      span.Arg("dedup_rejected",
-               static_cast<int64_t>(counters.dedup_rejected));
-    }
-    if (metrics_on) {
-      FlushFixpointMetrics(compiled, counters, rounds, rule_derived);
-    }
-    return status;
-  };
-
-  while (any) {
-    if (db->size() > options.max_total_facts) {
-      return finish(
-          ResourceExhaustedError("fixpoint exceeded max_total_facts"));
-    }
-    for (const auto& [r, atom_index] : delta_sites) {
-      uint32_t rel = compiled[r].pos[atom_index].relation;
-      uint32_t lo = 0, hi = 0;
-      for (size_t g = 0; g < growing.size(); ++g) {
-        if (growing[g] == rel) {
-          lo = ranges[g].first;
-          hi = ranges[g].second;
-          break;
-        }
-      }
-      if (lo >= hi) continue;
-      uint64_t before = attempts();
-      executor.Eval(bytecode.rules[r], atom_index, lo, hi);
-      if (metrics_on) rule_derived[r] += attempts() - before;
-    }
-    any = advance();
-    if (stats != nullptr) ++stats->fixpoint_rounds;
-    ++rounds;
-  }
-  return finish(Status::Ok());
-}
-
-// Per-EvalOverlay observability tallies, flushed once at the end (same
-// pattern as FixpointCounters: unconditional adds on the path, one branch
-// to decide whether anybody consumes them).
-struct OverlayTallies {
-  bool fallback = false;
-  bool monotone = false;  // superset proven, nothing materialized
-  uint64_t delta_rounds = 0;
-  uint64_t recomputed_strata = 0;
-  uint64_t retracted_rows = 0;  // rows truncated for recomputation
-  uint64_t epoch_rollbacks = 0;
-};
-
-void FlushIncrementalMetrics(const OverlayTallies& t) {
-  MetricRegistry& registry = MetricRegistry::Global();
-  static Counter& overlays =
-      registry.GetCounter("calm.eval.incremental.overlays");
-  static Counter& fallbacks =
-      registry.GetCounter("calm.eval.incremental.fallbacks");
-  static Counter& monotone =
-      registry.GetCounter("calm.eval.incremental.monotone_overlays");
-  static Counter& delta_rounds =
-      registry.GetCounter("calm.eval.incremental.delta_rounds");
-  static Counter& recomputed =
-      registry.GetCounter("calm.eval.incremental.recomputed_strata");
-  static Counter& retracted =
-      registry.GetCounter("calm.eval.incremental.retracted_rows");
-  static Counter& rollbacks =
-      registry.GetCounter("calm.eval.incremental.epoch_rollbacks");
-  overlays.Increment();
-  if (t.fallback) fallbacks.Increment();
-  if (t.monotone) monotone.Increment();
-  delta_rounds.Increment(t.delta_rounds);
-  recomputed.Increment(t.recomputed_strata);
-  retracted.Increment(t.retracted_rows);
-  rollbacks.Increment(t.epoch_rollbacks);
 }
 
 }  // namespace
@@ -861,9 +708,6 @@ Result<PreparedProgram> PreparedProgram::Prepare(const Program& program,
   p.options_ = options;
   p.engine_ = options.engine == EvalEngine::kDefault ? DefaultEvalEngine()
                                                      : options.engine;
-  p.incremental_ = options.incremental == IncrementalMode::kDefault
-                       ? DefaultIncrementalMode()
-                       : options.incremental;
   p.options_.eval_threads =
       options.eval_threads > 0 ? options.eval_threads : DefaultEvalThreads();
   p.CompileRules(program);
@@ -884,9 +728,6 @@ Result<PreparedProgram> PreparedProgram::PrepareFixedNegation(
   p.options_ = options;
   p.engine_ = options.engine == EvalEngine::kDefault ? DefaultEvalEngine()
                                                      : options.engine;
-  p.incremental_ = options.incremental == IncrementalMode::kDefault
-                       ? DefaultIncrementalMode()
-                       : options.incremental;
   p.options_.eval_threads =
       options.eval_threads > 0 ? options.eval_threads : DefaultEvalThreads();
   p.fixed_negation_ = true;
@@ -1011,12 +852,99 @@ Result<std::optional<Fact>> PreparedProgram::FirstMissing(
   return db->FirstAbsent(probe);
 }
 
-Result<size_t> PreparedProgram::FixpointRows(
-    std::initializer_list<const Instance*> parts,
-    const Schema* pre_restrict) const {
-  CALM_ASSIGN_OR_RETURN(Database * db,
-                        RunOnScratch(parts, pre_restrict, nullptr, nullptr));
-  return db->size();
+bool PreparedProgram::SupportsUnionBatch() const {
+  if (fixed_negation_ || engine_ != EvalEngine::kBytecode ||
+      !options_.semi_naive) {
+    return false;
+  }
+  for (const CompiledRule& r : compiled_) {
+    if (r.head.invents) return false;
+  }
+  return true;
+}
+
+void PreparedProgram::SeedMasked(Database* db, const Instance& base,
+                                 const std::vector<const Instance*>& js,
+                                 const Schema* pre_restrict) const {
+  const bool seed_adom = info_.uses_adom && options_.populate_adom;
+  const uint32_t adom_rel = AdomRelation();
+  // SeedInto's admission and Adom rules, per world: Adom holds adom(I ∪ J_k)
+  // in world k. Row order is free here — no invention, and answers are
+  // world sets, not row positions. Facts come grouped by relation, so the
+  // admission test and the store lookup run once per relation, and each
+  // Adom value is seeded once with the union of its worlds.
+  std::vector<std::pair<Value, uint64_t>> adom;
+  auto seed = [&](const Instance& part, uint64_t worlds) {
+    uint32_t rel = UINT32_MAX;
+    size_t arity = 0;  // the admitted arity of `rel`; 0 admits nothing
+    bool adom_source = false;
+    RelStore* store = nullptr;
+    part.ForEachFact([&](uint32_t name, const Tuple& t) {
+      if (name != rel) {
+        rel = name;
+        arity = info_.sch.ArityOf(name);
+        if (pre_restrict != nullptr && pre_restrict->ArityOf(name) != arity) {
+          arity = 0;
+        }
+        adom_source = seed_adom && name != adom_rel &&
+                      adom_source_.ArityOf(name) != 0;
+        store = arity != 0 ? db->StoreOrCreate(name) : nullptr;
+      }
+      if (arity == 0 || t.size() != arity) return;
+      store->SeedMasked(t, worlds);
+      if (!adom_source) return;
+      for (Value v : t) {
+        auto it = std::find_if(adom.begin(), adom.end(),
+                               [v](const auto& e) { return e.first == v; });
+        if (it == adom.end()) {
+          adom.emplace_back(v, worlds);
+        } else {
+          it->second |= worlds;
+        }
+      }
+    });
+  };
+  seed(base, db->worlds());
+  for (size_t k = 0; k < js.size(); ++k) seed(*js[k], uint64_t{1} << k);
+  if (adom.empty()) return;
+  RelStore* adom_store = db->StoreOrCreate(adom_rel);
+  for (const auto& [v, worlds] : adom) adom_store->SeedMasked(Tuple{v}, worlds);
+}
+
+Status PreparedProgram::FirstMissingBatch(
+    const Instance& base, const std::vector<const Instance*>& js,
+    const Schema* pre_restrict, const std::vector<Fact>& probe,
+    std::vector<std::optional<Fact>>* out) const {
+  assert(SupportsUnionBatch());
+  const size_t n = js.size();
+  if (n == 0 || n > kMaxUnionBatch) {
+    return InvalidArgumentError("a union batch holds 1 to 64 instances, got " +
+                                std::to_string(n));
+  }
+  const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  Database* db = &LocalScratch().db;
+  db->Reset();
+  db->EnableMasks(all);
+  SeedMasked(db, base, js, pre_restrict);
+  InventionTable invention;  // unused: invention is not batched
+  for (size_t i = 0; i < strata_.size(); ++i) {
+    const Stratum& s = strata_[i];
+    CALM_RETURN_IF_ERROR(RunFixpointBytecode(
+        compiled_, bytecode_, s.rules, s.delta_sites, s.growing, i, db, db,
+        options_, nullptr, &invention));
+  }
+  // World k's answer: the first probe fact whose world set lacks bit k.
+  out->assign(n, std::nullopt);
+  uint64_t open = all;
+  for (const Fact& f : probe) {
+    const uint64_t lacking = open & ~db->FullMask(f.relation, f.args);
+    for (uint64_t m = lacking; m != 0; m &= m - 1) {
+      (*out)[std::countr_zero(m)] = f;
+    }
+    open &= ~lacking;
+    if (open == 0) break;
+  }
+  return Status::Ok();
 }
 
 Status PreparedProgram::RunFixedNegation(Database* db, const Database& neg_db,
@@ -1049,306 +977,6 @@ Result<Instance> PreparedProgram::EvalFixedNegation(
   Database db = MakeSeed({&input}, nullptr);
   CALM_RETURN_IF_ERROR(RunFixedNegation(&db, Database(neg_reference), stats));
   return db.ToInstance();
-}
-
-std::unique_ptr<IncrementalEval> PreparedProgram::BeginIncremental(
-    const Instance& base, const Schema* pre_restrict,
-    const Schema* post_restrict) const {
-  std::unique_ptr<IncrementalEval> ev(new IncrementalEval());
-  ev->prog_ = this;
-  ev->base_ = base;
-  if (pre_restrict != nullptr) ev->pre_ = *pre_restrict;
-  if (post_restrict != nullptr) ev->post_ = *post_restrict;
-
-  // Gate: the delta machinery rides the bytecode engine's row-range
-  // visibility horizons and the semi-naive delta sites; the tree engine,
-  // naive iteration, the Gamma operator, and Skolem invention (whose value
-  // numbering depends on global derivation order) all take the from-scratch
-  // route instead. Nullary heads are excluded too: their single phantom row
-  // is a flag, not a row, so watermark truncation cannot restore it.
-  bool unsupported_rule = false;
-  for (const CompiledRule& r : compiled_) {
-    unsupported_rule |= r.head.invents || r.head.slots.empty();
-  }
-  ev->supported_ = !fixed_negation_ && engine_ == EvalEngine::kBytecode &&
-                   options_.semi_naive && !unsupported_rule;
-  if (!ev->supported_) return ev;
-
-  for (const Stratum& s : strata_) {
-    for (uint32_t g : s.growing) ev->idb_rels_.push_back(g);
-  }
-  std::sort(ev->idb_rels_.begin(), ev->idb_rels_.end());
-
-  // Materialize the base fixpoint, capturing each stratum's pre/post row
-  // counts on its growing stores — the watermarks recomputation truncates
-  // to and the boundaries that separate base rows from overlay deltas.
-  TraceSpan span("datalog.eval");
-  span.Arg("strata", static_cast<int64_t>(strata_.size()));
-  SeedInto(&ev->db_, {&base}, pre_restrict);
-  ev->wm_.resize(strata_.size());
-  ev->end_.resize(strata_.size());
-  ev->saved_.resize(strata_.size());
-  ev->saved_ready_.assign(strata_.size(), false);
-  InventionTable invention;  // unused: invention is gated out above
-  Status st;
-  for (size_t i = 0; i < strata_.size() && st.ok(); ++i) {
-    const Stratum& s = strata_[i];
-    ev->db_.EnsureStores(s.growing);
-    std::vector<uint32_t>& wm = ev->wm_[i];
-    wm.resize(s.growing.size());
-    for (size_t k = 0; k < s.growing.size(); ++k) {
-      wm[k] = ev->db_.Store(s.growing[k])->row_count();
-    }
-    st = RunFixpointBytecode(compiled_, bytecode_, s.rules, s.delta_sites,
-                             s.growing, i, &ev->db_, &ev->db_, options_,
-                             nullptr, &invention);
-    std::vector<uint32_t>& end = ev->end_[i];
-    end.resize(s.growing.size());
-    for (size_t k = 0; k < s.growing.size(); ++k) {
-      end[k] = ev->db_.Store(s.growing[k])->row_count();
-    }
-  }
-  ev->base_status_ = st;
-  // A failed base fixpoint leaves no state to continue from; overlays then
-  // replay the from-scratch path, reproducing its exact error behavior.
-  if (!st.ok()) ev->supported_ = false;
-  return ev;
-}
-
-bool IncrementalEval::Admitted(uint32_t name, const Tuple& t) const {
-  if (!SchemaAdmits(prog_->info_.sch, name, t)) return false;
-  return !pre_.has_value() || SchemaAdmits(*pre_, name, t);
-}
-
-Result<IncrementalEval::Overlay> IncrementalEval::Fallback(
-    const Instance& overlay, std::vector<Fact>* out,
-    const std::vector<Fact>* probe, EvalStats* stats) {
-  Overlay result;
-  result.fell_back = true;
-  if (probe != nullptr) {
-    CALM_ASSIGN_OR_RETURN(
-        result.missing,
-        prog_->FirstMissing({&base_, &overlay},
-                            pre_.has_value() ? &*pre_ : nullptr, *probe));
-    return result;
-  }
-  CALM_ASSIGN_OR_RETURN(
-      Instance inst,
-      prog_->EvalParts({&base_, &overlay},
-                       pre_.has_value() ? &*pre_ : nullptr,
-                       post_.has_value() ? &*post_ : nullptr, stats));
-  if (out != nullptr) {
-    out->clear();
-    inst.ForEachFact(
-        [&](uint32_t name, const Tuple& t) { out->emplace_back(name, t); });
-  }
-  return result;
-}
-
-void IncrementalEval::SaveStratumRows(size_t stratum) {
-  if (saved_ready_[stratum]) return;
-  saved_ready_[stratum] = true;
-  const PreparedProgram::Stratum& s = prog_->strata_[stratum];
-  saved_[stratum].resize(s.growing.size());
-  for (size_t k = 0; k < s.growing.size(); ++k) {
-    const RelStore* store =
-        static_cast<const Database&>(db_).Store(s.growing[k]);
-    std::vector<uint32_t>& flat = saved_[stratum][k];
-    const uint32_t lo = wm_[stratum][k];
-    const uint32_t hi = end_[stratum][k];
-    if (lo >= hi) continue;
-    const uint32_t arity = static_cast<uint32_t>(store->arity());
-    flat.reserve(static_cast<size_t>(hi - lo) * arity);
-    for (uint32_t r = lo; r < hi; ++r) {
-      for (uint32_t c = 0; c < arity; ++c) flat.push_back(store->CodeAt(r, c));
-    }
-  }
-}
-
-void IncrementalEval::RestoreStratumRows(size_t stratum) {
-  const PreparedProgram::Stratum& s = prog_->strata_[stratum];
-  for (size_t k = 0; k < s.growing.size(); ++k) {
-    RelStore* store = db_.Store(s.growing[k]);
-    store->TruncateRows(wm_[stratum][k]);
-    const std::vector<uint32_t>& flat = saved_[stratum][k];
-    if (flat.empty()) continue;
-    const uint32_t arity = static_cast<uint32_t>(store->arity());
-    for (size_t off = 0; off < flat.size(); off += arity) {
-      store->InsertCodes(&flat[off], arity);
-    }
-  }
-}
-
-Result<std::optional<Fact>> IncrementalEval::FirstMissing(
-    const Instance& overlay, const std::vector<Fact>& probe) {
-  CALM_ASSIGN_OR_RETURN(Overlay r, Run(overlay, nullptr, false, &probe,
-                                       nullptr));
-  return std::move(r.missing);
-}
-
-Result<IncrementalEval::Overlay> IncrementalEval::Run(
-    const Instance& overlay, std::vector<Fact>* out_facts, bool materialize,
-    const std::vector<Fact>* probe, EvalStats* stats) {
-  if (!supported_) {
-    if (MetricsEnabled()) {
-      OverlayTallies tally;
-      tally.fallback = true;
-      FlushIncrementalMetrics(tally);
-    }
-    return Fallback(overlay, out_facts, probe, stats);
-  }
-
-  const bool metrics_on = MetricsEnabled();
-  OverlayTallies tally;
-  TraceSpan span("datalog.eval.delta");
-
-  // --- Seed: push the overlay as one epoch ---------------------------------
-  db_.BeginEpoch();
-  const bool seed_adom = prog_->info_.uses_adom && prog_->options_.populate_adom;
-  const uint32_t adom_rel = AdomRelation();
-  // (rel, row count before the overlay's first insert into it). The overlay
-  // touches a handful of relations; linear scans beat any map here.
-  std::vector<std::pair<uint32_t, uint32_t>> pre_rows;
-  auto note = [&](uint32_t rel) {
-    for (const auto& [r, n] : pre_rows) {
-      if (r == rel) return;
-    }
-    const RelStore* s = static_cast<const Database&>(db_).Store(rel);
-    pre_rows.emplace_back(rel, s == nullptr ? 0u : s->row_count());
-  };
-  // Unlike the base seed, overlay Adom values append after the base rows
-  // instead of merging sorted — row order differs from a from-scratch seed,
-  // but the fact SET is identical and ToInstance sorts by rank, so outputs
-  // cannot differ (invention, the one order-sensitive feature, is gated out).
-  bool idb_fact = false;
-  overlay.ForEachFact([&](uint32_t name, const Tuple& t) {
-    if (idb_fact || !Admitted(name, t)) return;
-    if (std::binary_search(idb_rels_.begin(), idb_rels_.end(), name)) {
-      idb_fact = true;  // a materialized fixpoint cannot absorb IDB seeds
-      return;
-    }
-    note(name);
-    db_.Insert(name, t);
-    if (seed_adom && name != adom_rel &&
-        prog_->adom_source_.ArityOf(name) != 0) {
-      note(adom_rel);
-      for (Value v : t) db_.Insert(adom_rel, Tuple{v});
-    }
-  });
-  if (idb_fact) {
-    db_.RollbackEpoch();
-    if (metrics_on) {
-      tally.fallback = true;
-      ++tally.epoch_rollbacks;
-      FlushIncrementalMetrics(tally);
-    }
-    return Fallback(overlay, out_facts, probe, stats);
-  }
-  std::vector<ExternalDelta> grew;
-  for (const auto& [rel, lo] : pre_rows) {
-    uint32_t hi = static_cast<const Database&>(db_).Store(rel)->row_count();
-    if (hi > lo) grew.push_back({rel, lo, hi});
-  }
-
-  // --- Walk the strata forward ---------------------------------------------
-  // A stratum is skipped when nothing it reads changed, delta-continued when
-  // only positive atoms saw growth, and recomputed from its watermark when a
-  // negated atom saw any change or a positive atom reads a recomputed
-  // relation (recomputation can retract, so growth-only reasoning is off).
-  Status st;
-  std::vector<uint32_t> recomputed_rels;
-  std::vector<size_t> recomputed_strata;
-  auto grew_has = [&](uint32_t rel) {
-    for (const ExternalDelta& d : grew) {
-      if (d.rel == rel) return true;
-    }
-    return false;
-  };
-  auto recomputed_has = [&](uint32_t rel) {
-    for (uint32_t r : recomputed_rels) {
-      if (r == rel) return true;
-    }
-    return false;
-  };
-  const std::vector<PreparedProgram::Stratum>& strata = prog_->strata_;
-  for (size_t i = 0; i < strata.size(); ++i) {
-    const PreparedProgram::Stratum& s = strata[i];
-    bool recompute = false;
-    bool touched = false;
-    for (uint32_t r : s.rules) {
-      const CompiledRule& rule = prog_->compiled_[r];
-      for (const CompiledAtom& a : rule.pos) {
-        if (recomputed_has(a.relation)) {
-          recompute = true;
-        } else if (grew_has(a.relation)) {
-          touched = true;
-        }
-      }
-      for (const CompiledAtom& a : rule.neg) {
-        if (recomputed_has(a.relation) || grew_has(a.relation)) {
-          recompute = true;
-        }
-      }
-    }
-    if (!recompute && !touched) continue;
-    if (recompute) {
-      SaveStratumRows(i);
-      for (size_t k = 0; k < s.growing.size(); ++k) {
-        RelStore* store = db_.Store(s.growing[k]);
-        tally.retracted_rows += store->row_count() - wm_[i][k];
-        store->TruncateRows(wm_[i][k]);
-      }
-      st = RunFixpointBytecode(prog_->compiled_, prog_->bytecode_, s.rules,
-                               s.delta_sites, s.growing, i, &db_, &db_,
-                               prog_->options_, stats, nullptr);
-      ++tally.recomputed_strata;
-      for (uint32_t g : s.growing) recomputed_rels.push_back(g);
-      recomputed_strata.push_back(i);
-    } else {
-      st = RunStratumDeltaBytecode(prog_->compiled_, prog_->bytecode_,
-                                   s.rules, s.delta_sites, s.growing, i, grew,
-                                   &db_, prog_->options_, stats,
-                                   &tally.delta_rounds);
-      for (size_t k = 0; k < s.growing.size(); ++k) {
-        uint32_t hi = db_.Store(s.growing[k])->row_count();
-        if (hi > end_[i][k]) grew.push_back({s.growing[k], end_[i][k], hi});
-      }
-    }
-    if (!st.ok()) break;
-  }
-
-  // --- Probe or materialize, then unwind the epoch -------------------------
-  Overlay result;
-  result.superset_of_base = st.ok() && recomputed_strata.empty();
-  if (st.ok() && probe != nullptr && !result.superset_of_base) {
-    result.missing = db_.FirstAbsent(*probe);
-  } else if (st.ok() && out_facts != nullptr &&
-             (materialize || !result.superset_of_base)) {
-    out_facts->clear();
-    Instance inst = db_.ToInstance(post_.has_value() ? &*post_ : nullptr);
-    inst.ForEachFact(
-        [&](uint32_t name, const Tuple& t) { out_facts->emplace_back(name, t); });
-  }
-  for (size_t i : recomputed_strata) RestoreStratumRows(i);
-  db_.RollbackEpoch();
-  ++tally.epoch_rollbacks;
-
-  tally.monotone = result.superset_of_base;
-  tally.fallback = !st.ok();
-  if (span.active()) {
-    span.Arg("changed_rels", static_cast<int64_t>(grew.size()));
-    span.Arg("delta_rounds", static_cast<int64_t>(tally.delta_rounds));
-    span.Arg("recomputed_strata",
-             static_cast<int64_t>(tally.recomputed_strata));
-    span.Arg("superset", result.superset_of_base ? 1 : 0);
-  }
-  if (metrics_on) FlushIncrementalMetrics(tally);
-  // A mid-delta error (in practice: max_total_facts, which the delta path
-  // can reach at different round boundaries than a from-scratch run because
-  // the whole base fixpoint is already resident) reroutes through the
-  // from-scratch path, whose success or error is the canonical answer.
-  if (!st.ok()) return Fallback(overlay, out_facts, probe, stats);
-  return result;
 }
 
 }  // namespace calm::datalog

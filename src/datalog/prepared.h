@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -19,8 +18,6 @@
 #include "datalog/stratifier.h"
 
 namespace calm::datalog {
-
-class IncrementalEval;
 
 // A program compiled for repeated evaluation: analysis, stratification, join
 // ordering, and rule compilation run exactly once at Prepare time; each Eval
@@ -51,10 +48,6 @@ class PreparedProgram {
   // The engine this program was compiled for (options().engine resolved
   // against DefaultEvalEngine() at Prepare time).
   EvalEngine engine() const { return engine_; }
-  // Whether union re-evaluation may run incrementally (options().incremental
-  // resolved against DefaultIncrementalMode() at Prepare time). Never
-  // kDefault after Prepare.
-  IncrementalMode incremental() const { return incremental_; }
 
   // Stratified (or ILOG) evaluation; equals Evaluate()/EvaluateIlog() on
   // this program. Only valid on Prepare()-built instances.
@@ -107,27 +100,32 @@ class PreparedProgram {
       std::initializer_list<const Instance*> parts, const Schema* pre_restrict,
       const std::vector<Fact>& probe) const;
 
-  // Rows of that fixpoint over all relations, the seed included (what a
-  // union evaluator sizes its route by).
-  Result<size_t> FixpointRows(std::initializer_list<const Instance*> parts,
-                              const Schema* pre_restrict) const;
+  // --- Batched union checks: one masked fixpoint for many J's ---
 
-  // Materializes the Q(base) fixpoint once into a private database and
-  // returns an evaluator whose EvalOverlay computes (and FirstMissing
-  // probes) Q(base ∪ J) for many small J without re-running from scratch
-  // (see IncrementalEval). The
-  // schema arguments mirror EvalParts' restriction semantics and are copied;
-  // this PreparedProgram must outlive the returned evaluator. Always
-  // succeeds: configurations the delta machinery cannot serve (tree engine,
-  // naive iteration, fixed negation, ILOG invention, or a failed base
-  // fixpoint) yield an evaluator whose every overlay transparently falls
-  // back to the from-scratch EvalParts path.
-  std::unique_ptr<IncrementalEval> BeginIncremental(
-      const Instance& base, const Schema* pre_restrict = nullptr,
-      const Schema* post_restrict = nullptr) const;
+  // The most J's one FirstMissingBatch answers: one bit of a world mask each.
+  static constexpr size_t kMaxUnionBatch = 64;
+
+  // Whether FirstMissingBatch can serve this program: stratified, bytecode
+  // engine, semi-naive, no invention. The rest is asked one J at a time.
+  bool SupportsUnionBatch() const;
+
+  // (*out)[k] = FirstMissing({&base, js[k]}, pre_restrict, probe) for every
+  // k, from one stratified fixpoint over a masked database (RelStore's
+  // world masks, over the thread-local scratch): base's facts hold in every
+  // world, js[k]'s in world k, and world k's answer is the first probe fact
+  // whose world set lacks bit k. Requires SupportsUnionBatch() and 1 to
+  // kMaxUnionBatch J's. On any error — max_total_facts included — the
+  // caller re-asks the batch one J at a time through FirstMissing, which
+  // reproduces that route's exact errors; a run that succeeds implies no
+  // world exceeded the limit (each world's facts are a subset of the
+  // stored rows at every round).
+  Status FirstMissingBatch(const Instance& base,
+                           const std::vector<const Instance*>& js,
+                           const Schema* pre_restrict,
+                           const std::vector<Fact>& probe,
+                           std::vector<std::optional<Fact>>* out) const;
 
  private:
-  friend class IncrementalEval;
   // One stratum of the prepared form; fixed-negation programs have exactly
   // one with every rule in it.
   struct Stratum {
@@ -148,6 +146,10 @@ class PreparedProgram {
                       const std::vector<size_t>& rule_indices) const;
   void SeedInto(Database* db, std::initializer_list<const Instance*> parts,
                 const Schema* pre_restrict) const;
+  // SeedInto for a masked database: `base` in every world, js[k] in world k.
+  void SeedMasked(Database* db, const Instance& base,
+                  const std::vector<const Instance*>& js,
+                  const Schema* pre_restrict) const;
   // Seeds `parts` into the thread-local scratch database and runs every
   // stratum over it (EvalParts minus the materialization).
   Result<Database*> RunOnScratch(std::initializer_list<const Instance*> parts,
@@ -157,112 +159,11 @@ class PreparedProgram {
   ProgramInfo info_;
   EvalOptions options_;
   EvalEngine engine_ = EvalEngine::kBytecode;
-  IncrementalMode incremental_ = IncrementalMode::kOn;
   bool fixed_negation_ = false;
   std::vector<CompiledRule> compiled_;
   BytecodeProgram bytecode_;  // compiled iff engine_ == kBytecode
   std::vector<Stratum> strata_;
   Schema adom_source_;  // edb(P) minus Adom: where seeded Adom values come from
-};
-
-// Delta-driven re-evaluation over one fixed base instance: the Q(base)
-// fixpoint stays materialized in a private epoch-versioned database, and
-// each EvalOverlay pushes the overlay J as one epoch, feeds its facts
-// through the bytecode row-range machinery as external semi-naive deltas,
-// runs only the strata the new facts can reach, and rolls the epoch back —
-// so checking many small J against one base costs O(|J| + derived delta)
-// per check instead of a full fixpoint.
-//
-// Strata whose negated atoms read a changed relation cannot be continued
-// (new facts can retract derivations); they are recomputed from their
-// pre-stratum watermark, their base rows are restored before the rollback,
-// and the retraction taints every downstream reader. When no stratum needed
-// recomputation, the run itself proves Q(base) ⊆ Q(base ∪ J) — the common
-// monotone case answers without materializing any output at all.
-//
-// Output equivalence with EvalParts({&base, &overlay}) is exact: any
-// configuration or runtime condition the delta path cannot reproduce
-// byte-identically (unsupported options, IDB facts in the overlay, a
-// mid-delta resource error) reroutes that overlay through the from-scratch
-// path. Pinned by tests/incremental_test.cc and the CI engine-diff leg.
-//
-// Not thread-safe; create one evaluator per thread (the parallel checker
-// sweeps create one per outer I, which lives on a single shard).
-class IncrementalEval {
- public:
-  // What one EvalOverlay did, beyond its Result status.
-  struct Overlay {
-    // The run proved Q(base) ⊆ Q(base ∪ overlay) without materializing the
-    // result (no stratum recomputed; every store only grew). `out_facts`
-    // was not touched: callers doing a retraction check need no merge.
-    bool superset_of_base = false;
-    // The overlay ran through the from-scratch EvalParts path.
-    bool fell_back = false;
-    // FirstMissing's answer: the first probe fact absent from the result.
-    std::optional<Fact> missing;
-  };
-
-  // Evaluates Q(base ∪ overlay). `out_facts`, when non-null, receives the
-  // result facts in ascending order — except when the overlay proves
-  // supersetness and `materialize` is false, in which case it is left
-  // untouched (see Overlay::superset_of_base). The database is always
-  // rolled back to the base fixpoint before returning. `stats` (optional)
-  // receives delta-relative tallies; EvalStats parity with the from-scratch
-  // path is NOT guaranteed, only fact/verdict parity is.
-  Result<Overlay> EvalOverlay(const Instance& overlay,
-                              std::vector<Fact>* out_facts,
-                              bool materialize = false,
-                              EvalStats* stats = nullptr) {
-    return Run(overlay, out_facts, materialize, nullptr, stats);
-  }
-
-  // The union check: the first fact of `probe` (ascending) missing from
-  // Q(base ∪ overlay), or nullopt. Unless the overlay proves supersetness,
-  // the facts are probed in the stores before the rollback; nothing is
-  // materialized. Answers and errors equal PreparedProgram::FirstMissing
-  // over {base, overlay}, which is also the fallback route.
-  Result<std::optional<Fact>> FirstMissing(const Instance& overlay,
-                                           const std::vector<Fact>& probe);
-
-  // Whether overlays can run incrementally at all; false means every
-  // EvalOverlay takes the from-scratch route.
-  bool supported() const { return supported_; }
-
- private:
-  friend class PreparedProgram;
-  IncrementalEval() = default;
-
-  bool Admitted(uint32_t name, const Tuple& t) const;
-  // EvalOverlay and FirstMissing: a non-null `probe` asks for
-  // Overlay::missing instead of output facts.
-  Result<Overlay> Run(const Instance& overlay, std::vector<Fact>* out_facts,
-                      bool materialize, const std::vector<Fact>* probe,
-                      EvalStats* stats);
-  Result<Overlay> Fallback(const Instance& overlay, std::vector<Fact>* out,
-                           const std::vector<Fact>* probe, EvalStats* stats);
-  void SaveStratumRows(size_t stratum);
-  void RestoreStratumRows(size_t stratum);
-
-  const PreparedProgram* prog_ = nullptr;
-  Instance base_;              // fallback seeding (and error replay)
-  std::optional<Schema> pre_;  // owned copies of the restriction schemas
-  std::optional<Schema> post_;
-  Database db_;       // the materialized base fixpoint
-  bool supported_ = false;
-  Status base_status_;             // base fixpoint outcome
-  std::vector<uint32_t> idb_rels_;  // sorted heads across all strata
-
-  // Parallel to prog_->strata_ and each stratum's `growing` list: the
-  // growing stores' row counts before (wm_) and after (end_) that stratum's
-  // base fixpoint ran.
-  std::vector<std::vector<uint32_t>> wm_;
-  std::vector<std::vector<uint32_t>> end_;
-  // Base rows [wm, end) as flat code vectors, saved lazily the first time a
-  // stratum is recomputed (base rows never change, so once is enough) and
-  // re-inserted after every overlay that recomputed the stratum — restoring
-  // the exact row positions makes the epoch rollback a no-op for them.
-  std::vector<std::vector<std::vector<uint32_t>>> saved_;
-  std::vector<bool> saved_ready_;
 };
 
 }  // namespace calm::datalog

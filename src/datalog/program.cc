@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "base/metrics.h"
+#include "base/trace.h"
 #include "datalog/parser.h"
 #include "datalog/wellfounded.h"
 
@@ -10,14 +12,20 @@ namespace calm::datalog {
 
 namespace {
 
-// Union checks that re-evaluate i ∪ j from scratch for every j and probe
-// Q(i)'s facts in the evaluation stores: the stratified fixpoint in the
-// thread-local stores, or the well-founded alternation's final lo (the
-// definitely-true facts). Nothing about i is kept but the instance itself.
+// Union checks that re-evaluate i ∪ j from scratch and probe Q(i)'s facts in
+// the evaluation stores: the stratified fixpoint in the thread-local stores,
+// or the well-founded alternation's final lo (the definitely-true facts).
+// Nothing about i is kept but the instance itself. Stratified programs the
+// masked route serves answer batches of j's with one fixpoint
+// (PreparedProgram::FirstMissingBatch); a batch whose run fails is re-asked
+// one j at a time, which reproduces the per-j route's errors exactly.
 class ScratchUnionEvaluator : public UnionEvaluator {
  public:
   ScratchUnionEvaluator(const DatalogQuery& query, const Instance& i)
-      : query_(query), i_(i) {}
+      : query_(query),
+        i_(i),
+        batched_(query.semantics() == DatalogQuery::Semantics::kStratified &&
+                 query.prepared().SupportsUnionBatch()) {}
 
   Result<std::optional<Fact>> FirstRetracted(
       const Instance& j, const std::vector<Fact>& base_facts) override {
@@ -32,28 +40,42 @@ class ScratchUnionEvaluator : public UnionEvaluator {
     return lo.FirstAbsent(base_facts);
   }
 
- private:
-  const DatalogQuery& query_;
-  const Instance& i_;
-};
+  void FirstRetractedBatch(
+      const std::vector<const Instance*>& js,
+      const std::vector<Fact>& base_facts,
+      std::vector<Result<std::optional<Fact>>>* out) override {
+    if (!batched_ || js.size() < 2) {
+      UnionEvaluator::FirstRetractedBatch(js, base_facts, out);
+      return;
+    }
+    TraceSpan span("datalog.union_batch");
+    span.Arg("worlds", static_cast<int64_t>(js.size()));
+    const Status s = query_.prepared().FirstMissingBatch(
+        i_, js, &query_.input_schema(), base_facts, &missing_);
+    span.Arg("fallback", s.ok() ? 0 : 1);
+    if (!s.ok()) {
+      if (MetricsEnabled()) {
+        static Counter& fallbacks = MetricRegistry::Global().GetCounter(
+            "calm.eval.union_batch_fallbacks");
+        fallbacks.Increment();
+      }
+      UnionEvaluator::FirstRetractedBatch(js, base_facts, out);
+      return;
+    }
+    out->clear();
+    out->reserve(js.size());
+    for (std::optional<Fact>& m : missing_) out->emplace_back(std::move(m));
+  }
 
-// Union checks on a stratified program with a larger Q(i) fixpoint: the
-// fixpoint stays materialized in an IncrementalEval, each j runs as an
-// epoch-scoped insertion delta, and Q(i)'s facts are probed before the
-// rollback. An overlay that only grew the fixpoint proves
-// Q(i) ⊆ Q(i ∪ j) without probing at all.
-class IncrementalUnionEvaluator : public UnionEvaluator {
- public:
-  explicit IncrementalUnionEvaluator(std::unique_ptr<IncrementalEval> inc)
-      : inc_(std::move(inc)) {}
-
-  Result<std::optional<Fact>> FirstRetracted(
-      const Instance& j, const std::vector<Fact>& base_facts) override {
-    return inc_->FirstMissing(j, base_facts);
+  size_t MaxBatch() const override {
+    return batched_ ? PreparedProgram::kMaxUnionBatch : 1;
   }
 
  private:
-  std::unique_ptr<IncrementalEval> inc_;
+  const DatalogQuery& query_;
+  const Instance& i_;
+  const bool batched_;
+  std::vector<std::optional<Fact>> missing_;  // reused across batches
 };
 
 }  // namespace
@@ -129,16 +151,6 @@ Result<Instance> DatalogQuery::EvalUnion(const Instance& a,
 
 std::unique_ptr<UnionEvaluator> DatalogQuery::MakeUnionEvaluator(
     const Instance& i) const {
-  // A base whose fixpoint fails takes the from-scratch route, which
-  // reproduces EvalParts' errors check by check.
-  if (semantics_ == Semantics::kStratified &&
-      prepared_->incremental() == IncrementalMode::kOn) {
-    Result<size_t> rows = prepared_->FixpointRows({&i}, &input_schema_);
-    if (rows.ok() && *rows > kMaxScratchBaseRows) {
-      return std::make_unique<IncrementalUnionEvaluator>(
-          prepared_->BeginIncremental(i, &input_schema_, &output_schema_));
-    }
-  }
   return std::make_unique<ScratchUnionEvaluator>(*this, i);
 }
 

@@ -45,25 +45,16 @@ class DatalogQuery : public Query {
   Result<Instance> EvalUnion(const Instance& a,
                              const Instance& b) const override;
   // Union checks that probe the evaluation stores instead of materializing
-  // Q(i ∪ j). Under stratified semantics the route is picked once per i,
-  // from the row count of Q(i)'s fixpoint over all relations: up to
-  // kMaxScratchBaseRows, each check re-runs the fixpoint over i ∪ j from
-  // scratch (PreparedProgram::FirstMissing); above it, the fixpoint stays
-  // materialized and each j runs as an epoch-scoped insertion delta
-  // (IncrementalEval::FirstMissing). Incremental mode off forces the
-  // from-scratch route. Under well-founded semantics each check runs the
+  // Q(i ∪ j). Under stratified semantics a single check re-runs the
+  // fixpoint over i ∪ j from scratch (PreparedProgram::FirstMissing), and a
+  // batch of up to 64 j's runs one fixpoint whose facts carry per-j world
+  // masks (PreparedProgram::FirstMissingBatch) when the prepared program
+  // supports it (bytecode engine, semi-naive); a failed batch is re-asked
+  // one j at a time. Under well-founded semantics each check runs the
   // alternation over i ∪ j and probes its definitely-true facts. Verdicts
-  // are byte-identical on every route.
+  // and errors are byte-identical on every route.
   std::unique_ptr<UnionEvaluator> MakeUnionEvaluator(
       const Instance& i) const override;
-
-  // The route cut-off, read off a per-size sweep that timed both routes on
-  // every union check of the survey and deep_sweep benchmarks (EXPERIMENTS.md,
-  // "Union-check routes by base size"). From scratch cost 0.40-0.90x the
-  // overlay at every survey size (0-12 rows); on deep_sweep it cost <= 1.01x
-  // up to 6 rows, 1.05-1.07x at 7-8 and >= 1.14x from 9. The two workloads'
-  // summed union-check time was lowest at a cut-off of 7 in both sweeps.
-  static constexpr size_t kMaxScratchBaseRows = 7;
 
   const Program& program() const { return program_; }
   const ProgramInfo& info() const { return prepared_->info(); }

@@ -16,31 +16,6 @@ namespace {
 
 constexpr size_t kInitialTableSize = 16;  // power of two
 
-// Backward-shift deletion from a linear-probing open-addressing table:
-// empties `hole` and re-packs the probe cluster after it so every surviving
-// entry stays reachable from its home slot. `home_of(entry)` returns the
-// entry's hash (pre-mask). The epoch-rollback paths use this to erase the
-// tail entries of the dictionary and dedup tables without rebuilding them.
-template <typename Entry, typename HomeFn>
-void EraseTableSlot(std::vector<Entry>& table, size_t hole, HomeFn home_of) {
-  const size_t mask = table.size() - 1;
-  size_t j = hole;
-  while (true) {
-    j = (j + 1) & mask;
-    Entry e = table[j];
-    if (e == 0) break;
-    // e can slide into the hole only when its home slot does not lie
-    // (cyclically) between the hole and j — otherwise the move would put it
-    // before its home and break its probe chain.
-    size_t home = home_of(e) & mask;
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      table[hole] = e;
-      hole = j;
-    }
-  }
-  table[hole] = 0;
-}
-
 }  // namespace
 
 // --- ValueDict -------------------------------------------------------------
@@ -83,24 +58,6 @@ uint32_t ValueDict::Find(Value v) const {
   return kNoCode;
 }
 
-void ValueDict::TruncateTo(size_t n) {
-  // A ranks cache built above the surviving prefix is poison: if the dict
-  // later regrows to that exact size with different values, the size check
-  // in Ranks() would wrongly accept it. Caches built at or below n still
-  // either match exactly (same surviving values) or fail the size check.
-  if (ranks_upto_ > n) ranks_upto_ = SIZE_MAX;
-  while (values_.size() > n) {
-    const uint32_t code = static_cast<uint32_t>(values_.size()) - 1;
-    const size_t mask = table_.size() - 1;
-    size_t h = Mix64(values_[code].raw()) & mask;
-    while (table_[h] != code + 1) h = (h + 1) & mask;
-    EraseTableSlot(table_, h, [this](uint32_t e) {
-      return Mix64(values_[e - 1].raw());
-    });
-    values_.pop_back();
-  }
-}
-
 const std::vector<uint32_t>& ValueDict::Ranks() const {
   if (ranks_upto_ != values_.size()) {
     std::vector<uint32_t> order(values_.size());
@@ -126,7 +83,9 @@ RelStore::RelStore(const RelStore& o)
       dedup64_(o.dedup64_),
       dedup_(o.dedup_),
       indexes_(o.indexes_),
-      overflow_(o.overflow_) {
+      overflow_(o.overflow_),
+      mask_(o.mask_ != nullptr ? std::make_unique<MaskState>(*o.mask_)
+                               : nullptr) {
   // A standalone store keeps its own dictionary; a Database-owned store is
   // re-pointed by Database's copy constructor after this runs.
   if (o.owned_ != nullptr) {
@@ -151,6 +110,7 @@ RelStore& RelStore::operator=(const RelStore& o) {
   dedup_ = o.dedup_;
   indexes_ = o.indexes_;
   overflow_ = o.overflow_;
+  mask_ = o.mask_ != nullptr ? std::make_unique<MaskState>(*o.mask_) : nullptr;
   return *this;
 }
 
@@ -445,6 +405,15 @@ bool RelStore::Contains(const Tuple& t) const {
 }
 
 void RelStore::clear() {
+  // Masked mode ends here, ahead of the early return: an empty store may
+  // still be switched on.
+  if (mask_ != nullptr && mask_->on) {
+    mask_->on = false;
+    mask_->row.clear();
+    mask_->full.clear();
+    std::fill(mask_->table.begin(), mask_->table.end(), 0);
+    mask_->facts = 0;
+  }
   // Scratch databases clear every relation they have ever held before each
   // evaluation; most are already empty.
   if (rows_ == 0 && overflow_.empty() && !has_empty_row_) return;
@@ -465,88 +434,114 @@ void RelStore::clear() {
   }
 }
 
-void RelStore::TruncateRows(uint32_t target) {
-  if (arity_ <= 0) {
-    if (target == 0) {
-      rows_ = 0;
-      has_empty_row_ = false;
-    }
-    return;
-  }
-  if (target >= rows_) return;
-  uint32_t key[16];
-  std::vector<uint32_t> wide(arity_ > 2 ? arity_ : 0);
-  // Descending order keeps two invariants the per-row unwind relies on:
-  // the row being removed is the tail of every index bucket that saw it,
-  // and the dedup home-slot recomputation only reads rows that still exist.
-  for (uint32_t r = rows_; r-- > target;) {
-    for (MaskIndex& mi : indexes_) {
-      if (mi.upto <= r) continue;
-      if (mi.cols.size() == 1) {
-        mi.direct[cols_[mi.cols[0]].codes[r]].pop_back();
-      } else {
-        const size_t k = mi.cols.size();
-        for (size_t i = 0; i < k; ++i) key[i] = cols_[mi.cols[i]].codes[r];
-        const size_t tmask = mi.table.size() - 1;
-        size_t h = HashCodes(key, k) & tmask;
-        while (true) {
-          const uint32_t e = mi.table[h];
-          const uint32_t* bkey = &mi.key_arena[(e - 1) * k];
-          if (std::equal(bkey, bkey + k, key)) {
-            mi.bucket_rows[e - 1].pop_back();  // empty buckets may linger
-            break;
-          }
-          h = (h + 1) & tmask;
-        }
-      }
-    }
-    if (arity_ <= 2) {
-      const uint32_t row_codes[2] = {cols_[0].codes[r],
-                                     arity_ == 2 ? cols_[1].codes[r] : 0};
-      const uint64_t packed = PackKey(row_codes, static_cast<uint32_t>(arity_));
-      const size_t mask = dedup64_.size() - 1;
-      size_t h = Mix64(packed) & mask;
-      while (dedup64_[h] != packed) h = (h + 1) & mask;
-      EraseTableSlot(dedup64_, h, [](uint64_t e) { return Mix64(e); });
-    } else {
-      const size_t mask = dedup_.size() - 1;
-      for (int c = 0; c < arity_; ++c) wide[c] = cols_[c].codes[r];
-      size_t h = RowHash(wide.data()) & mask;
-      while (dedup_[h] != r + 1) h = (h + 1) & mask;
-      EraseTableSlot(dedup_, h, [this, &wide](uint32_t e) {
-        for (int c = 0; c < arity_; ++c) wide[c] = cols_[c].codes[e - 1];
-        return RowHash(wide.data());
-      });
-    }
-    for (Column& col : cols_) col.codes.pop_back();
-    --rows_;
-  }
-  for (MaskIndex& mi : indexes_) mi.upto = std::min(mi.upto, rows_);
+// --- Masked mode -----------------------------------------------------------
+
+void RelStore::EnableMasks() {
+  assert(size() == 0 && "masks are switched on over an empty store");
+  if (mask_ == nullptr) mask_ = std::make_unique<MaskState>();
+  mask_->on = true;
 }
 
-void RelStore::RollbackTo(const Mark& m) {
-  if (arity_ != m.arity) {
-    // The arity changed during the epoch — only possible from an empty
-    // store (first insert or scratch re-keying), so the mark holds no rows
-    // and rollback is a reset to an empty shell at the marked arity.
-    clear();
-    if (m.arity >= 0) {
-      InitColumns(static_cast<size_t>(m.arity));
-    } else {
-      arity_ = -1;
-      cols_.clear();
-      indexes_.clear();
-      code_scratch_.clear();
-    }
+uint32_t RelStore::FindMaskedRow(const uint32_t* codes) const {
+  if (arity_ == 0) return has_empty_row_ ? 0 : kNoRow;
+  const std::vector<uint32_t>& table = mask_->table;
+  if (table.empty()) return kNoRow;
+  const size_t tmask = table.size() - 1;
+  size_t h = RowHash(codes) & tmask;
+  while (table[h] != 0) {
+    if (RowEquals(table[h] - 1, codes)) return table[h] - 1;
+    h = (h + 1) & tmask;
+  }
+  return kNoRow;
+}
+
+void RelStore::AddMaskedRow(const uint32_t* codes, uint64_t worlds) {
+  const uint32_t row = rows_;
+  InsertCodeRow(codes);  // new to the lookup table, hence to dedup too
+  mask_->row.push_back(worlds);
+  mask_->full.push_back(worlds);
+  if (arity_ == 0) return;
+  std::vector<uint32_t>& table = mask_->table;
+  auto place = [&](uint32_t r, const uint32_t* key) {
+    const size_t tmask = table.size() - 1;
+    size_t h = RowHash(key) & tmask;
+    while (table[h] != 0) h = (h + 1) & tmask;
+    table[h] = r + 1;
+  };
+  ++mask_->facts;
+  if (!OverLoad(mask_->facts, table.size())) {
+    place(row, codes);
     return;
   }
-  overflow_.resize(m.overflow);  // overflow is append-only
-  if (arity_ <= 0) {
-    rows_ = m.rows;
-    has_empty_row_ = m.has_empty;
+  // Grow and re-place every original row (version rows hold full == 0).
+  table.assign(table.empty() ? kInitialTableSize : table.size() * 2, 0);
+  std::vector<uint32_t> key(arity_);
+  for (uint32_t r = 0; r < rows_; ++r) {
+    if (mask_->full[r] == 0) continue;
+    for (int c = 0; c < arity_; ++c) key[c] = cols_[c].codes[r];
+    place(r, key.data());
+  }
+}
+
+uint64_t RelStore::FullMask(const uint32_t* codes, uint32_t arity) const {
+  if (static_cast<int>(arity) != arity_) return 0;
+  const uint32_t row = FindMaskedRow(codes);
+  return row == kNoRow ? 0 : mask_->full[row];
+}
+
+uint64_t RelStore::FullMask(const Tuple& t) const {
+  if (static_cast<int>(t.size()) != arity_) return 0;
+  uint32_t codes[16];
+  std::vector<uint32_t> big;
+  uint32_t* key = codes;
+  if (t.size() > 16) {
+    big.resize(t.size());
+    key = big.data();
+  }
+  for (size_t c = 0; c < t.size(); ++c) {
+    key[c] = dict_->Find(t[c]);
+    if (key[c] == kNoCode) return 0;
+  }
+  return FullMask(key, static_cast<uint32_t>(t.size()));
+}
+
+bool RelStore::InsertMasked(const uint32_t* codes, uint32_t arity,
+                            uint64_t worlds) {
+  if (static_cast<int>(arity) != arity_) {
+    assert(size() == 0 && "a rule head has one arity");
+    InitColumns(arity);
+  }
+  const uint32_t row = FindMaskedRow(codes);
+  if (row == kNoRow) {
+    AddMaskedRow(codes, worlds);
+    return true;
+  }
+  const uint64_t gained = worlds & ~mask_->full[row];
+  if (gained == 0) return false;
+  mask_->full[row] |= gained;
+  for (uint32_t c = 0; c < arity; ++c) cols_[c].codes.push_back(codes[c]);
+  ++rows_;
+  mask_->row.push_back(gained);
+  mask_->full.push_back(0);
+  return true;
+}
+
+void RelStore::SeedMasked(const Tuple& t, uint64_t worlds) {
+  if (static_cast<int>(t.size()) != arity_) {
+    assert(size() == 0 && "seeded facts are admitted at the schema arity");
+    InitColumns(t.size());
+  }
+  ValueDict& d = dict();
+  code_scratch_.resize(t.size());
+  for (size_t i = 0; i < t.size(); ++i) code_scratch_[i] = d.Intern(t[i]);
+  const uint32_t row = FindMaskedRow(code_scratch_.data());
+  if (row == kNoRow) {
+    AddMaskedRow(code_scratch_.data(), worlds);
     return;
   }
-  TruncateRows(m.rows);
+  // Seeding appends no version rows, so the row's mask is the full set.
+  mask_->row[row] |= worlds;
+  mask_->full[row] |= worlds;
 }
 
 Tuple RelStore::KeyOf(const Tuple& t, uint32_t mask) {
@@ -661,7 +656,7 @@ Database::Database(const Instance& instance) : Database() {
 Database::Database(const Database& o)
     : dict_(std::make_shared<ValueDict>(*o.dict_)),
       rels_(o.rels_),
-      epochs_(o.epochs_),
+      worlds_(o.worlds_),
       last_(o.last_.load(std::memory_order_relaxed)) {
   for (auto& [name, store] : rels_) store.BindDict(dict_.get());
 }
@@ -670,9 +665,9 @@ Database& Database::operator=(const Database& o) {
   if (this == &o) return *this;
   dict_ = std::make_shared<ValueDict>(*o.dict_);
   rels_ = o.rels_;
-  epochs_ = o.epochs_;
   last_.store(o.last_.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
+  worlds_ = o.worlds_;
   for (auto& [name, store] : rels_) store.BindDict(dict_.get());
   return *this;
 }
@@ -680,16 +675,16 @@ Database& Database::operator=(const Database& o) {
 Database::Database(Database&& o) noexcept
     : dict_(std::move(o.dict_)),
       rels_(std::move(o.rels_)),
-      epochs_(std::move(o.epochs_)),
+      worlds_(o.worlds_),
       last_(o.last_.load(std::memory_order_relaxed)) {}
 
 Database& Database::operator=(Database&& o) noexcept {
   if (this == &o) return *this;
   dict_ = std::move(o.dict_);
   rels_ = std::move(o.rels_);
-  epochs_ = std::move(o.epochs_);
   last_.store(o.last_.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
+  worlds_ = o.worlds_;
   return *this;
 }
 
@@ -697,6 +692,7 @@ Database Database::ShareDict() const {
   Database out;
   out.dict_ = dict_;
   out.rels_ = rels_;  // stores keep pointing at the shared dictionary
+  out.worlds_ = worlds_;
   out.last_.store(last_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
   return out;
@@ -723,6 +719,7 @@ RelStore* Database::FindOrCreate(uint32_t rel) {
   last_.store(rels_.size() - 1, std::memory_order_relaxed);
   store = &rels_.back().second;
   store->BindDict(dict_.get());
+  if (worlds_ != 0) store->EnableMasks();
   return store;
 }
 
@@ -760,29 +757,19 @@ std::optional<Fact> Database::FirstAbsent(const std::vector<Fact>& facts) const 
 RelStore* Database::Store(uint32_t rel) { return Find(rel); }
 
 void Database::Reset() {
+  worlds_ = 0;
   for (auto& [name, store] : rels_) store.clear();
 }
 
-void Database::BeginEpoch() {
-  assert(dict_.use_count() == 1 && "epochs need a private dictionary");
-  EpochFrame f;
-  f.dict_size = dict_->size();
-  f.rel_count = rels_.size();
-  f.marks.reserve(rels_.size());
-  for (auto& [name, store] : rels_) f.marks.push_back(store.MarkNow());
-  epochs_.push_back(std::move(f));
+void Database::EnableMasks(uint64_t worlds) {
+  assert(worlds != 0 && size() == 0);
+  worlds_ = worlds;
+  for (auto& [name, store] : rels_) store.EnableMasks();
 }
 
-void Database::RollbackEpoch() {
-  EpochFrame& f = epochs_.back();
-  // Stores created during the epoch are a suffix (FindOrCreate appends).
-  rels_.resize(f.rel_count);
-  for (size_t i = 0; i < f.rel_count; ++i) {
-    rels_[i].second.RollbackTo(f.marks[i]);
-  }
-  dict_->TruncateTo(f.dict_size);
-  last_.store(0, std::memory_order_relaxed);
-  epochs_.pop_back();
+uint64_t Database::FullMask(uint32_t rel, const Tuple& t) const {
+  const RelStore* store = Find(rel);
+  return store == nullptr ? 0 : store->FullMask(t);
 }
 
 Instance Database::ToInstance(const Schema* restrict_to) const {

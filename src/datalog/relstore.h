@@ -64,16 +64,6 @@ class ValueDict {
   // instead of comparing Tuples.
   const std::vector<uint32_t>& Ranks() const;
 
-  // Drops every code >= `n` (epoch rollback): codes are assigned densely in
-  // interning order, so the values interned during an epoch are exactly the
-  // tail of `values_`. Their hash-table slots are erased with backward-shift
-  // deletion, so surviving codes keep their assignments and stay reachable.
-  // Invalidates the ranks cache when it was built above the surviving
-  // prefix — otherwise a later regrowth to the same size with different
-  // values would pass the rebuild check in Ranks() and sort rows by the
-  // previous epoch's value order.
-  void TruncateTo(size_t n);
-
  private:
   std::vector<Value> values_;   // code -> value
   // Open-addressing table: entries are code+1, 0 = empty. Power-of-two
@@ -308,37 +298,36 @@ class RelStore {
 
   static Tuple KeyOf(const Tuple& t, uint32_t mask);
 
-  // --- epoch rollback --------------------------------------------------------
+  // --- world masks (batched union checks) ---
+  //
+  // A masked store evaluates up to 64 instances ("worlds") at once: every
+  // row carries the set of worlds it adds, and each fact keeps its full
+  // world set. When an emitted fact gains worlds, a version row is appended
+  // with the same codes and only the gained bits, bypassing dedup — rows
+  // stay append-only, so row-range deltas and visibility horizons treat a
+  // gained world as one more delta row. A fact's rows OR to its full set.
+  // Unmasked stores allocate none of this; clear() switches masks off.
 
-  // A snapshot of the store's logical extent. Rows are append-only, so a
-  // mark is just counters: rolling back means truncating every structure to
-  // the marked sizes (no per-row undo log).
-  struct Mark {
-    int arity = -1;
-    uint32_t rows = 0;
-    uint32_t overflow = 0;
-    bool has_empty = false;
-  };
+  // Switches an empty store to masked mode.
+  void EnableMasks();
+  bool masked() const { return mask_ != nullptr && mask_->on; }
 
-  Mark MarkNow() const {
-    return Mark{arity_, rows_, static_cast<uint32_t>(overflow_.size()),
-                has_empty_row_};
-  }
+  // The worlds row `row` adds (masked stores only).
+  uint64_t RowMask(uint32_t row) const { return mask_->row[row]; }
 
-  // Restores the store to the state captured by `m`: rows inserted since
-  // are removed from the columns, the dedup tables (backward-shift deletion
-  // keeps the probe chains intact), and every mask index that indexed them.
-  // Requires that rows [0, m.rows) were not mutated since the mark — the
-  // append-only invariant every insert path maintains.
-  void RollbackTo(const Mark& m);
+  // The fact's full world set — the union of its rows' masks — or 0 when
+  // the fact is absent (masked stores only).
+  uint64_t FullMask(const uint32_t* codes, uint32_t arity) const;
+  uint64_t FullMask(const Tuple& t) const;
 
-  // Removes rows [target, row_count()) — the row-level primitive RollbackTo
-  // and the incremental evaluator's stratum re-derivation both use. Probe
-  // indexes stay built (their tails are popped row by row), dedup entries
-  // are erased with backward-shift deletion, and the dictionary is
-  // untouched (codes may now be unreferenced; Database-level rollback
-  // truncates the dictionary separately).
-  void TruncateRows(uint32_t target);
+  // Emission into a masked store: adds `worlds` to the fact's world set.
+  // A new fact gets a row, a known fact that gains worlds gets a version
+  // row holding only the gained ones. Returns whether any world was gained.
+  bool InsertMasked(const uint32_t* codes, uint32_t arity, uint64_t worlds);
+
+  // Seeding a masked store: ORs `worlds` into the fact's one row (a new
+  // fact gets it), never appending a version row.
+  void SeedMasked(const Tuple& t, uint64_t worlds);
 
   // --- columnar row access (the engines' inner loops) ---
 
@@ -431,7 +420,9 @@ class RelStore {
   std::unique_ptr<ValueDict> owned_;   // standalone stores only
   int arity_ = -1;
   uint32_t rows_ = 0;
-  bool has_empty_row_ = false;  // arity-0 stores hold at most one row
+  // Arity-0 stores hold at most one fact (plus its version rows when
+  // masked).
+  bool has_empty_row_ = false;
   std::vector<Column> cols_;
   // Open-addressing dedup tables, power-of-two size, linear probing, grown
   // at ~0.7 load. Arity 1/2 rows dedup against packed keys (dedup64_,
@@ -447,6 +438,22 @@ class RelStore {
   std::vector<uint64_t> batch_keys_;
   std::vector<uint64_t> batch_hashes_;
   std::vector<Tuple> overflow_;  // arity-mismatched stragglers
+
+  // Masked mode: per-row world masks and a lookup from a fact's codes to
+  // its original row (dedup64_ holds packed keys, not rows). Allocated on
+  // the first EnableMasks and kept across clear() for reuse.
+  struct MaskState {
+    bool on = false;
+    std::vector<uint64_t> row;   // worlds each row adds
+    std::vector<uint64_t> full;  // per original row: the fact's world set
+    std::vector<uint32_t> table;  // original row + 1, 0 = empty
+    uint32_t facts = 0;           // original rows (table entries)
+  };
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+  // The fact's original row, or kNoRow.
+  uint32_t FindMaskedRow(const uint32_t* codes) const;
+  void AddMaskedRow(const uint32_t* codes, uint64_t worlds);
+  std::unique_ptr<MaskState> mask_;
 };
 
 // The per-relation stores of one evaluation, all interning through one
@@ -469,7 +476,6 @@ class Database {
   // both. The well-founded alternation keeps its seed and every Gamma
   // result this way: each can be another's negation reference, and the
   // bytecode anti-probes stay in code space (they require one dictionary).
-  // Neither database may open an epoch while the dictionary is shared.
   Database ShareDict() const;
 
   bool Insert(uint32_t rel, const Tuple& t);
@@ -489,6 +495,9 @@ class Database {
   // The store for `rel`, or nullptr when no fact of `rel` was inserted.
   RelStore* Store(uint32_t rel);
   const RelStore* Store(uint32_t rel) const { return Find(rel); }
+  // The store for `rel`, created empty (and masked, in masked mode) if
+  // absent. Creating a store may move the others.
+  RelStore* StoreOrCreate(uint32_t rel) { return FindOrCreate(rel); }
 
   ValueDict& dict() { return *dict_; }
   const ValueDict& dict() const { return *dict_; }
@@ -500,23 +509,21 @@ class Database {
 
   // Empties every store but keeps the relation entries, the dictionary, and
   // allocated tables — the scratch-reuse hook for repeated evaluations.
-  // Must not be called while an epoch is open.
+  // Also leaves masked mode: the next run sees plain stores.
   void Reset();
 
-  // --- epochs ----------------------------------------------------------------
-  //
-  // An epoch marks the current extent of every store and of the dictionary;
-  // rolling it back truncates everything inserted since — rows, interned
-  // values, stores created during the epoch — in O(inserted-delta), leaving
-  // the database byte-for-byte equivalent in behavior to the marked state.
-  // Epochs nest (a stack); every path that grows the database is
-  // append-only, which is what makes a mark a handful of counters instead
-  // of an undo log. The incremental checker path pushes each overlay J as
-  // one epoch and pops it after the delta evaluation.
+  // --- world masks (RelStore's masked mode, database-wide) ---
 
-  void BeginEpoch();
-  void RollbackEpoch();
-  size_t EpochDepth() const { return epochs_.size(); }
+  // Switches the (empty, freshly Reset) database to masked mode over the
+  // world set `worlds`: every store, including those created later, tags
+  // its rows with world masks. Reset switches it back.
+  void EnableMasks(uint64_t worlds);
+  bool masked() const { return worlds_ != 0; }
+  // The world set EnableMasks was given (0 when unmasked): what a rule with
+  // an empty body, or a seed fact of the shared instance, holds.
+  uint64_t worlds() const { return worlds_; }
+  // The world set of fact (rel, t); 0 when absent.
+  uint64_t FullMask(uint32_t rel, const Tuple& t) const;
 
   // Invokes fn(relation_id, const RelStore&) for every relation entry —
   // including empty stores — in creation order. Creation order is what the
@@ -535,21 +542,12 @@ class Database {
   Instance ToInstance(const Schema* restrict_to = nullptr) const;
 
  private:
-  // One open epoch: the sizes everything rolls back to. Stores created
-  // after BeginEpoch are a suffix of `rels_` (FindOrCreate appends), so
-  // `rel_count` alone identifies them.
-  struct EpochFrame {
-    size_t dict_size = 0;
-    size_t rel_count = 0;
-    std::vector<RelStore::Mark> marks;  // parallel to rels_[0, rel_count)
-  };
-
   RelStore* Find(uint32_t rel) const;
   RelStore* FindOrCreate(uint32_t rel);
 
   std::shared_ptr<ValueDict> dict_;  // heap: address stable across moves
   std::vector<std::pair<uint32_t, RelStore>> rels_;
-  std::vector<EpochFrame> epochs_;
+  uint64_t worlds_ = 0;  // masked mode's world set; 0 = unmasked
   // MRU index into rels_. Atomic (relaxed) because morsel lanes call Find
   // concurrently during a parallel stratum round; the cache is only a hint,
   // so any interleaving of the relaxed loads/stores stays correct.

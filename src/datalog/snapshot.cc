@@ -35,11 +35,6 @@ Status Corrupt(const std::string& path, const std::string& what) {
 }  // namespace
 
 Status WriteSnapshot(const Database& db, const std::string& path) {
-  if (db.EpochDepth() != 0) {
-    return FailedPreconditionError(
-        "WriteSnapshot requires no open epoch (depth " +
-        std::to_string(db.EpochDepth()) + ")");
-  }
   TraceSpan span("durable.snapshot");
 
   durable::FileWriter file(kClientTag);

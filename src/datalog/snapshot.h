@@ -22,10 +22,9 @@
 // Restore fidelity: the loaded database contains exactly the original's
 // relations (in creation order), dictionary (in code order), rows (in
 // insertion order), and overflow rows. Dedup tables are rebuilt by the
-// replay, probe indexes are rebuilt lazily on first probe, and epoch marks
-// are reset (snapshots require EpochDepth() == 0). The pinned invariant is
-// snapshot idempotence: re-snapshotting a loaded database produces a
-// byte-identical file.
+// replay, and probe indexes are rebuilt lazily on first probe. The pinned
+// invariant is snapshot idempotence: re-snapshotting a loaded database
+// produces a byte-identical file.
 //
 // Torn files: Commit publishes atomically, so a torn snapshot can only come
 // from outside interference (or a crashed copy). Load detects any
@@ -36,7 +35,6 @@
 namespace calm::datalog {
 
 // Serializes `db` to `path` with write -> fsync -> rename -> dirsync.
-// Requires no open epoch (kFailedPrecondition otherwise).
 Status WriteSnapshot(const Database& db, const std::string& path);
 
 // Loads the snapshot at `path` into a fresh Database. kNotFound when the

@@ -37,20 +37,22 @@ std::string Counterexample::ToString() const {
          ", retracted output fact: " + FactToString(retracted);
 }
 
+void PairChecker::Prepare() {
+  base_ready_ = true;
+  base_status_ = query_.EvalFacts(i_, &base_facts_);
+  if (!base_status_.ok()) return;
+  union_eval_ = query_.MakeUnionEvaluator(i_);
+  batch_limit_ = union_eval_->MaxBatch();
+}
+
 Result<std::optional<Counterexample>> PairChecker::Check(const Instance& j) {
-  if (!base_ready_) {
-    base_ready_ = true;
-    base_status_ = query_.EvalFacts(i_, &base_facts_);
-    if (base_status_.ok()) union_eval_ = query_.MakeUnionEvaluator(i_);
-  }
+  if (!base_ready_) Prepare();
   if (!base_status_.ok()) return base_status_;
 
-  // The union evaluator owns all per-pair state about i — a materialized
-  // fixpoint that j continues as an insertion delta (DatalogQuery), a
-  // precomputed reachability matrix (the closure queries), or an overlay on
-  // a persistent copy of i (the generic default). Every route reports the
-  // first base fact missing from Q(i u j) in Q(i)'s iteration order, so the
-  // counterexample is identical to evaluating the pair in isolation.
+  // The union evaluator owns all per-pair state about i. Every route
+  // reports the first base fact missing from Q(i u j) in Q(i)'s iteration
+  // order, so the counterexample is identical to evaluating the pair in
+  // isolation.
   CALM_ASSIGN_OR_RETURN(std::optional<Fact> missing,
                         union_eval_->FirstRetracted(j, base_facts_));
   if (missing.has_value()) {
@@ -58,6 +60,30 @@ Result<std::optional<Counterexample>> PairChecker::Check(const Instance& j) {
         Counterexample{i_, j, *std::move(missing)});
   }
   return std::optional<Counterexample>();
+}
+
+void PairChecker::CheckBatch(
+    const std::vector<const Instance*>& js,
+    std::vector<Result<std::optional<Counterexample>>>* out) {
+  if (!base_ready_) Prepare();
+  if (!base_status_.ok()) {
+    out->assign(js.size(), base_status_);
+    return;
+  }
+  union_eval_->FirstRetractedBatch(js, base_facts_, &answers_);
+  out->clear();
+  out->reserve(js.size());
+  for (size_t k = 0; k < js.size(); ++k) {
+    Result<std::optional<Fact>>& a = answers_[k];
+    if (!a.ok()) {
+      out->push_back(a.status());
+    } else if (a->has_value()) {
+      out->push_back(std::optional<Counterexample>(
+          Counterexample{i_, *js[k], **a}));
+    } else {
+      out->push_back(std::optional<Counterexample>());
+    }
+  }
 }
 
 Result<std::optional<Counterexample>> CheckPair(const Query& query,
@@ -236,6 +262,21 @@ int KindOf(const Instance& j, const std::set<Value>& adom_i) {
   return kind;
 }
 
+// A stream's buffered j's and their answers (FindViolations' visit), kept
+// per thread so the slots' allocations are reused across I's and sweeps.
+// Sweeps never nest on one thread (no query evaluation runs a sweep).
+struct BatchBuffer {
+  std::vector<Instance> slots;  // copies of enumerator j's awaiting a flush
+  std::vector<const Instance*> batch;
+  std::vector<int> kinds;  // KindOf each batched j
+  std::vector<Result<std::optional<Counterexample>>> answers;
+};
+
+BatchBuffer& LocalBatchBuffer() {
+  thread_local BatchBuffer buf;
+  return buf;
+}
+
 // Calls fn(c) for every cell index c set in `mask`, ascending.
 template <typename Fn>
 void ForEachCell(uint64_t mask, Fn fn) {
@@ -377,6 +418,8 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
   Counter* instances_done[3] = {};
   Counter* pairs_done[3] = {};
   Counter* skipped_done = nullptr;
+  Counter* union_batches = nullptr;
+  Histogram* batch_worlds = nullptr;
   if (metrics_on) {
     MetricRegistry& registry = MetricRegistry::Global();
     for (int k = 0; k < 3; ++k) {
@@ -391,6 +434,8 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
     if (ckpt != nullptr) {
       skipped_done = &registry.GetCounter("calm.durable.sweep_skipped");
     }
+    union_batches = &registry.GetCounter("calm.checker.union_batches");
+    batch_worlds = &registry.GetHistogram("calm.checker.union_batch_worlds");
   }
 
   ParallelFor(space, options.threads, [&](size_t idx) {
@@ -412,6 +457,7 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
     // One checker per outer I: Q(i) is computed at most once and reused
     // across every stream below.
     PairChecker checker(query, i);
+    BatchBuffer& buf = LocalBatchBuffer();
     std::set<Value> adom_i;
     std::optional<std::vector<std::map<Value, Value>>> stabilizer;
     // A candidate pruned mid-enumeration (a lower index already stopped, or
@@ -431,24 +477,25 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
       const bool tag = (served & ~of_class[cls_of(head)]) != 0;
       if (tag && adom_i.empty()) adom_i = i.ActiveDomain();
       uint64_t pairs_here = 0;
-      auto visit = [&](const Instance& j) {
-        const int kind = tag ? KindOf(j, adom_i) : cls_of(head);
+      // The cells of `served` still open at idx (`live`, the same for every
+      // j) and those whose space holds a j of this kind and size.
+      auto cells_at = [&](int kind, size_t j_size, uint64_t* hit) {
         uint64_t live = 0;
-        uint64_t hit = 0;  // the live cells whose space holds j
+        *hit = 0;
         ForEachCell(served, [&](size_t c) {
           if (first_stop[c].load(std::memory_order_relaxed) <= idx) return;
           live |= uint64_t{1} << c;
-          if (cls_of(c) <= kind && j.size() <= bound(c)) {
-            hit |= uint64_t{1} << c;
+          if (cls_of(c) <= kind && j_size <= bound(c)) {
+            *hit |= uint64_t{1} << c;
           }
         });
-        if (live == 0 || cancel_requested()) {
-          pruned = true;
-          return false;
-        }
-        if (hit == 0) return true;
+        return live;
+      };
+      // One checked j's answer, given the cells live and hit at that
+      // point of the J order. Returns whether the stream goes on.
+      auto settle = [&](uint64_t live, uint64_t hit,
+                        Result<std::optional<Counterexample>>& r) {
         ++pairs_here;
-        Result<std::optional<Counterexample>> r = checker.Check(j);
         if (r.ok() && !r->has_value()) return true;
         CellOutcome event{r.status(),
                           r.ok() ? std::move(r).value() : std::nullopt};
@@ -475,7 +522,73 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
         });
         return (live & ~hit) != 0;
       };
-      if (const SweepPlan* plan = reduce ? plan_for(head) : nullptr) {
+      // With a batching union evaluator, the j's this stream would check
+      // are buffered, answered together (PairChecker::CheckBatch) and
+      // settled in J order. Live and hit cells are re-read at settle time,
+      // since a stop earlier in the batch, or on another thread, may have
+      // closed cells; answers past a stream's end are dropped.
+      const SweepPlan* plan = reduce ? plan_for(head) : nullptr;
+      buf.batch.clear();
+      buf.kinds.clear();
+      auto count_batch = [&](size_t worlds) {
+        if (!metrics_on) return;
+        union_batches->Increment();
+        batch_worlds->Observe(worlds);
+      };
+      auto flush = [&] {
+        checker.CheckBatch(buf.batch, &buf.answers);
+        count_batch(buf.batch.size());
+        bool go = true;
+        for (size_t b = 0; b < buf.batch.size() && go; ++b) {
+          uint64_t hit = 0;
+          const uint64_t live =
+              cells_at(buf.kinds[b], buf.batch[b]->size(), &hit);
+          if (live == 0 || cancel_requested()) {
+            pruned = true;
+            go = false;
+          } else if (hit != 0) {
+            go = settle(live, hit, buf.answers[b]);
+          }
+        }
+        buf.batch.clear();
+        buf.kinds.clear();
+        return go;
+      };
+      auto visit = [&](const Instance& j) {
+        const int kind = tag ? KindOf(j, adom_i) : cls_of(head);
+        uint64_t hit = 0;
+        const uint64_t live = cells_at(kind, j.size(), &hit);
+        if (live == 0 || cancel_requested()) {
+          // Every buffered j would settle the same way: live does not
+          // depend on j, and cells only close.
+          pruned = true;
+          buf.batch.clear();
+          buf.kinds.clear();
+          return false;
+        }
+        if (hit == 0) return true;
+        const size_t limit = checker.batch_limit();
+        if (limit == 1) {  // one j at a time: check and settle in place
+          Result<std::optional<Counterexample>> r = checker.Check(j);
+          count_batch(1);
+          return settle(live, hit, r);
+        }
+        // Plan J's stay put; an enumerator's j is reused after we return,
+        // so a j that waits for a later flush is copied into a slot (sized
+        // while no slot is held).
+        const Instance* held = &j;
+        if (plan == nullptr) {
+          if (buf.batch.empty() && buf.slots.size() < limit) {
+            buf.slots.resize(limit);
+          }
+          buf.slots[buf.batch.size()] = j;
+          held = &buf.slots[buf.batch.size()];
+        }
+        buf.batch.push_back(held);
+        buf.kinds.push_back(kind);
+        return buf.batch.size() < limit || flush();
+      };
+      if (plan != nullptr) {
         // Plan path: walk the precomputed J stream; checks, order, and stop
         // points match the streaming path exactly.
         for (const Instance& j : plan->entries[idx].js) {
@@ -495,6 +608,7 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
               FactIndexPermutations(candidates, *stabilizer), visit);
         }
       }
+      if (!buf.batch.empty()) flush();
       if (observing) {
         pairs_total.fetch_add(pairs_here, std::memory_order_relaxed);
         if (metrics_on) {

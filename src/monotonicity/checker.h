@@ -130,12 +130,12 @@ Result<std::optional<Counterexample>> FindViolationRandom(
     const Query& query, MonotonicityClass cls, const RandomOptions& options);
 
 // Checks pairs (i, j) sharing a fixed outer i: Q(i) is evaluated once (on
-// the first Check) and reused for every j, and the per-pair Q(i u j)
+// the first check) and reused for every j, and the per-pair Q(i u j)
 // subset tests go through the query's UnionEvaluator (base/query.h) — the
 // engine decides how to reuse its state about i across the J enumeration
-// (a materialized fixpoint continued by insertion deltas for DatalogQuery,
-// a precomputed reachability matrix for the closure queries, an overlay on
-// a persistent copy of i otherwise). Every route reports the byte-identical
+// (one world-masked fixpoint per batch of j's for DatalogQuery, a
+// precomputed reachability matrix for the closure queries, an overlay on a
+// persistent copy of i otherwise). Every route reports the byte-identical
 // first-retracted fact. The exhaustive searches create one PairChecker per
 // candidate I; `i` must outlive the checker.
 class PairChecker {
@@ -147,14 +147,33 @@ class PairChecker {
   // evaluating the pair in isolation. Callers are responsible for j's kind.
   Result<std::optional<Counterexample>> Check(const Instance& j);
 
+  // Check for each of `js`: `out` is resized to js.size() and (*out)[k] is
+  // exactly Check(*js[k]). The union evaluator shares its work across up to
+  // batch_limit() j's.
+  void CheckBatch(const std::vector<const Instance*>& js,
+                  std::vector<Result<std::optional<Counterexample>>>* out);
+
+  // How many j's one CheckBatch shares work across (the union evaluator's
+  // MaxBatch; 1 when Q(i) failed). Evaluates Q(i) on first use, as the
+  // first check would.
+  size_t batch_limit() {
+    if (!base_ready_) Prepare();
+    return batch_limit_;
+  }
+
  private:
+  // Evaluates Q(i) and builds the union evaluator (first check only).
+  void Prepare();
+
   const Query& query_;
   const Instance& i_;
   bool base_ready_ = false;
-  Status base_status_;            // Q(i)'s error, replayed on every Check
+  Status base_status_;            // Q(i)'s error, replayed on every check
   std::vector<Fact> base_facts_;  // Q(i) in iteration order
   // Engine-chosen Q(i) <= Q(i u j) tester, built lazily with base_facts_.
   std::unique_ptr<UnionEvaluator> union_eval_;
+  size_t batch_limit_ = 1;
+  std::vector<Result<std::optional<Fact>>> answers_;  // CheckBatch scratch
 };
 
 // Checks one specific pair: returns a counterexample iff Q(i) is not a

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "datalog/evaluator.h"
 
 namespace calm::queries {
 
@@ -206,7 +205,7 @@ Instance EdgesAsOutput(const Instance& in) {
   return out;
 }
 
-// Incremental union evaluation for the closure queries TC and Q_TC: the
+// Union evaluation for the closure queries TC and Q_TC: the
 // base reachability bit matrix is decoded once from base_facts — Q(i) is
 // exactly that matrix (or its complement), and the checker hands it to
 // every FirstRetracted call, so re-running the base closure here would be
@@ -368,15 +367,10 @@ class ClosureUnionEvaluator : public UnionEvaluator {
 };
 
 // The factory wired onto TC / Q_TC. Declines (falling back to the overlay
-// evaluator) when incremental mode is off — the --incremental ablation and
-// the parity tests compare exactly these two routes — or when the base
-// exceeds the bitmask budget.
+// evaluator) when the base exceeds the bitmask budget.
 NativeQuery::UnionEvalFactory ClosureUnionFactory(bool complement) {
   return [complement](const Query& query, const Instance& i)
              -> std::unique_ptr<UnionEvaluator> {
-    if (datalog::DefaultIncrementalMode() != datalog::IncrementalMode::kOn) {
-      return nullptr;
-    }
     auto ev = std::make_unique<ClosureUnionEvaluator>(query, i, complement);
     if (!ev->viable()) return nullptr;
     return ev;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
@@ -155,6 +156,37 @@ TEST(EvaluatorEdgeTest, LargeArityRelations) {
   Instance in{Fact("R", {V(1), V(2), V(3), V(4), V(5)}),
               Fact("R", {V(1), V(2), V(3), V(4), V(1)})};
   EXPECT_EQ(EvalOrDie(p, in).TuplesOf(InternName("O")).size(), 1u);
+}
+
+// A long body whose partial matches multiply — 40 atoms sharing x, each
+// binding a fresh y — must come back as ResourceExhausted, not exhaust
+// memory: the bytecode executor counts each op's frame level against
+// max_total_facts. (Pinned to the bytecode engine: the tree matcher walks
+// the same 3^40 valuations one at a time, in constant memory and
+// effectively forever.)
+TEST(EvaluatorEdgeTest, LongBodyFrameLevelsAreBounded) {
+  std::string text = "O(x) :- ";
+  for (int k = 0; k < 40; ++k) {
+    if (k > 0) text += ", ";
+    text += "E(x, y" + std::to_string(k) + ")";
+  }
+  text += ".";
+  Result<Program> p = Parse(text);
+  ASSERT_TRUE(p.ok()) << p.status();
+  Instance in;
+  for (uint64_t y = 0; y < 3; ++y) in.Insert(Fact("E", {V(0), V(y)}));
+  EvalOptions options;
+  options.engine = EvalEngine::kBytecode;
+  options.max_total_facts = 1'000'000;
+  Result<Instance> r = Evaluate(*p, in, options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted) << r.status();
+  // The same body over a graph too small to blow up still evaluates.
+  Instance small;
+  small.Insert(Fact("E", {V(0), V(1)}));
+  Result<Instance> ok = Evaluate(*p, small, options);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_TRUE(ok->Contains(Fact("O", {V(0)})));
 }
 
 TEST(EvaluatorEdgeTest, SelfJoinSameRelationThreeTimes) {

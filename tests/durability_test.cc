@@ -126,39 +126,6 @@ TEST(SnapshotTest, WideTuplesSpillToOverflowAndRoundTrip) {
   ExpectSnapshotIdempotent(db);
 }
 
-TEST(SnapshotTest, DictRegrownAcrossEpochsRoundTrips) {
-  datalog::Database db;
-  const uint32_t e = InternName("E");
-  ASSERT_TRUE(db.Insert(e, {Sym("alpha"), V(1)}));
-  // Grow the dictionary inside an epoch, roll it back, then regrow with
-  // different values — codes are reassigned, and the snapshot must capture
-  // the dictionary as it stands, not as it ever was.
-  db.BeginEpoch();
-  ASSERT_TRUE(db.Insert(e, {Sym("ghost"), V(100)}));
-  db.RollbackEpoch();
-  ASSERT_TRUE(db.Insert(e, {Sym("beta"), V(2)}));
-  ASSERT_TRUE(db.Insert(e, {Sym("alpha"), V(2)}));
-
-  const std::string path = MakeTempDir() + "/epochs.snap";
-  ASSERT_TRUE(datalog::WriteSnapshot(db, path).ok());
-  Result<datalog::Database> loaded = datalog::LoadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->Contains(e, {Sym("alpha"), V(1)}));
-  EXPECT_TRUE(loaded->Contains(e, {Sym("beta"), V(2)}));
-  EXPECT_TRUE(loaded->Contains(e, {Sym("alpha"), V(2)}));
-  EXPECT_FALSE(loaded->Contains(e, {Sym("ghost"), V(100)}));
-  EXPECT_EQ(loaded->size(), 3u);
-  ExpectSnapshotIdempotent(db);
-}
-
-TEST(SnapshotTest, OpenEpochIsRejected) {
-  datalog::Database db;
-  db.BeginEpoch();
-  Status s = datalog::WriteSnapshot(db, MakeTempDir() + "/epoch.snap");
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  db.RollbackEpoch();
-}
-
 TEST(SnapshotTest, TruncationAtEveryByteOffsetFailsCleanly) {
   datalog::Database db;
   const uint32_t e = InternName("E");

@@ -16,6 +16,7 @@
 #include "base/metrics.h"
 #include "base/trace.h"
 #include "datalog/evaluator.h"
+#include "datalog/program.h"
 #include "monotonicity/checker.h"
 #include "net/fault.h"
 #include "net/message_buffer.h"
@@ -119,6 +120,58 @@ TEST_F(ObservabilityTest, CheckerSpanRecordsSearchProgress) {
     EXPECT_GT(args->GetInt("pairs").value(), 0);
   }
   EXPECT_TRUE(saw);
+}
+
+// Batched union checks are observable: every checked pair rides in some
+// batch (worlds answered past a stop are dropped, so the batch worlds sum
+// to at least pairs_checked), an uncapped program never falls back to the
+// per-J replay, each masked run records a datalog.union_batch span, and
+// the verdict is the same with metrics and tracing on or off.
+TEST_F(ObservabilityTest, UnionBatchCountersCoverEveryCheck) {
+  datalog::EvalOptions bytecode;
+  bytecode.engine = datalog::EvalEngine::kBytecode;
+  const datalog::DatalogQuery base = queries::ComplementTcProgram();
+  Result<datalog::DatalogQuery> q = datalog::DatalogQuery::Create(
+      base.program(), base.name(), base.semantics(), bytecode);
+  ASSERT_TRUE(q.ok()) << q.status();
+  ExhaustiveOptions o;
+  o.domain_size = 3;
+  o.max_facts_i = 2;
+  o.fresh_values = 2;
+  o.max_facts_j = 2;
+  o.threads = 1;
+  auto verdict = [&](MonotonicityClass cls) {
+    Result<std::optional<Counterexample>> r = FindViolation(*q, cls, o);
+    if (!r.ok()) return "error: " + r.status().ToString();
+    return r->has_value() ? (*r)->ToString() : std::string("<none>");
+  };
+  const std::string distinct_off = verdict(MonotonicityClass::kDomainDistinct);
+  const std::string disjoint_off = verdict(MonotonicityClass::kDomainDisjoint);
+
+  SetMetricsEnabled(true);
+  Trace::SetEnabled(TracingCompiledIn());
+  MetricRegistry& registry = MetricRegistry::Global();
+  registry.ResetValues();
+  EXPECT_EQ(verdict(MonotonicityClass::kDomainDistinct), distinct_off);
+  EXPECT_EQ(verdict(MonotonicityClass::kDomainDisjoint), disjoint_off);
+  uint64_t pairs = 0;
+  for (const char* cls : {"Mdistinct", "Mdisjoint"}) {
+    pairs += registry
+                 .GetCounter("calm.checker.pairs_checked", {{"class", cls}})
+                 .Value();
+  }
+  const Histogram& worlds =
+      registry.GetHistogram("calm.checker.union_batch_worlds");
+  EXPECT_GT(pairs, 0u);
+  EXPECT_GE(worlds.Sum(), pairs);
+  EXPECT_EQ(worlds.Count(),
+            registry.GetCounter("calm.checker.union_batches").Value());
+  EXPECT_LT(worlds.Count(), pairs) << "no batch held more than one world";
+  EXPECT_EQ(registry.GetCounter("calm.eval.union_batch_fallbacks").Value(),
+            0u);
+  if (TracingCompiledIn()) {
+    EXPECT_GT(Trace::SpanCount("datalog.union_batch"), 0u);
+  }
 }
 
 // A win-move run on a 3-node network: net.step spans reconstruct the tick

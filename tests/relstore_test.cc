@@ -303,168 +303,136 @@ TEST(RelStoreTest, MixedArityOverflowKeepsContainsAndSize) {
   EXPECT_FALSE(store.Contains({V(1), V(2), V(3)}));
 }
 
-// --- Epoch rollback -------------------------------------------------------
+// --- World masks -----------------------------------------------------------
 
-TEST(RelStoreTest, TruncateRowsUnwindsDedupAndIndexes) {
-  RelStore store;
-  store.Insert({V(1), V(2)});
-  store.Insert({V(2), V(3)});
-  EXPECT_EQ(store.Probe(0b01, Tuple{V(1)}).size(), 1u);  // build an index
-  store.Insert({V(1), V(4)});
-  store.Insert({V(3), V(4)});
-  EXPECT_EQ(store.Probe(0b01, Tuple{V(1)}).size(), 2u);  // extend it
-
-  store.TruncateRows(2);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.Contains({V(1), V(2)}));
-  EXPECT_TRUE(store.Contains({V(2), V(3)}));
-  // The removed rows are gone from dedup (reinsertable) and the index.
-  EXPECT_FALSE(store.Contains({V(1), V(4)}));
-  EXPECT_FALSE(store.Contains({V(3), V(4)}));
-  EXPECT_EQ(store.Probe(0b01, Tuple{V(1)}).size(), 1u);
-  EXPECT_TRUE(store.Probe(0b01, Tuple{V(3)}).empty());
-  EXPECT_TRUE(store.Insert({V(1), V(4)}));
-  EXPECT_EQ(store.Probe(0b01, Tuple{V(1)}).size(), 2u);
+// Codes of `t` in `db`'s dictionary (every value already interned).
+std::vector<uint32_t> CodesOf(const Database& db, const Tuple& t) {
+  std::vector<uint32_t> codes;
+  for (Value v : t) codes.push_back(db.dict().Find(v));
+  return codes;
 }
 
-TEST(RelStoreTest, TruncateRowsSurvivesTableGrowthAndCollisions) {
-  // Enough rows to force several dedup-table doublings, then a rollback
-  // across the growth boundary: every surviving row must stay findable
-  // (backward-shift deletion must not break probe chains).
-  RelStore store;
-  constexpr uint64_t kN = 400;
-  for (uint64_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store.Insert({V(i), V(i % 5)}));
-  }
-  EXPECT_EQ(store.Probe(0b10, Tuple{V(0)}).size(), kN / 5);
-  store.TruncateRows(37);
-  EXPECT_EQ(store.size(), 37u);
-  for (uint64_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(store.Contains({V(i), V(i % 5)}), i < 37) << i;
-  }
-  EXPECT_EQ(store.Probe(0b10, Tuple{V(0)}).size(), 8u);  // 0,5,...,35
-  // Reinsert everything: dedup slots freed by the rollback are reusable.
-  for (uint64_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(store.Insert({V(i), V(i % 5)}), i >= 37) << i;
-  }
-  EXPECT_EQ(store.size(), kN);
-}
-
-TEST(RelStoreTest, TruncateRowsWideArity) {
-  RelStore store;
-  for (uint64_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(store.Insert({V(i), V(i + 1), V(i + 2), V(i % 3)}));
-  }
-  EXPECT_EQ(store.Probe(0b1000, Tuple{V(0)}).size(), 17u);
-  store.TruncateRows(10);
-  EXPECT_EQ(store.size(), 10u);
-  EXPECT_TRUE(store.Contains({V(9), V(10), V(11), V(0)}));
-  EXPECT_FALSE(store.Contains({V(10), V(11), V(12), V(1)}));
-  EXPECT_EQ(store.Probe(0b1000, Tuple{V(0)}).size(), 4u);  // i = 0,3,6,9
-  EXPECT_TRUE(store.Insert({V(10), V(11), V(12), V(1)}));
-}
-
-TEST(DatabaseTest, EpochRollbackRestoresStoresDictAndIndexes) {
+TEST(MaskedStoreTest, GainedWorldsGetVersionRows) {
   Database db;
   const uint32_t e = InternName("E");
-  const uint32_t s = InternName("S");
-  db.Insert(e, {V(1), V(2)});
-  db.Insert(s, {V(3)});
-  ASSERT_EQ(db.Store(e)->Probe(0b01, Tuple{V(1)}).size(), 1u);
-  const size_t dict_before = db.dict().size();
-  const Instance before = db.ToInstance();
+  db.EnableMasks(0b111);
+  db.StoreOrCreate(e)->SeedMasked({V(1), V(2)}, 0b001);
+  RelStore* store = db.Store(e);
+  ASSERT_NE(store, nullptr);
+  ASSERT_TRUE(store->masked());
+  const std::vector<uint32_t> codes = CodesOf(db, {V(1), V(2)});
 
-  db.BeginEpoch();
-  EXPECT_EQ(db.EpochDepth(), 1u);
-  db.Insert(e, {V(7), V(8)});               // new values -> dict growth
-  db.Insert(s, {V(1)});
-  db.Insert(InternName("NEW"), {V(9)});     // store created mid-epoch
-  ASSERT_EQ(db.Store(e)->Probe(0b01, Tuple{V(7)}).size(), 1u);
-  EXPECT_GT(db.dict().size(), dict_before);
-
-  db.RollbackEpoch();
-  EXPECT_EQ(db.EpochDepth(), 0u);
-  EXPECT_EQ(db.ToInstance(), before);
-  EXPECT_EQ(db.dict().size(), dict_before);
-  EXPECT_EQ(db.Store(InternName("NEW")), nullptr);
-  EXPECT_FALSE(db.Contains(e, {V(7), V(8)}));
-  EXPECT_TRUE(db.Store(e)->Probe(0b01, Tuple{V(7)}).empty());
-  ASSERT_EQ(db.Store(e)->Probe(0b01, Tuple{V(1)}).size(), 1u);
-
-  // Rolled-back values re-intern cleanly and the store accepts the rows
-  // again (dedup slots were really freed).
-  EXPECT_TRUE(db.Insert(e, {V(7), V(8)}));
-  EXPECT_EQ(db.dict().size(), dict_before + 2);
+  EXPECT_FALSE(store->InsertMasked(codes.data(), 2, 0b001));  // nothing new
+  EXPECT_TRUE(store->InsertMasked(codes.data(), 2, 0b011));
+  EXPECT_EQ(store->row_count(), 2u);
+  EXPECT_EQ(store->RowMask(1), 0b010u);  // only the gained world
+  EXPECT_EQ(store->CodeAt(1, 0), codes[0]);
+  EXPECT_EQ(store->CodeAt(1, 1), codes[1]);
+  EXPECT_TRUE(store->InsertMasked(codes.data(), 2, 0b110));
+  EXPECT_EQ(store->row_count(), 3u);
+  EXPECT_EQ(store->RowMask(2), 0b100u);
+  EXPECT_EQ(store->FullMask(codes.data(), 2), 0b111u);
+  EXPECT_EQ(db.FullMask(e, {V(1), V(2)}), 0b111u);
+  EXPECT_EQ(db.FullMask(e, {V(2), V(1)}), 0u);  // absent fact
+  EXPECT_EQ(db.FullMask(e, {V(9), V(9)}), 0u);  // never-interned values
+  // Version rows are rows: a probe index sees all three.
+  EXPECT_EQ(store->Probe(0b01, Tuple{V(1)}).size(), 3u);
 }
 
-TEST(DatabaseTest, NestedEpochsRollBackIndependently) {
+TEST(MaskedStoreTest, FullMaskIsTheUnionOfRowMasks) {
   Database db;
-  const uint32_t e = InternName("E");
-  db.Insert(e, {V(1), V(2)});
-
-  db.BeginEpoch();
-  db.Insert(e, {V(3), V(4)});
-  const Instance at_depth1 = db.ToInstance();
-
-  db.BeginEpoch();
-  db.Insert(e, {V(5), V(6)});
-  EXPECT_EQ(db.EpochDepth(), 2u);
-  db.RollbackEpoch();
-  EXPECT_EQ(db.ToInstance(), at_depth1);
-  EXPECT_TRUE(db.Contains(e, {V(3), V(4)}));
-  EXPECT_FALSE(db.Contains(e, {V(5), V(6)}));
-
-  db.RollbackEpoch();
-  EXPECT_EQ(db.EpochDepth(), 0u);
-  EXPECT_FALSE(db.Contains(e, {V(3), V(4)}));
-  EXPECT_TRUE(db.Contains(e, {V(1), V(2)}));
+  const uint32_t r = InternName("R");
+  db.EnableMasks(~uint64_t{0});
+  RelStore* store = nullptr;
+  // Enough facts and versions to grow the row lookup table several times,
+  // at an arity that dedups through packed keys and one that does not.
+  for (uint32_t arity : {2u, 3u}) {
+    const uint32_t rel = arity == 2 ? r : InternName("R3");
+    for (uint64_t w = 0; w < 64; w += 7) {
+      for (uint64_t i = 0; i < 40; ++i) {
+        Tuple t = {V(i), V(i % 3)};
+        if (arity == 3) t.push_back(V(i % 5));
+        if (w == 0) {
+          db.StoreOrCreate(rel)->SeedMasked(t, uint64_t{1} << (i % 64));
+        } else {
+          const std::vector<uint32_t> codes = CodesOf(db, t);
+          store = db.Store(rel);
+          store->InsertMasked(codes.data(), arity, uint64_t{1} << ((i + w) % 64));
+        }
+      }
+    }
+    store = db.Store(rel);
+    for (uint64_t i = 0; i < 40; ++i) {
+      Tuple t = {V(i), V(i % 3)};
+      if (arity == 3) t.push_back(V(i % 5));
+      const std::vector<uint32_t> codes = CodesOf(db, t);
+      uint64_t rows_or = 0;
+      for (uint32_t row = 0; row < store->row_count(); ++row) {
+        bool same = true;
+        for (uint32_t c = 0; c < arity; ++c) {
+          same &= store->CodeAt(row, c) == codes[c];
+        }
+        if (same) rows_or |= store->RowMask(row);
+      }
+      EXPECT_EQ(store->FullMask(codes.data(), arity), rows_or) << i;
+      EXPECT_NE(rows_or, 0u);
+      EXPECT_TRUE(store->Contains(t));
+    }
+  }
 }
 
-TEST(DatabaseTest, EpochRollbackRemovesStoreWhoseArityWasFixedInEpoch) {
-  // A store created before the epoch but still empty (arity -1) may get its
-  // arity fixed by the first insert inside the epoch; rollback must return
-  // it to the pristine shell.
+TEST(MaskedStoreTest, SeedingOrsIntoOneRow) {
   Database db;
   const uint32_t e = InternName("E");
-  db.EnsureStores({e});
-  ASSERT_NE(db.Store(e), nullptr);
-  EXPECT_EQ(db.Store(e)->arity(), -1);
+  const uint32_t flag = InternName("Flag");
+  db.EnableMasks(0b1111);
+  db.StoreOrCreate(e)->SeedMasked({V(1), V(2)}, 0b0001);
+  db.StoreOrCreate(e)->SeedMasked({V(1), V(2)}, 0b0100);
+  db.StoreOrCreate(e)->SeedMasked({V(3), V(4)}, 0b1111);
+  db.StoreOrCreate(flag)->SeedMasked({}, 0b0010);
+  db.StoreOrCreate(flag)->SeedMasked({}, 0b1000);
+  const RelStore* store = db.Store(e);
+  EXPECT_EQ(store->row_count(), 2u);
+  EXPECT_EQ(store->RowMask(0), 0b0101u);
+  EXPECT_EQ(store->RowMask(1), 0b1111u);
+  EXPECT_EQ(db.Store(flag)->row_count(), 1u);
+  EXPECT_EQ(db.FullMask(flag, {}), 0b1010u);
+  // A nullary fact that gains a world gets a version row too.
+  RelStore* nullary = db.Store(flag);
+  EXPECT_TRUE(nullary->InsertMasked(nullptr, 0, 0b0011));
+  EXPECT_EQ(nullary->row_count(), 2u);
+  EXPECT_EQ(nullary->RowMask(1), 0b0001u);
+  EXPECT_EQ(db.FullMask(flag, {}), 0b1011u);
+}
 
-  db.BeginEpoch();
-  db.Insert(e, {V(1), V(2), V(3)});
-  EXPECT_EQ(db.Store(e)->arity(), 3);
-  db.RollbackEpoch();
-  ASSERT_NE(db.Store(e), nullptr);
-  EXPECT_EQ(db.Store(e)->arity(), -1);
-  EXPECT_EQ(db.Store(e)->size(), 0u);
-  // And the store is reusable at a different arity afterwards.
+TEST(MaskedStoreTest, ResetLeavesNoMaskedState) {
+  Database db;
+  const uint32_t e = InternName("E");
+  const uint32_t empty_rel = InternName("Unused");
+  db.EnsureStores({empty_rel});
+  db.EnableMasks(0b11);
+  EXPECT_TRUE(db.masked());
+  db.StoreOrCreate(e)->SeedMasked({V(1), V(2)}, 0b01);
+  EXPECT_TRUE(db.Store(empty_rel)->masked());  // empty, yet switched on
+
+  db.Reset();
+  EXPECT_FALSE(db.masked());
+  EXPECT_EQ(db.worlds(), 0u);
+  EXPECT_FALSE(db.Store(e)->masked());
+  EXPECT_FALSE(db.Store(empty_rel)->masked());
+  // Plain inserts and stores created after the reset are unmasked.
   EXPECT_TRUE(db.Insert(e, {V(1), V(2)}));
-  EXPECT_EQ(db.Store(e)->arity(), 2);
-}
+  EXPECT_FALSE(db.Insert(e, {V(1), V(2)}));
+  EXPECT_TRUE(db.Insert(InternName("Later"), {V(5)}));
+  EXPECT_FALSE(db.Store(InternName("Later"))->masked());
+  EXPECT_EQ(db.size(), 2u);
 
-TEST(RelStoreTest, RollbackToRestoresOverflowAndArityZero) {
-  RelStore store;
-  store.Insert({V(1), V(2)});
-  store.Insert({V(1), V(2), V(3)});  // overflow straggler
-  const RelStore::Mark mark = store.MarkNow();
-  store.Insert({V(4), V(5), V(6)});
-  store.Insert({V(7), V(8)});
-  store.RollbackTo(mark);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.Contains({V(1), V(2), V(3)}));
-  EXPECT_FALSE(store.Contains({V(4), V(5), V(6)}));
-  EXPECT_FALSE(store.Contains({V(7), V(8)}));
-
-  RelStore nullary;
-  const RelStore::Mark m0 = nullary.MarkNow();  // arity still -1
-  nullary.Insert(Tuple{});
-  nullary.RollbackTo(m0);
-  EXPECT_EQ(nullary.size(), 0u);
-  EXPECT_FALSE(nullary.Contains(Tuple{}));
-  EXPECT_TRUE(nullary.Insert(Tuple{}));
-  const RelStore::Mark m1 = nullary.MarkNow();
-  nullary.RollbackTo(m1);  // nothing inserted since: no-op
-  EXPECT_TRUE(nullary.Contains(Tuple{}));
+  // Masks switch back on cleanly after a reset.
+  db.Reset();
+  db.EnableMasks(0b1);
+  db.StoreOrCreate(e)->SeedMasked({V(1), V(2)}, 0b1);
+  EXPECT_EQ(db.FullMask(e, {V(1), V(2)}), 0b1u);
+  EXPECT_EQ(db.Store(e)->row_count(), 1u);
 }
 
 }  // namespace

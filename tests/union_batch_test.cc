@@ -1,0 +1,679 @@
+// Parity tests for batched union checks (DESIGN.md "Union checks:
+// world-parallel batches"). One masked fixpoint answering up to 64 J's must
+// report, J by J, exactly what the per-J from-scratch probe and an
+// EvalParts + merge reference report — the same first missing fact or the
+// same error — and the checker's batched sweeps must return the verdicts,
+// witnesses and pair counts of sweeps that ask one J at a time.
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "base/durable.h"
+#include "base/enumerator.h"
+#include "base/instance.h"
+#include "base/metrics.h"
+#include "base/query.h"
+#include "datalog/evaluator.h"
+#include "datalog/parser.h"
+#include "datalog/prepared.h"
+#include "datalog/program.h"
+#include "monotonicity/checker.h"
+#include "monotonicity/ladder.h"
+#include "queries/graph_queries.h"
+#include "queries/paper_programs.h"
+#include "workload/fuzzer.h"
+
+namespace calm::datalog {
+namespace {
+
+Value V(uint64_t i) { return Value::FromInt(i); }
+
+size_t Rand(std::mt19937& rng, size_t bound) {
+  return std::uniform_int_distribution<size_t>(0, bound - 1)(rng);
+}
+
+bool Chance(std::mt19937& rng, double p) {
+  return std::uniform_real_distribution<double>(0.0, 1.0)(rng) < p;
+}
+
+// The engine-diff vocabulary (tests/engine_diff_test.cc) plus Adom: stratum
+// 0 is edb, negation only references strictly lower strata, so generated
+// programs are always stratifiable.
+struct RelSpec {
+  const char* name;
+  uint32_t arity;
+  size_t stratum;
+};
+
+constexpr RelSpec kRels[] = {
+    {"E", 2, 0}, {"F", 1, 0}, {"G", 3, 0}, {"Adom", 1, 0},  // edb
+    {"P", 2, 1}, {"Q", 1, 1},                               // idb, stratum 1
+    {"R", 2, 2}, {"S", 1, 2},                               // idb, stratum 2
+};
+constexpr size_t kNumRels = sizeof(kRels) / sizeof(kRels[0]);
+constexpr const char* kVars[] = {"x", "y", "z", "w", "v"};
+
+// Random rules with constants, negation (Adom included), and inequalities.
+std::string RandomRule(std::mt19937& rng, size_t head) {
+  const size_t stratum = kRels[head].stratum;
+  std::vector<std::string> bound;
+  std::string body;
+  const size_t natoms = 1 + Rand(rng, 3);
+  for (size_t a = 0; a < natoms; ++a) {
+    size_t rel = Rand(rng, kNumRels);
+    while (kRels[rel].stratum > stratum) rel = Rand(rng, kNumRels);
+    if (!body.empty()) body += ", ";
+    body += kRels[rel].name;
+    body += '(';
+    for (uint32_t i = 0; i < kRels[rel].arity; ++i) {
+      if (i > 0) body += ", ";
+      if (Chance(rng, 0.15)) {
+        body += std::to_string(Rand(rng, 5));
+      } else {
+        const char* var = kVars[Rand(rng, 5)];
+        body += var;
+        bound.push_back(var);
+      }
+    }
+    body += ')';
+  }
+  auto bound_or_const = [&]() -> std::string {
+    if (!bound.empty() && !Chance(rng, 0.1)) {
+      return bound[Rand(rng, bound.size())];
+    }
+    return std::to_string(Rand(rng, 5));
+  };
+  if (Chance(rng, 0.4) && stratum > 0) {
+    size_t rel = Rand(rng, kNumRels);
+    while (kRels[rel].stratum >= stratum) rel = Rand(rng, kNumRels);
+    body += ", !";
+    body += kRels[rel].name;
+    body += '(';
+    for (uint32_t i = 0; i < kRels[rel].arity; ++i) {
+      if (i > 0) body += ", ";
+      body += bound_or_const();
+    }
+    body += ')';
+  }
+  if (Chance(rng, 0.3) && !bound.empty()) {
+    body += ", " + bound[Rand(rng, bound.size())] + " != " + bound_or_const();
+  }
+  std::string rule = kRels[head].name;
+  rule += '(';
+  for (uint32_t i = 0; i < kRels[head].arity; ++i) {
+    if (i > 0) rule += ", ";
+    rule += bound_or_const();
+  }
+  rule += ") :- " + body + ".";
+  return rule;
+}
+
+std::string RandomProgram(std::mt19937& rng) {
+  std::string text;
+  for (size_t rel = 0; rel < kNumRels; ++rel) {
+    if (kRels[rel].stratum == 0) continue;
+    const size_t nrules = 1 + Rand(rng, 3);
+    for (size_t r = 0; r < nrules; ++r) {
+      text += RandomRule(rng, rel);
+      text += '\n';
+    }
+  }
+  return text + ".output P, Q, R, S\n";
+}
+
+Instance RandomBase(std::mt19937& rng) {
+  Instance in;
+  const size_t nfacts = Rand(rng, 12);
+  for (size_t i = 0; i < nfacts; ++i) {
+    switch (Rand(rng, 3)) {
+      case 0:
+        in.Insert(Fact("E", {V(Rand(rng, 5)), V(Rand(rng, 5))}));
+        break;
+      case 1:
+        in.Insert(Fact("F", {V(Rand(rng, 5))}));
+        break;
+      default:
+        in.Insert(
+            Fact("G", {V(Rand(rng, 5)), V(Rand(rng, 5)), V(Rand(rng, 5))}));
+        break;
+    }
+  }
+  return in;
+}
+
+// J's mix old values (0..4) with fresh ones (100..102), so facts repeat
+// across the worlds of one batch, and sometimes carry an IDB fact, which
+// the input schema drops. The empty J is among them.
+Instance RandomJ(std::mt19937& rng) {
+  Instance j;
+  const size_t nfacts = Rand(rng, 4);
+  auto val = [&]() {
+    return Chance(rng, 0.5) ? V(Rand(rng, 5)) : V(100 + Rand(rng, 3));
+  };
+  for (size_t i = 0; i < nfacts; ++i) {
+    switch (Rand(rng, 8)) {
+      case 0:
+        j.Insert(Fact("F", {val()}));
+        break;
+      case 1:
+        j.Insert(Fact("G", {val(), val(), val()}));
+        break;
+      case 2:
+        j.Insert(Fact("P", {val(), val()}));  // idb: not input
+        break;
+      default:
+        j.Insert(Fact("E", {val(), val()}));
+        break;
+    }
+  }
+  return j;
+}
+
+EvalOptions BytecodeOptions(size_t cap = 0) {
+  EvalOptions options;
+  options.engine = EvalEngine::kBytecode;
+  if (cap > 0) options.max_total_facts = cap;
+  return options;
+}
+
+std::string Describe(const Result<std::optional<Fact>>& r) {
+  if (!r.ok()) return "error: " + r.status().ToString();
+  return r->has_value() ? FactToString(**r) : "<none>";
+}
+
+// The reference union check: materialize Q(base ∪ j) through EvalParts and
+// merge Q(base)'s sorted facts against it.
+Result<std::optional<Fact>> ReferenceFirstMissing(
+    const DatalogQuery& q, const Instance& base, const Instance& j,
+    const std::vector<Fact>& probe) {
+  CALM_ASSIGN_OR_RETURN(Instance out, q.prepared().EvalParts(
+                                          {&base, &j}, &q.input_schema(),
+                                          &q.output_schema()));
+  std::vector<Fact> facts;
+  out.ForEachFact(
+      [&](uint32_t name, const Tuple& t) { facts.emplace_back(name, t); });
+  auto it = facts.begin();
+  for (const Fact& f : probe) {
+    while (it != facts.end() && *it < f) ++it;
+    if (it == facts.end() || !(*it == f)) return std::optional<Fact>(f);
+  }
+  return std::optional<Fact>();
+}
+
+// Three routes answer every J of the seeded corpus identically:
+// FirstRetractedBatch (one masked fixpoint per batch, or its per-J replay
+// after a failed run), the per-J from-scratch probe, and the EvalParts +
+// merge reference — the same first missing fact, or the same error under a
+// small max_total_facts. A masked run that succeeds must also mean every
+// world's own run succeeds.
+TEST(UnionBatchTest, BatchMatchesPerJProbeAndReference) {
+  const size_t kSizes[] = {1, 2, 7, 63, 64};
+  size_t checks = 0, errors = 0, missing = 0, capped_batches = 0,
+         failed_batches = 0;
+  for (size_t cap : {size_t{0}, size_t{14}, size_t{40}}) {
+    for (unsigned seed = 0; seed < 80; ++seed) {
+      std::mt19937 rng(9000 + seed);
+      Result<Program> program = Parse(RandomProgram(rng));
+      ASSERT_TRUE(program.ok()) << "generator bug, seed " << seed;
+      Result<DatalogQuery> q =
+          DatalogQuery::Create(*program, "random", DatalogQuery::Semantics::kStratified,
+                               BytecodeOptions(cap));
+      ASSERT_TRUE(q.ok()) << "seed " << seed << ": " << q.status();
+      ASSERT_TRUE(q->prepared().SupportsUnionBatch());
+      const Instance base = RandomBase(rng);
+      std::vector<Fact> probe;
+      if (!q->EvalFacts(base, &probe).ok()) continue;  // Q(I) over the cap
+
+      const size_t n = kSizes[seed % 5];
+      std::vector<Instance> js;
+      for (size_t k = 0; k < n; ++k) js.push_back(RandomJ(rng));
+      if (n > 2) {
+        js[n - 1] = Instance();  // an empty J
+        js[n - 2] = js[0];       // a J repeated whole
+      }
+      std::vector<const Instance*> ptrs;
+      for (const Instance& j : js) ptrs.push_back(&j);
+
+      std::unique_ptr<UnionEvaluator> ev = q->MakeUnionEvaluator(base);
+      EXPECT_EQ(ev->MaxBatch(), PreparedProgram::kMaxUnionBatch);
+      std::vector<Result<std::optional<Fact>>> got;
+      ev->FirstRetractedBatch(ptrs, probe, &got);
+      ASSERT_EQ(got.size(), n);
+
+      std::vector<std::optional<Fact>> masked;
+      const Status batch = q->prepared().FirstMissingBatch(
+          base, ptrs, &q->input_schema(), probe, &masked);
+      if (cap > 0 && n > 1) ++(batch.ok() ? capped_batches : failed_batches);
+
+      for (size_t k = 0; k < n; ++k) {
+        const std::string ctx = "cap " + std::to_string(cap) + " seed " +
+                                std::to_string(seed) + " world " +
+                                std::to_string(k) + "/" + std::to_string(n) +
+                                ": " + js[k].ToString() +
+                                "\nbase: " + base.ToString();
+        const std::string want =
+            Describe(ReferenceFirstMissing(*q, base, js[k], probe));
+        const Result<std::optional<Fact>> per_j =
+            q->prepared().FirstMissing({&base, &js[k]}, &q->input_schema(),
+                                       probe);
+        EXPECT_EQ(want, Describe(per_j)) << "per-J probe, " << ctx;
+        EXPECT_EQ(want, Describe(got[k])) << "batch, " << ctx;
+        if (batch.ok()) {
+          EXPECT_TRUE(per_j.ok()) << "the masked run succeeded but this "
+                                     "world's own run failed, "
+                                  << ctx;
+          EXPECT_EQ(want, Describe(masked[k])) << "masked run, " << ctx;
+        }
+        ++checks;
+        errors += want.rfind("error", 0) == 0;
+        missing += want.find('(') != std::string::npos;
+      }
+    }
+  }
+  EXPECT_GT(checks, 5000u);
+  EXPECT_GT(errors, 0u);
+  EXPECT_GT(missing, 0u);
+  EXPECT_GT(capped_batches, 0u) << "no capped batch ran masked";
+  EXPECT_GT(failed_batches, 0u) << "no batch took the per-J replay";
+}
+
+// A batch run leaves the thread-local scratch plain: the next from-scratch
+// evaluation on this thread — after a successful batch and after one that
+// hit max_total_facts — sees no world masks.
+TEST(UnionBatchTest, ScratchIsPlainAfterABatch) {
+  DatalogQuery q = DatalogQuery::FromTextOrDie(
+      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
+      "O(x, y) :- Adom(x), Adom(y), !T(x, y).",
+      "qtc", DatalogQuery::Semantics::kStratified, BytecodeOptions());
+  DatalogQuery capped = DatalogQuery::FromTextOrDie(
+      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
+      "O(x, y) :- Adom(x), Adom(y), !T(x, y).",
+      "qtc-capped", DatalogQuery::Semantics::kStratified, BytecodeOptions(12));
+  Instance base;
+  base.Insert(Fact("E", {V(0), V(1)}));
+  base.Insert(Fact("E", {V(1), V(2)}));
+  Instance a;
+  a.Insert(Fact("E", {V(2), V(0)}));
+  Instance b;
+  b.Insert(Fact("E", {V(100), V(101)}));
+  const std::vector<const Instance*> js = {&a, &b};
+
+  Result<Instance> fresh = q.EvalUnion(base, a);
+  ASSERT_TRUE(fresh.ok());
+  std::vector<Fact> probe;
+  ASSERT_TRUE(q.EvalFacts(base, &probe).ok());
+  std::vector<std::optional<Fact>> out;
+  ASSERT_TRUE(q.prepared()
+                  .FirstMissingBatch(base, js, &q.input_schema(), probe, &out)
+                  .ok());
+  ASSERT_TRUE(out[0].has_value());  // closing the cycle retracts O facts
+  EXPECT_FALSE(out[1].has_value());
+  Result<Instance> after = q.EvalUnion(base, a);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(fresh->ToString(), after->ToString());
+
+  EXPECT_FALSE(capped.prepared()
+                   .FirstMissingBatch(base, js, &capped.input_schema(), probe,
+                                      &out)
+                   .ok());
+  after = q.EvalUnion(base, a);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(fresh->ToString(), after->ToString());
+}
+
+// Configurations the masked route does not serve keep the per-J default.
+TEST(UnionBatchTest, UnsupportedConfigurationsAskOneJAtATime) {
+  const std::string text = "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).";
+  EvalOptions tree;
+  tree.engine = EvalEngine::kTree;
+  EvalOptions naive = BytecodeOptions();
+  naive.semi_naive = false;
+  for (const EvalOptions& options : {tree, naive}) {
+    DatalogQuery q = DatalogQuery::FromTextOrDie(
+        text + " .output T", "tc", DatalogQuery::Semantics::kStratified,
+        options);
+    EXPECT_FALSE(q.prepared().SupportsUnionBatch());
+    Instance i;
+    EXPECT_EQ(q.MakeUnionEvaluator(i)->MaxBatch(), 1u);
+  }
+  DatalogQuery wf = queries::WinMoveProgram();
+  Instance i;
+  EXPECT_EQ(wf.MakeUnionEvaluator(i)->MaxBatch(), 1u);
+  EXPECT_EQ(queries::MakeTransitiveClosure()->MakeUnionEvaluator(i)->MaxBatch(),
+            1u);
+}
+
+// UnionEvaluator parity at the Query layer: the closure-matrix evaluators of
+// TC and Q_TC report the byte-identical first-retracted fact the generic
+// overlay evaluator reports, pair by pair.
+TEST(UnionEvaluatorTest, EngineEvaluatorsMatchOverlayRoute) {
+  std::vector<std::unique_ptr<Query>> queries;
+  queries.push_back(queries::MakeTransitiveClosure());
+  queries.push_back(queries::MakeComplementTransitiveClosure());
+
+  for (const auto& q : queries) {
+    for (unsigned seed = 0; seed < 20; ++seed) {
+      std::mt19937 rng(8000 + seed);
+      Instance i;
+      const size_t nedges = Rand(rng, 6);
+      for (size_t k = 0; k < nedges; ++k) {
+        i.Insert(Fact("E", {V(Rand(rng, 4)), V(Rand(rng, 4))}));
+      }
+      std::vector<Fact> base;
+      ASSERT_TRUE(q->EvalFacts(i, &base).ok());
+      std::unique_ptr<UnionEvaluator> engine = q->MakeUnionEvaluator(i);
+      std::unique_ptr<UnionEvaluator> overlay =
+          MakeOverlayUnionEvaluator(*q, i);
+      for (int pair = 0; pair < 8; ++pair) {
+        Instance j;
+        const size_t jedges = Rand(rng, 3);
+        for (size_t k = 0; k < jedges; ++k) {
+          // Old, fresh, and bridging endpoints: exercises the fresh-component
+          // shortcut, the remap/saturate path, and real retractions (a new
+          // edge between base vertices can shrink Q_TC).
+          auto val = [&]() {
+            return Chance(rng, 0.5) ? V(Rand(rng, 4)) : V(200 + Rand(rng, 2));
+          };
+          j.Insert(Fact("E", {val(), val()}));
+        }
+        Result<std::optional<Fact>> a = engine->FirstRetracted(j, base);
+        Result<std::optional<Fact>> b = overlay->FirstRetracted(j, base);
+        ASSERT_TRUE(a.ok() && b.ok()) << q->name() << " seed " << seed;
+        EXPECT_EQ(Describe(a), Describe(b))
+            << q->name() << " seed " << seed << "\ni: " << i.ToString()
+            << "\nj: " << j.ToString();
+      }
+    }
+  }
+}
+
+// --- Checker level ----------------------------------------------------------
+
+// A Query forwarding everything to `inner`, except that its union evaluator
+// forwards FirstRetracted only: it keeps the default per-J batch, so sweeps
+// over it check one J at a time.
+class PerJQuery : public Query {
+ public:
+  explicit PerJQuery(const Query& inner) : inner_(inner) {}
+  const Schema& input_schema() const override { return inner_.input_schema(); }
+  const Schema& output_schema() const override {
+    return inner_.output_schema();
+  }
+  std::string name() const override { return inner_.name(); }
+  Result<Instance> Eval(const Instance& input) const override {
+    return inner_.Eval(input);
+  }
+  Result<Instance> EvalUnion(const Instance& a,
+                             const Instance& b) const override {
+    return inner_.EvalUnion(a, b);
+  }
+  Status EvalFacts(const Instance& input,
+                   std::vector<Fact>* out) const override {
+    return inner_.EvalFacts(input, out);
+  }
+  std::unique_ptr<UnionEvaluator> MakeUnionEvaluator(
+      const Instance& i) const override {
+    return std::make_unique<PerJEvaluator>(inner_.MakeUnionEvaluator(i));
+  }
+
+ private:
+  class PerJEvaluator : public UnionEvaluator {
+   public:
+    explicit PerJEvaluator(std::unique_ptr<UnionEvaluator> inner)
+        : inner_(std::move(inner)) {}
+    Result<std::optional<Fact>> FirstRetracted(
+        const Instance& j, const std::vector<Fact>& base_facts) override {
+      return inner_->FirstRetracted(j, base_facts);
+    }
+
+   private:
+    std::unique_ptr<UnionEvaluator> inner_;
+  };
+
+  const Query& inner_;
+};
+
+uint64_t CounterTotal(const char* name) {
+  uint64_t total = 0;
+  for (const char* cls : {"M", "Mdistinct", "Mdisjoint"}) {
+    total += MetricRegistry::Global().GetCounter(name, {{"class", cls}}).Value();
+  }
+  return total;
+}
+
+struct SweepRecord {
+  std::string verdicts;  // ladder table and witnesses, or the error
+  uint64_t pairs = 0;
+  uint64_t instances = 0;
+};
+
+SweepRecord RunLadder(const Query& q, const monotonicity::ExhaustiveOptions& o,
+                      size_t max_i) {
+  const uint64_t pairs0 = CounterTotal("calm.checker.pairs_checked");
+  const uint64_t inst0 = CounterTotal("calm.checker.instances_examined");
+  Result<monotonicity::Ladder> ladder = monotonicity::ComputeLadder(q, max_i, o);
+  SweepRecord rec;
+  if (!ladder.ok()) {
+    rec.verdicts = "error: " + ladder.status().ToString();
+  } else {
+    rec.verdicts = ladder->ToString();
+    for (const monotonicity::LadderRow& row : ladder->rows) {
+      for (const auto* w : {&row.m_witness, &row.distinct_witness,
+                            &row.disjoint_witness}) {
+        rec.verdicts += w->has_value() ? (*w)->ToString() + "\n" : "-\n";
+      }
+    }
+  }
+  rec.pairs = CounterTotal("calm.checker.pairs_checked") - pairs0;
+  rec.instances = CounterTotal("calm.checker.instances_examined") - inst0;
+  return rec;
+}
+
+SweepRecord RunFindViolation(const Query& q, monotonicity::MonotonicityClass cls,
+                             const monotonicity::ExhaustiveOptions& o) {
+  const uint64_t pairs0 = CounterTotal("calm.checker.pairs_checked");
+  const uint64_t inst0 = CounterTotal("calm.checker.instances_examined");
+  Result<std::optional<monotonicity::Counterexample>> r =
+      monotonicity::FindViolation(q, cls, o);
+  SweepRecord rec;
+  rec.verdicts = !r.ok()            ? "error: " + r.status().ToString()
+                 : r->has_value() ? (*r)->ToString()
+                                  : "<no violation>";
+  rec.pairs = CounterTotal("calm.checker.pairs_checked") - pairs0;
+  rec.instances = CounterTotal("calm.checker.instances_examined") - inst0;
+  return rec;
+}
+
+// Specimens and fuzzer programs, pinned to the bytecode engine so the
+// masked route runs under every CI engine leg.
+std::vector<DatalogQuery> CheckerCorpus() {
+  std::vector<DatalogQuery> out;
+  auto add = [&](const DatalogQuery& q) {
+    Result<DatalogQuery> pinned =
+        DatalogQuery::Create(q.program(), q.name(), q.semantics(),
+                             BytecodeOptions());
+    ASSERT_TRUE(pinned.ok()) << q.name();
+    out.push_back(std::move(pinned).value());
+  };
+  add(queries::ComplementTcProgram());
+  add(queries::Example51P1());
+  add(queries::Example51P2());
+  add(queries::CliqueProgram(3));
+  add(queries::StarProgram(2));
+  add(queries::DuplicateProgram(2));
+  for (size_t shape = 0; shape + 1 < workload::kProgramShapeCount; ++shape) {
+    for (uint64_t seed : {3, 11}) {
+      workload::FuzzerOptions fo;
+      fo.seed = seed;
+      fo.shape = static_cast<workload::ProgramShape>(shape);
+      workload::GeneratedProgram gp = workload::GenerateProgram(fo);
+      add(DatalogQuery::FromTextOrDie(
+          gp.text, std::string(workload::ProgramShapeName(fo.shape)) + "-" +
+                       std::to_string(seed),
+          gp.semantics));
+    }
+  }
+  return out;
+}
+
+// Ladders and one-cell sweeps over the batched route return the verdicts
+// and witnesses of per-J sweeps, at 1 and 4 checker threads, with the
+// symmetry reduction on (kAuto) and off; serial sweeps also check and
+// examine exactly as many pairs and instances.
+TEST(UnionBatchCheckerTest, SweepsMatchPerJSweeps) {
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(true);
+  size_t violations = 0;
+  for (const DatalogQuery& q : CheckerCorpus()) {
+    PerJQuery per_j(q);
+    for (SymmetryMode symmetry : {SymmetryMode::kAuto, SymmetryMode::kOff}) {
+      for (size_t threads : {1u, 4u}) {
+        monotonicity::ExhaustiveOptions o;
+        o.domain_size = 2;
+        o.max_facts_i = 2;
+        o.fresh_values = 2;
+        o.threads = threads;
+        o.symmetry = symmetry;
+        const std::string ctx = q.name() + " threads " +
+                                std::to_string(threads) + " symmetry " +
+                                std::to_string(static_cast<int>(symmetry));
+        const SweepRecord a = RunLadder(q, o, 2);
+        const SweepRecord b = RunLadder(per_j, o, 2);
+        EXPECT_EQ(a.verdicts, b.verdicts) << "ladder, " << ctx;
+        violations += a.verdicts.find("retracted") != std::string::npos;
+        for (auto cls : {monotonicity::MonotonicityClass::kMonotone,
+                         monotonicity::MonotonicityClass::kDomainDisjoint}) {
+          o.max_facts_j = 2;
+          const SweepRecord c = RunFindViolation(q, cls, o);
+          const SweepRecord d = RunFindViolation(per_j, cls, o);
+          EXPECT_EQ(c.verdicts, d.verdicts) << "one cell, " << ctx;
+          if (threads == 1) {
+            EXPECT_EQ(c.pairs, d.pairs) << "one cell, " << ctx;
+            EXPECT_EQ(c.instances, d.instances) << "one cell, " << ctx;
+          }
+        }
+        if (threads == 1) {
+          EXPECT_EQ(a.pairs, b.pairs) << "ladder, " << ctx;
+          EXPECT_EQ(a.instances, b.instances) << "ladder, " << ctx;
+          EXPECT_GT(a.pairs, 0u) << ctx;
+        }
+      }
+    }
+  }
+  SetMetricsEnabled(metrics_were_on);
+  EXPECT_GT(violations, 0u);
+}
+
+// Forwards every call, batches included, and raises `cancel` once `after`
+// batches have been asked: a deterministic mid-sweep cancel at one thread.
+class CancellingQuery : public Query {
+ public:
+  CancellingQuery(const Query& inner, std::atomic<bool>* cancel, size_t after)
+      : inner_(inner), cancel_(cancel), after_(after) {}
+  const Schema& input_schema() const override { return inner_.input_schema(); }
+  const Schema& output_schema() const override {
+    return inner_.output_schema();
+  }
+  std::string name() const override { return inner_.name(); }
+  Result<Instance> Eval(const Instance& input) const override {
+    return inner_.Eval(input);
+  }
+  Status EvalFacts(const Instance& input,
+                   std::vector<Fact>* out) const override {
+    return inner_.EvalFacts(input, out);
+  }
+  std::unique_ptr<UnionEvaluator> MakeUnionEvaluator(
+      const Instance& i) const override {
+    return std::make_unique<Evaluator>(inner_.MakeUnionEvaluator(i), this);
+  }
+
+ private:
+  class Evaluator : public UnionEvaluator {
+   public:
+    Evaluator(std::unique_ptr<UnionEvaluator> inner,
+              const CancellingQuery* owner)
+        : inner_(std::move(inner)), owner_(owner) {}
+    Result<std::optional<Fact>> FirstRetracted(
+        const Instance& j, const std::vector<Fact>& base_facts) override {
+      return inner_->FirstRetracted(j, base_facts);
+    }
+    void FirstRetractedBatch(
+        const std::vector<const Instance*>& js,
+        const std::vector<Fact>& base_facts,
+        std::vector<Result<std::optional<Fact>>>* out) override {
+      if (++owner_->batches_ >= owner_->after_) owner_->cancel_->store(true);
+      inner_->FirstRetractedBatch(js, base_facts, out);
+    }
+    size_t MaxBatch() const override { return inner_->MaxBatch(); }
+
+   private:
+    std::unique_ptr<UnionEvaluator> inner_;
+    const CancellingQuery* owner_;
+  };
+
+  const Query& inner_;
+  std::atomic<bool>* cancel_;
+  size_t after_;
+  mutable size_t batches_ = 0;
+};
+
+std::string MakeTempDir() {
+  static int n = 0;
+  std::string dir = ::testing::TempDir() + "calm_union_batch_" +
+                    std::to_string(::getpid()) + "_" + std::to_string(n++);
+  EXPECT_TRUE(durable::MakeDirs(dir).ok());
+  return dir;
+}
+
+// A journaled one-cell sweep over the batched route, cancelled partway and
+// resumed, ends with the per-J sweep's verdict and witness.
+TEST(UnionBatchCheckerTest, CancelledCheckpointedSweepResumes) {
+  DatalogQuery q = DatalogQuery::FromTextOrDie(
+      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
+      "O(x, y) :- Adom(x), Adom(y), !T(x, y).",
+      "qtc-resume", DatalogQuery::Semantics::kStratified, BytecodeOptions());
+  monotonicity::ExhaustiveOptions o;
+  o.domain_size = 3;
+  o.max_facts_i = 2;
+  o.fresh_values = 2;
+  o.max_facts_j = 2;
+  o.threads = 1;
+  o.symmetry = SymmetryMode::kOff;
+  for (auto cls : {monotonicity::MonotonicityClass::kMonotone,
+                   monotonicity::MonotonicityClass::kDomainDisjoint}) {
+    Result<std::optional<monotonicity::Counterexample>> want =
+        monotonicity::FindViolation(PerJQuery(q), cls, o);
+    ASSERT_TRUE(want.ok());
+
+    monotonicity::ExhaustiveOptions journaled = o;
+    journaled.checkpoint_dir = MakeTempDir();
+    std::atomic<bool> cancel{false};
+    journaled.cancel = &cancel;
+    CancellingQuery cancelling(q, &cancel, 3);
+    Result<std::optional<monotonicity::Counterexample>> first =
+        monotonicity::FindViolation(cancelling, cls, journaled);
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.status().code(), StatusCode::kDeadlineExceeded);
+
+    cancel.store(false);
+    CancellingQuery resumed_query(q, &cancel, SIZE_MAX);
+    Result<std::optional<monotonicity::Counterexample>> resumed =
+        monotonicity::FindViolation(resumed_query, cls, journaled);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    ASSERT_EQ(want->has_value(), resumed->has_value());
+    if (want->has_value()) {
+      EXPECT_EQ((*want)->ToString(), (*resumed)->ToString());
+    }
+  }
+}
+
+}  // namespace
+}  // namespace calm::datalog

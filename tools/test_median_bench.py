@@ -50,16 +50,16 @@ class MedianBenchTest(unittest.TestCase):
             self.assertEqual(len(doc["benchmarks"]), 1)
             self.assertEqual(doc["benchmarks"][0]["cpu_time"], 2.0)
 
-    def test_incremental_overlay_names_collapse_like_any_other(self):
+    def test_union_batch_names_collapse_like_any_other(self):
         # The baseline-refresh job feeds these exact names through the
         # collapse; pin them so a rename shows up here, not as a silently
         # skipped --strict gate.
         out = median_bench.median_entries(
-            [entry("BM_EvalIncrementalOverlay/32", t) for t in (3.0, 1.0, 2.0)]
+            [entry("BM_UnionCheckBatch/1", t) for t in (3.0, 1.0, 2.0)]
             + [entry("BM_FindViolationCanonical", 5.0)])
         self.assertEqual([(e["name"], e["cpu_time"]) for e in out],
-                         [("BM_EvalIncrementalOverlay/32", 2.0),
-                          ("BM_FindViolationCanonical", 5.0)])
+                         [("BM_FindViolationCanonical", 5.0),
+                          ("BM_UnionCheckBatch/1", 2.0)])
 
     def test_bad_argv_is_usage_error(self):
         self.assertEqual(median_bench.main(["only-one"]), 2)
