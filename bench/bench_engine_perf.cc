@@ -330,15 +330,11 @@ BENCHMARK(BM_EvalPreparedThreads)
     ->UseRealTime();
 
 // Union checks against one I, 64 J's at a time: Arg(1) answers each batch
-// with one world-masked fixpoint (FirstRetractedBatch), Arg(0) asks the
-// same evaluator one J at a time (the from-scratch probe). The layer probe
-// behind the checker's batched union checks; the program is the complement
-// of TC (Adom, negation), the shape of the paper's Mdistinct separations.
-void BM_UnionCheckBatch(benchmark::State& state) {
-  datalog::DatalogQuery q = datalog::DatalogQuery::FromTextOrDie(
-      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
-      "O(x, y) :- Adom(x), Adom(y), !T(x, y).",
-      "qtc-union-batch");
+// with one world-masked run (FirstRetractedBatch), Arg(0) asks the same
+// evaluator one J at a time (the from-scratch probe). The layer probe
+// behind the checker's batched union checks.
+void RunUnionCheckBatch(benchmark::State& state,
+                        const datalog::DatalogQuery& q) {
   Instance input = workload::RandomGraphM(4, 4, /*seed=*/7);
   std::vector<Fact> base;
   if (!q.EvalFacts(input, &base).ok()) {
@@ -375,7 +371,28 @@ void BM_UnionCheckBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * js.size());
 }
+
+// The complement of TC (Adom, negation), the shape of the paper's
+// Mdistinct separations.
+void BM_UnionCheckBatch(benchmark::State& state) {
+  RunUnionCheckBatch(state, datalog::DatalogQuery::FromTextOrDie(
+                                "T(x, y) :- E(x, y). T(x, z) :- T(x, y), "
+                                "E(y, z).\n"
+                                "O(x, y) :- Adom(x), Adom(y), !T(x, y).",
+                                "qtc-union-batch"));
+}
 BENCHMARK(BM_UnionCheckBatch)->Arg(0)->Arg(1);
+
+// The same 64 J's over the same 4-vertex graph as a win-move game under the
+// well-founded semantics: Arg(1) answers each batch with one masked
+// alternation, Arg(0) runs the alternation once per J.
+void BM_UnionCheckBatchWellFounded(benchmark::State& state) {
+  RunUnionCheckBatch(state, datalog::DatalogQuery::FromTextOrDie(
+                                "Win(x) :- E(x, y), !Win(y).\n.output Win",
+                                "win-move-union-batch",
+                                datalog::DatalogQuery::Semantics::kWellFounded));
+}
+BENCHMARK(BM_UnionCheckBatchWellFounded)->Arg(0)->Arg(1);
 
 void BM_EvalCompileEveryCall(benchmark::State& state) {
   Instance input =

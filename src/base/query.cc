@@ -12,10 +12,7 @@ namespace {
 
 // The default union evaluator: i ∪ j is maintained as an overlay on a
 // persistent copy of i — j's facts are inserted before the evaluation and
-// erased after, so no per-pair Instance::Union copy is ever made. The union
-// evaluation deliberately bypasses any result cache: canonicalizing every
-// (i, j) pair costs more than a direct evaluation at the tiny bounds the
-// sweeps run at, and unions rarely repeat within one search anyway.
+// erased after, so no per-pair Instance::Union copy is ever made.
 class OverlayUnionEvaluator : public UnionEvaluator {
  public:
   OverlayUnionEvaluator(const Query& query, const Instance& i)
@@ -71,13 +68,15 @@ std::unique_ptr<UnionEvaluator> Query::MakeUnionEvaluator(
   return MakeOverlayUnionEvaluator(*this, i);
 }
 
-Status CheckGenericity(const Query& query, const Instance& input,
-                       const std::map<Value, Value>& pi) {
-  Result<Instance> direct = query.Eval(input);
-  if (!direct.ok()) return direct.status();
+namespace {
+
+// CheckGenericity past its direct evaluation: `direct` is Q(input).
+Status CheckPermuted(const Query& query, const Instance& input,
+                     const Instance& direct,
+                     const std::map<Value, Value>& pi) {
   Result<Instance> permuted = query.Eval(ApplyValueMap(input, pi));
   if (!permuted.ok()) return permuted.status();
-  Instance expected = ApplyValueMap(direct.value(), pi);
+  Instance expected = ApplyValueMap(direct, pi);
   if (expected != permuted.value()) {
     return InternalError("genericity violated for query '" + query.name() +
                          "' on input " + input.ToString() + ": Q(pi(I)) = " +
@@ -85,6 +84,15 @@ Status CheckGenericity(const Query& query, const Instance& input,
                          expected.ToString());
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+Status CheckGenericity(const Query& query, const Instance& input,
+                       const std::map<Value, Value>& pi) {
+  Result<Instance> direct = query.Eval(input);
+  if (!direct.ok()) return direct.status();
+  return CheckPermuted(query, input, direct.value(), pi);
 }
 
 Status ProbeGenericity(const Query& query, size_t domain_size,
@@ -120,10 +128,14 @@ Status ProbeGenericity(const Query& query, size_t domain_size,
   if (space.empty() || samples == 0) return Status::Ok();
   size_t take = std::min(samples, space.size());
   size_t stride = space.size() / take;
+  // CheckGenericity per permutation, with Q(probe) evaluated once per
+  // sample: the same verdicts, statuses and messages.
   for (size_t s = 0; s < take; ++s) {
     const Instance& probe = space[s * stride];
+    Result<Instance> direct = query.Eval(probe);
+    if (!direct.ok()) return direct.status();
     for (const std::map<Value, Value>& pi : perms) {
-      Status st = CheckGenericity(query, probe, pi);
+      Status st = CheckPermuted(query, probe, direct.value(), pi);
       if (!st.ok()) return st;
     }
   }

@@ -33,9 +33,9 @@ class UnionEvaluator {
   // FirstRetracted for a batch of j's: `out` is resized to js.size() and
   // (*out)[k] is exactly FirstRetracted(*js[k], base_facts), errors
   // included. The default asks one j at a time; an evaluator that shares
-  // work across a batch (DatalogQuery's stratified evaluator runs one
-  // fixpoint whose facts carry per-j world masks) overrides both this and
-  // MaxBatch.
+  // work across a batch (DatalogQuery's evaluator runs one fixpoint, or one
+  // well-founded alternation, whose facts carry per-j world masks)
+  // overrides both this and MaxBatch.
   virtual void FirstRetractedBatch(
       const std::vector<const Instance*>& js,
       const std::vector<Fact>& base_facts,
@@ -196,10 +196,10 @@ Status CheckGenericity(const Query& query, const Instance& input,
                        const std::map<Value, Value>& pi);
 
 // How the exhaustive checkers use the genericity-based symmetry reduction
-// (orbit-representative sweeps + canonical result cache).
+// (orbit-representative sweeps).
 //   kAuto:    run ProbeGenericity first; reduce only when the probe passes.
 //   kForceOn: reduce unconditionally (caller vouches for genericity).
-//   kOff:     always run the full sweep (and no result cache).
+//   kOff:     always run the full sweep.
 enum class SymmetryMode {
   kAuto,
   kForceOn,

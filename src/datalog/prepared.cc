@@ -853,10 +853,7 @@ Result<std::optional<Fact>> PreparedProgram::FirstMissing(
 }
 
 bool PreparedProgram::SupportsUnionBatch() const {
-  if (fixed_negation_ || engine_ != EvalEngine::kBytecode ||
-      !options_.semi_naive) {
-    return false;
-  }
+  if (engine_ != EvalEngine::kBytecode || !options_.semi_naive) return false;
   for (const CompiledRule& r : compiled_) {
     if (r.head.invents) return false;
   }
@@ -865,8 +862,10 @@ bool PreparedProgram::SupportsUnionBatch() const {
 
 void PreparedProgram::SeedMasked(Database* db, const Instance& base,
                                  const std::vector<const Instance*>& js,
-                                 const Schema* pre_restrict) const {
-  const bool seed_adom = info_.uses_adom && options_.populate_adom;
+                                 const Schema* pre_restrict,
+                                 bool with_adom) const {
+  const bool seed_adom =
+      with_adom && info_.uses_adom && options_.populate_adom;
   const uint32_t adom_rel = AdomRelation();
   // SeedInto's admission and Adom rules, per world: Adom holds adom(I ∪ J_k)
   // in world k. Row order is free here — no invention, and answers are
@@ -914,7 +913,7 @@ void PreparedProgram::SeedMasked(Database* db, const Instance& base,
 Status PreparedProgram::FirstMissingBatch(
     const Instance& base, const std::vector<const Instance*>& js,
     const Schema* pre_restrict, const std::vector<Fact>& probe,
-    std::vector<std::optional<Fact>>* out) const {
+    std::vector<std::optional<Fact>>* out, size_t* gammas) const {
   assert(SupportsUnionBatch());
   const size_t n = js.size();
   if (n == 0 || n > kMaxUnionBatch) {
@@ -922,16 +921,25 @@ Status PreparedProgram::FirstMissingBatch(
                                 std::to_string(n));
   }
   const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
-  Database* db = &LocalScratch().db;
-  db->Reset();
-  db->EnableMasks(all);
-  SeedMasked(db, base, js, pre_restrict);
-  InventionTable invention;  // unused: invention is not batched
-  for (size_t i = 0; i < strata_.size(); ++i) {
-    const Stratum& s = strata_[i];
-    CALM_RETURN_IF_ERROR(RunFixpointBytecode(
-        compiled_, bytecode_, s.rules, s.delta_sites, s.growing, i, db, db,
-        options_, nullptr, &invention));
+  std::optional<Database> lo;  // a well-founded run's final lo
+  Database* db;
+  if (fixed_negation_) {
+    db = &lo.emplace();
+    CALM_ASSIGN_OR_RETURN(const size_t steps,
+                          AlternateMasked(base, js, pre_restrict, all, db));
+    if (gammas != nullptr) *gammas = steps;
+  } else {
+    db = &LocalScratch().db;
+    db->Reset();
+    db->EnableMasks(all);
+    SeedMasked(db, base, js, pre_restrict);
+    InventionTable invention;  // unused: invention is not batched
+    for (size_t i = 0; i < strata_.size(); ++i) {
+      const Stratum& s = strata_[i];
+      CALM_RETURN_IF_ERROR(RunFixpointBytecode(
+          compiled_, bytecode_, s.rules, s.delta_sites, s.growing, i, db, db,
+          options_, nullptr, &invention));
+    }
   }
   // World k's answer: the first probe fact whose world set lacks bit k.
   out->assign(n, std::nullopt);
@@ -945,6 +953,43 @@ Status PreparedProgram::FirstMissingBatch(
     if (open == 0) break;
   }
   return Status::Ok();
+}
+
+Result<size_t> PreparedProgram::AlternateMasked(
+    const Instance& base, const std::vector<const Instance*>& js,
+    const Schema* pre_restrict, uint64_t worlds, Database* lo) const {
+  // RunAlternatingFixpoint over masked databases sharing the seed's
+  // dictionary: each Gamma copies the seed, and EmitRow<kMasked> subtracts
+  // a negated fact's world set in the reference iterate, so world k
+  // alternates exactly as base ∪ js[k] would.
+  Database seed;
+  seed.EnableMasks(worlds);
+  SeedMasked(&seed, base, js, pre_restrict);
+  size_t steps = 0;
+  auto gamma = [&](const Database& neg, Database* out) {
+    *out = seed.ShareDict();
+    ++steps;
+    return RunFixedNegation(out, neg);
+  };
+  *lo = seed.ShareDict();
+  lo->Reset();
+  lo->EnableMasks(worlds);
+  SeedMasked(lo, base, js, pre_restrict, /*with_adom=*/false);
+
+  // Per world, lo only grows and hi only shrinks (the unmasked argument),
+  // so equal summed world-set sizes mean every world's lo and hi repeat;
+  // a world at its fixpoint stays there while the others go on.
+  Database hi, new_lo, new_hi;
+  CALM_RETURN_IF_ERROR(gamma(*lo, &hi));
+  while (true) {
+    CALM_RETURN_IF_ERROR(gamma(hi, &new_lo));
+    CALM_RETURN_IF_ERROR(gamma(new_lo, &new_hi));
+    const bool fixed = new_lo.WorldWeight() == lo->WorldWeight() &&
+                       new_hi.WorldWeight() == hi.WorldWeight();
+    std::swap(*lo, new_lo);
+    std::swap(hi, new_hi);
+    if (fixed) return steps;
+  }
 }
 
 Status PreparedProgram::RunFixedNegation(Database* db, const Database& neg_db,

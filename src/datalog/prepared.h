@@ -105,25 +105,32 @@ class PreparedProgram {
   // The most J's one FirstMissingBatch answers: one bit of a world mask each.
   static constexpr size_t kMaxUnionBatch = 64;
 
-  // Whether FirstMissingBatch can serve this program: stratified, bytecode
-  // engine, semi-naive, no invention. The rest is asked one J at a time.
+  // Whether FirstMissingBatch can serve this program: bytecode engine,
+  // semi-naive, no invention (stratified or fixed-negation). The rest is
+  // asked one J at a time.
   bool SupportsUnionBatch() const;
 
   // (*out)[k] = FirstMissing({&base, js[k]}, pre_restrict, probe) for every
-  // k, from one stratified fixpoint over a masked database (RelStore's
-  // world masks, over the thread-local scratch): base's facts hold in every
-  // world, js[k]'s in world k, and world k's answer is the first probe fact
-  // whose world set lacks bit k. Requires SupportsUnionBatch() and 1 to
-  // kMaxUnionBatch J's. On any error — max_total_facts included — the
-  // caller re-asks the batch one J at a time through FirstMissing, which
-  // reproduces that route's exact errors; a run that succeeds implies no
-  // world exceeded the limit (each world's facts are a subset of the
-  // stored rows at every round).
+  // k — or, on a PrepareFixedNegation()-built program, the first probe fact
+  // missing from the final lo of RunAlternatingFixpoint(base ∪ js[k]) —
+  // from one run over masked databases (RelStore's world masks): base's
+  // facts hold in every world, js[k]'s in world k, and world k's answer is
+  // the first probe fact whose world set (in the fixpoint, or in lo) lacks
+  // bit k. A stratified run is one fixpoint over the thread-local scratch;
+  // a well-founded run alternates lo := Gamma(hi), hi := Gamma(lo) with
+  // masked Gammas until the summed world-set sizes of lo and hi repeat, and
+  // stores the number of Gamma steps in *gammas when non-null. Requires
+  // SupportsUnionBatch() and 1 to kMaxUnionBatch J's. On any error —
+  // max_total_facts included — the caller re-asks the batch one J at a time
+  // through the per-J route, which reproduces that route's exact errors; a
+  // run that succeeds implies no world exceeded the limit (each world's
+  // facts are a subset of the stored rows at every round of every Gamma).
   Status FirstMissingBatch(const Instance& base,
                            const std::vector<const Instance*>& js,
                            const Schema* pre_restrict,
                            const std::vector<Fact>& probe,
-                           std::vector<std::optional<Fact>>* out) const;
+                           std::vector<std::optional<Fact>>* out,
+                           size_t* gammas = nullptr) const;
 
  private:
   // One stratum of the prepared form; fixed-negation programs have exactly
@@ -147,9 +154,18 @@ class PreparedProgram {
   void SeedInto(Database* db, std::initializer_list<const Instance*> parts,
                 const Schema* pre_restrict) const;
   // SeedInto for a masked database: `base` in every world, js[k] in world k.
+  // Without `with_adom`, no Adom facts are seeded (the alternation's
+  // initial lo).
   void SeedMasked(Database* db, const Instance& base,
                   const std::vector<const Instance*>& js,
-                  const Schema* pre_restrict) const;
+                  const Schema* pre_restrict, bool with_adom = true) const;
+  // The well-founded half of FirstMissingBatch: leaves the final masked lo
+  // in *lo (RunAlternatingFixpoint, every world at once) and returns the
+  // number of Gamma steps it ran.
+  Result<size_t> AlternateMasked(const Instance& base,
+                                 const std::vector<const Instance*>& js,
+                                 const Schema* pre_restrict, uint64_t worlds,
+                                 Database* lo) const;
   // Seeds `parts` into the thread-local scratch database and runs every
   // stratum over it (EvalParts minus the materialization).
   Result<Database*> RunOnScratch(std::initializer_list<const Instance*> parts,

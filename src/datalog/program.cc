@@ -15,17 +15,17 @@ namespace {
 // Union checks that re-evaluate i ∪ j from scratch and probe Q(i)'s facts in
 // the evaluation stores: the stratified fixpoint in the thread-local stores,
 // or the well-founded alternation's final lo (the definitely-true facts).
-// Nothing about i is kept but the instance itself. Stratified programs the
-// masked route serves answer batches of j's with one fixpoint
-// (PreparedProgram::FirstMissingBatch); a batch whose run fails is re-asked
-// one j at a time, which reproduces the per-j route's errors exactly.
+// Nothing about i is kept but the instance itself. Programs the masked route
+// serves answer batches of j's with one masked run — a fixpoint, or an
+// alternation of masked Gammas (PreparedProgram::FirstMissingBatch); a batch
+// whose run fails is re-asked one j at a time, which reproduces the per-j
+// route's errors exactly.
 class ScratchUnionEvaluator : public UnionEvaluator {
  public:
   ScratchUnionEvaluator(const DatalogQuery& query, const Instance& i)
       : query_(query),
         i_(i),
-        batched_(query.semantics() == DatalogQuery::Semantics::kStratified &&
-                 query.prepared().SupportsUnionBatch()) {}
+        batched_(query.prepared().SupportsUnionBatch()) {}
 
   Result<std::optional<Fact>> FirstRetracted(
       const Instance& j, const std::vector<Fact>& base_facts) override {
@@ -50,9 +50,13 @@ class ScratchUnionEvaluator : public UnionEvaluator {
     }
     TraceSpan span("datalog.union_batch");
     span.Arg("worlds", static_cast<int64_t>(js.size()));
+    size_t gammas = 0;
     const Status s = query_.prepared().FirstMissingBatch(
-        i_, js, &query_.input_schema(), base_facts, &missing_);
+        i_, js, &query_.input_schema(), base_facts, &missing_, &gammas);
     span.Arg("fallback", s.ok() ? 0 : 1);
+    if (query_.semantics() == DatalogQuery::Semantics::kWellFounded) {
+      span.Arg("gammas", static_cast<int64_t>(gammas));
+    }
     if (!s.ok()) {
       if (MetricsEnabled()) {
         static Counter& fallbacks = MetricRegistry::Global().GetCounter(

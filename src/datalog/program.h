@@ -51,8 +51,9 @@ class DatalogQuery : public Query {
   // masks (PreparedProgram::FirstMissingBatch) when the prepared program
   // supports it (bytecode engine, semi-naive); a failed batch is re-asked
   // one j at a time. Under well-founded semantics each check runs the
-  // alternation over i ∪ j and probes its definitely-true facts. Verdicts
-  // and errors are byte-identical on every route.
+  // alternation over i ∪ j and probes its definitely-true facts, and a
+  // batch runs one alternation of world-masked Gammas. Verdicts and errors
+  // are byte-identical on every route.
   std::unique_ptr<UnionEvaluator> MakeUnionEvaluator(
       const Instance& i) const override;
 

@@ -1,6 +1,7 @@
 #include "datalog/relstore.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 
@@ -505,6 +506,13 @@ uint64_t RelStore::FullMask(const Tuple& t) const {
   return FullMask(key, static_cast<uint32_t>(t.size()));
 }
 
+uint64_t RelStore::WorldWeight() const {
+  if (!masked()) return 0;
+  uint64_t weight = 0;
+  for (uint64_t worlds : mask_->full) weight += std::popcount(worlds);
+  return weight;
+}
+
 bool RelStore::InsertMasked(const uint32_t* codes, uint32_t arity,
                             uint64_t worlds) {
   if (static_cast<int>(arity) != arity_) {
@@ -770,6 +778,12 @@ void Database::EnableMasks(uint64_t worlds) {
 uint64_t Database::FullMask(uint32_t rel, const Tuple& t) const {
   const RelStore* store = Find(rel);
   return store == nullptr ? 0 : store->FullMask(t);
+}
+
+uint64_t Database::WorldWeight() const {
+  uint64_t weight = 0;
+  for (const auto& [name, store] : rels_) weight += store.WorldWeight();
+  return weight;
 }
 
 Instance Database::ToInstance(const Schema* restrict_to) const {

@@ -320,6 +320,10 @@ class RelStore {
   uint64_t FullMask(const uint32_t* codes, uint32_t arity) const;
   uint64_t FullMask(const Tuple& t) const;
 
+  // The summed sizes of the facts' world sets: over every world k, the
+  // number of facts holding in k (0 when unmasked).
+  uint64_t WorldWeight() const;
+
   // Emission into a masked store: adds `worlds` to the fact's world set.
   // A new fact gets a row, a known fact that gains worlds gets a version
   // row holding only the gained ones. Returns whether any world was gained.
@@ -524,6 +528,8 @@ class Database {
   uint64_t worlds() const { return worlds_; }
   // The world set of fact (rel, t); 0 when absent.
   uint64_t FullMask(uint32_t rel, const Tuple& t) const;
+  // RelStore::WorldWeight summed over the stores.
+  uint64_t WorldWeight() const;
 
   // Invokes fn(relation_id, const RelStore&) for every relation entry —
   // including empty stores — in creation order. Creation order is what the

@@ -7,7 +7,6 @@
 #include "base/enumerator.h"
 #include "base/homomorphism.h"
 #include "base/metrics.h"
-#include "base/result_cache.h"
 #include "base/thread_pool.h"
 #include "base/trace.h"
 #include "monotonicity/sweep_checkpoint.h"
@@ -38,11 +37,8 @@ namespace {
 // every target j.
 Result<std::optional<PreservationViolation>> CheckHomPair(
     const Query& query, const Instance& i, const Instance& out_i,
-    const Instance& j, bool injective, QueryResultCache* cache) {
-  // Q(j) is re-evaluated for the same j once per source instance; routing it
-  // through the canonical cache (when the genericity gate is open) collapses
-  // that to one evaluation per target isomorphism class for the whole sweep.
-  Result<Instance> out_j = cache ? cache->Eval(j) : query.Eval(j);
+    const Instance& j, bool injective) {
+  Result<Instance> out_j = query.Eval(j);
   if (!out_j.ok()) return out_j.status();
 
   std::optional<PreservationViolation> found;
@@ -73,8 +69,8 @@ Instance InducedOn(const Instance& i, const std::set<Value>& keep) {
 }
 
 Result<std::optional<PreservationViolation>> CheckExtensions(
-    const Query& query, const Instance& i, QueryResultCache* cache) {
-  Result<Instance> out_i = cache ? cache->Eval(i) : query.Eval(i);
+    const Query& query, const Instance& i) {
+  Result<Instance> out_i = query.Eval(i);
   if (!out_i.ok()) return out_i.status();
 
   // Enumerate value subsets of adom(i); each yields an induced subinstance.
@@ -87,7 +83,7 @@ Result<std::optional<PreservationViolation>> CheckExtensions(
       if (mask & (uint64_t{1} << b)) keep.insert(adom[b]);
     }
     Instance j = InducedOn(i, keep);
-    Result<Instance> out_j = cache ? cache->Eval(j) : query.Eval(j);
+    Result<Instance> out_j = query.Eval(j);
     if (!out_j.ok()) return out_j.status();
     std::optional<PreservationViolation> found;
     out_j->ForEachFact([&](uint32_t name, const Tuple& t) {
@@ -119,13 +115,11 @@ Result<std::optional<PreservationViolation>> FindPreservationViolation(
   // representatives of the source space (see base/enumerator.h for why the
   // reported violation stays byte-identical: the inner target loops are
   // untouched, and the first violating representative is the first violating
-  // source) and route the repeated target evaluations through a canonical
-  // result cache.
+  // source). Targets are evaluated directly: at these bounds a fixpoint
+  // costs less than canonicalizing its input to look it up.
   const bool reduce = ResolveSymmetry(query, options.symmetry,
                                      options.domain_size, options.max_facts) ==
                      SymmetryMode::kForceOn;
-  QueryResultCache shared_cache(query);
-  QueryResultCache* cache = reduce ? &shared_cache : nullptr;
 
   // Partition the source-instance space across the pool; each index checks
   // its targets serially and records the first stopping event in a private
@@ -240,7 +234,7 @@ Result<std::optional<PreservationViolation>> FindPreservationViolation(
       }
       if (first_stop.load(std::memory_order_relaxed) < idx) return;
       Result<std::optional<PreservationViolation>> r =
-          CheckExtensions(query, sources[idx], cache);
+          CheckExtensions(query, sources[idx]);
       if (!r.ok()) {
         slots[idx].error = r.status();
         journal_outcome(idx, slots[idx], /*pruned=*/false);
@@ -279,13 +273,13 @@ Result<std::optional<PreservationViolation>> FindPreservationViolation(
           pruned = true;
           return false;
         }
-        if (!out_i.has_value()) out_i = cache ? cache->Eval(i) : query.Eval(i);
+        if (!out_i.has_value()) out_i = query.Eval(i);
         if (!out_i->ok()) {
           slot.error = out_i->status();
           return false;
         }
         Result<std::optional<PreservationViolation>> r =
-            CheckHomPair(query, i, out_i->value(), j, injective, cache);
+            CheckHomPair(query, i, out_i->value(), j, injective);
         if (!r.ok()) {
           slot.error = r.status();
           return false;
@@ -300,12 +294,6 @@ Result<std::optional<PreservationViolation>> FindPreservationViolation(
       if (!slot.error.ok() || slot.violation.has_value()) record_stop(idx);
       if (sources_done != nullptr) sources_done->Increment();
     });
-  }
-
-  if (span.active() && cache != nullptr) {
-    const QueryResultCache::Stats cs = cache->stats();
-    span.Arg("cache_hits", static_cast<int64_t>(cs.hits));
-    span.Arg("cache_misses", static_cast<int64_t>(cs.misses));
   }
 
   if (cancelled.load(std::memory_order_relaxed)) {

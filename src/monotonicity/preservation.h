@@ -43,9 +43,8 @@ struct PreservationOptions {
   // representative of each source-instance isomorphism orbit (violation
   // existence is orbit-invariant for generic queries, so the first violating
   // representative is the first violating source and the reported violation
-  // is byte-identical to the full sweep), and serve the repeated target /
-  // subinstance evaluations from a canonical result cache. kAuto probes
-  // genericity first; failures fall back to the full sweep.
+  // is byte-identical to the full sweep). kAuto probes genericity first;
+  // failures fall back to the full sweep.
   SymmetryMode symmetry = SymmetryMode::kAuto;
   // When non-empty, the sweep journals per-source progress into
   // <checkpoint_dir>/<sweep id>.wal (monotonicity/sweep_checkpoint.h); a

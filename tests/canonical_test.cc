@@ -1,6 +1,6 @@
 // The genericity-aware symmetry reduction (base/canonical.h,
-// base/enumerator.h, base/result_cache.h) and its wiring into the exhaustive
-// checkers. The load-bearing contracts:
+// base/enumerator.h) and its wiring into the exhaustive checkers. The
+// load-bearing contracts:
 //   * the canonical form is invariant under value permutations,
 //   * orbit representatives and orbit sizes match a brute-force grouping of
 //     the full instance stream,
@@ -22,11 +22,13 @@
 #include "base/enumerator.h"
 #include "base/instance.h"
 #include "base/query.h"
-#include "base/result_cache.h"
+#include "datalog/program.h"
 #include "monotonicity/checker.h"
 #include "monotonicity/ladder.h"
 #include "monotonicity/preservation.h"
 #include "queries/graph_queries.h"
+#include "queries/paper_programs.h"
+#include "workload/fuzzer.h"
 #include "workload/instance_gen.h"
 
 namespace calm {
@@ -440,36 +442,80 @@ TEST(ReducedSweepTest, LadderMatchesFullSweep) {
   }
 }
 
+std::string Render(const Result<std::optional<PreservationViolation>>& r) {
+  if (!r.ok()) return "error: " + r.status().ToString();
+  if (!r->has_value()) return "no violation";
+  return r->value().ToString();
+}
+
+// Reduced preservation sweeps, which evaluate every target directly, return
+// the full sweep's verdict and witness: the native star and TC queries for
+// every class, and Datalog TC, win-move and two fuzzer programs per shape
+// for E and Hinj, at 1 and 4 threads.
 TEST(ReducedSweepTest, PreservationMatchesFullSweep) {
-  auto star = queries::MakeStarQuery(2);
-  auto tc = queries::MakeTransitiveClosure();
-  for (PreservationClass cls :
-       {PreservationClass::kHomomorphisms,
-        PreservationClass::kInjectiveHomomorphisms,
-        PreservationClass::kExtensions}) {
-    for (const Query* q : {static_cast<const Query*>(star.get()),
-                           static_cast<const Query*>(tc.get())}) {
-      PreservationOptions o;
-      o.domain_size = 2;
-      o.max_facts = 2;
-      o.threads = 1;
-      o.symmetry = SymmetryMode::kOff;
-      Result<std::optional<PreservationViolation>> full =
-          FindPreservationViolation(*q, cls, o);
-      ASSERT_TRUE(full.ok()) << q->name();
-      for (SymmetryMode mode : {SymmetryMode::kForceOn, SymmetryMode::kAuto}) {
-        o.symmetry = mode;
-        Result<std::optional<PreservationViolation>> reduced =
-            FindPreservationViolation(*q, cls, o);
-        ASSERT_TRUE(reduced.ok()) << q->name();
-        ASSERT_EQ(reduced->has_value(), full->has_value()) << q->name();
-        if (full->has_value()) {
-          EXPECT_EQ(reduced->value().ToString(), full->value().ToString())
-              << q->name();
+  // `generic`: constant-free, so kForceOn is sound too (constants make a
+  // query non-generic, and only kAuto's probe is then safe).
+  struct Case {
+    std::unique_ptr<Query> query;
+    std::vector<PreservationClass> classes;
+    bool generic = true;
+  };
+  const std::vector<PreservationClass> all = {
+      PreservationClass::kHomomorphisms,
+      PreservationClass::kInjectiveHomomorphisms,
+      PreservationClass::kExtensions};
+  const std::vector<PreservationClass> e_hinj = {
+      PreservationClass::kExtensions,
+      PreservationClass::kInjectiveHomomorphisms};
+  std::vector<Case> cases;
+  cases.push_back({queries::MakeStarQuery(2), all});
+  cases.push_back({queries::MakeTransitiveClosure(), all});
+  auto datalog = [](datalog::DatalogQuery q) {
+    return std::make_unique<datalog::DatalogQuery>(std::move(q));
+  };
+  cases.push_back({datalog(queries::TcProgram()), e_hinj});
+  cases.push_back({datalog(queries::WinMoveProgram()), e_hinj});
+  for (size_t shape = 0; shape < workload::kProgramShapeCount; ++shape) {
+    for (uint64_t seed : {5, 17}) {
+      workload::FuzzerOptions fo;
+      fo.seed = seed;
+      fo.shape = static_cast<workload::ProgramShape>(shape);
+      workload::GeneratedProgram gp = workload::GenerateProgram(fo);
+      cases.push_back({datalog(datalog::DatalogQuery::FromTextOrDie(
+                           gp.text,
+                           std::string(workload::ProgramShapeName(fo.shape)) +
+                               "-" + std::to_string(seed),
+                           gp.semantics)),
+                       e_hinj, !gp.uses_constants});
+    }
+  }
+  size_t violations = 0;
+  for (const Case& c : cases) {
+    for (PreservationClass cls : c.classes) {
+      for (size_t threads : {1u, 4u}) {
+        PreservationOptions o;
+        o.domain_size = 2;
+        o.max_facts = 2;
+        o.threads = threads;
+        o.symmetry = SymmetryMode::kOff;
+        const std::string full =
+            Render(FindPreservationViolation(*c.query, cls, o));
+        const std::string ctx = c.query->name() + " " +
+                                monotonicity::PreservationClassName(cls) +
+                                " threads " + std::to_string(threads);
+        ASSERT_EQ(full.rfind("error", 0), std::string::npos) << ctx << full;
+        violations += full != "no violation";
+        for (SymmetryMode mode :
+             {SymmetryMode::kForceOn, SymmetryMode::kAuto}) {
+          if (mode == SymmetryMode::kForceOn && !c.generic) continue;
+          o.symmetry = mode;
+          EXPECT_EQ(Render(FindPreservationViolation(*c.query, cls, o)), full)
+              << ctx;
         }
       }
     }
   }
+  EXPECT_GT(violations, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -506,6 +552,55 @@ TEST(GenericityProbeTest, NonGenericQueryIsRejected) {
   EXPECT_FALSE(ProbeGenericity(*MakeNonGenericQuery(), 2, 2).ok());
 }
 
+// Forwards to `inner`, counting evaluations (EvalFacts and EvalUnion reach
+// Eval through Query's defaults).
+class CountingQuery : public Query {
+ public:
+  explicit CountingQuery(const Query& inner) : inner_(inner) {}
+  const Schema& input_schema() const override { return inner_.input_schema(); }
+  const Schema& output_schema() const override {
+    return inner_.output_schema();
+  }
+  std::string name() const override { return inner_.name(); }
+  Result<Instance> Eval(const Instance& input) const override {
+    ++evals_;
+    return inner_.Eval(input);
+  }
+  size_t evals() const { return evals_; }
+
+ private:
+  const Query& inner_;
+  mutable size_t evals_ = 0;
+};
+
+// The probe evaluates Q(I) once per sample and Q(pi(I)) once per
+// permutation: 12 samples × (1 + 4 permutations) = 60 evaluations, not the
+// 96 of one CheckGenericity per permutation. Its failure is the status
+// CheckGenericity returns for the first failing (sample, permutation).
+TEST(GenericityProbeTest, EvaluatesEachSampleOnce) {
+  auto tc = queries::MakeTransitiveClosure();
+  CountingQuery counting(*tc);
+  EXPECT_TRUE(ProbeGenericity(counting, 3, 2).ok());
+  EXPECT_EQ(counting.evals(), 60u);
+
+  auto bad = MakeNonGenericQuery();
+  std::vector<std::map<Value, Value>> perms(4);
+  for (uint64_t v = 0; v < 2; ++v) {
+    perms[0][V(v)] = V((uint64_t{1} << 20) + v);  // shift high
+    perms[1][V(v)] = V(1000 + v);                  // shift fresh
+    perms[2][V(v)] = V(1 - v);                     // reverse
+    perms[3][V(v)] = V(1 - v);                     // swap (0, 1)
+  }
+  Status want = Status::Ok();
+  for (const Instance& i : AllInstances(bad->input_schema(), IntDomain(2), 2)) {
+    for (const std::map<Value, Value>& pi : perms) {
+      if (want.ok()) want = CheckGenericity(*bad, i, pi);
+    }
+  }
+  ASSERT_FALSE(want.ok());
+  EXPECT_EQ(ProbeGenericity(*bad, 2, 2).ToString(), want.ToString());
+}
+
 TEST(GenericityProbeTest, NonGenericQueryFallsBackToFullSweep) {
   auto q = MakeNonGenericQuery();
   ExhaustiveOptions o = Opts(2, 2, 2, 1);
@@ -535,68 +630,6 @@ TEST(GenericityProbeTest, NonGenericQueryFallsBackToFullSweep) {
       FindViolation(*q, MonotonicityClass::kDomainDisjoint, o);
   ASSERT_TRUE(fallback.ok());
   EXPECT_EQ(Render(fallback), Render(full));
-}
-
-// ---------------------------------------------------------------------------
-// Canonical result cache
-// ---------------------------------------------------------------------------
-
-TEST(QueryResultCacheTest, ServesIsomorphicRepeatsFromOneEvaluation) {
-  auto tc = queries::MakeTransitiveClosure();
-  QueryResultCache cache(*tc);
-
-  std::vector<Instance> isomorphic = {
-      Instance{Fact("E", {V(0), V(1)}), Fact("E", {V(1), V(2)})},
-      Instance{Fact("E", {V(2), V(0)}), Fact("E", {V(0), V(1)})},
-      Instance{Fact("E", {V(7), V(3)}), Fact("E", {V(3), V(9)})},
-  };
-  for (const Instance& i : isomorphic) {
-    Result<Instance> cached = cache.Eval(i);
-    Result<Instance> direct = tc->Eval(i);
-    ASSERT_TRUE(cached.ok());
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(cached->AllFacts(), direct->AllFacts()) << i.ToString();
-  }
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 2u);
-
-  // A non-isomorphic input is a fresh entry.
-  Instance other{Fact("E", {V(0), V(0)})};
-  ASSERT_TRUE(cache.Eval(other).ok());
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(QueryResultCacheTest, EvalFactsAppendsInAscendingOrder) {
-  auto tc = queries::MakeTransitiveClosure();
-  QueryResultCache cache(*tc);
-  Instance i{Fact("E", {V(4), V(2)}), Fact("E", {V(2), V(0)})};
-  for (int round = 0; round < 2; ++round) {  // miss, then hit
-    std::vector<Fact> direct, cached;
-    ASSERT_TRUE(tc->EvalFacts(i, &direct).ok());
-    ASSERT_TRUE(cache.EvalFacts(i, &cached).ok());
-    EXPECT_EQ(cached, direct);
-  }
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(QueryResultCacheTest, ErrorsAreCachedAndReplayed) {
-  NativeQuery failing(
-      "always-fails", Schema({{"E", 2}}), Schema({{"O", 2}}),
-      [](const Instance&) -> Result<Instance> {
-        return ResourceExhaustedError("synthetic divergence");
-      });
-  QueryResultCache cache(failing);
-  Instance a{Fact("E", {V(0), V(1)})};
-  Instance b{Fact("E", {V(5), V(6)})};  // isomorphic to a
-  std::vector<Fact> out;
-  Status first = cache.EvalFacts(a, &out);
-  Status second = cache.EvalFacts(b, &out);
-  EXPECT_FALSE(first.ok());
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

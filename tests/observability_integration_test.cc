@@ -124,53 +124,76 @@ TEST_F(ObservabilityTest, CheckerSpanRecordsSearchProgress) {
 
 // Batched union checks are observable: every checked pair rides in some
 // batch (worlds answered past a stop are dropped, so the batch worlds sum
-// to at least pairs_checked), an uncapped program never falls back to the
-// per-J replay, each masked run records a datalog.union_batch span, and
-// the verdict is the same with metrics and tracing on or off.
+// to at least pairs_checked), batches hold more than one world, an
+// uncapped program never falls back to the per-J replay, each masked run
+// records a datalog.union_batch span (a well-founded one with its Gamma
+// count), and the verdict is the same with metrics and tracing on or off.
+// Covers a stratified program (Q_TC) and the well-founded win-move program.
 TEST_F(ObservabilityTest, UnionBatchCountersCoverEveryCheck) {
   datalog::EvalOptions bytecode;
   bytecode.engine = datalog::EvalEngine::kBytecode;
-  const datalog::DatalogQuery base = queries::ComplementTcProgram();
-  Result<datalog::DatalogQuery> q = datalog::DatalogQuery::Create(
-      base.program(), base.name(), base.semantics(), bytecode);
-  ASSERT_TRUE(q.ok()) << q.status();
-  ExhaustiveOptions o;
-  o.domain_size = 3;
-  o.max_facts_i = 2;
-  o.fresh_values = 2;
-  o.max_facts_j = 2;
-  o.threads = 1;
-  auto verdict = [&](MonotonicityClass cls) {
-    Result<std::optional<Counterexample>> r = FindViolation(*q, cls, o);
-    if (!r.ok()) return "error: " + r.status().ToString();
-    return r->has_value() ? (*r)->ToString() : std::string("<none>");
-  };
-  const std::string distinct_off = verdict(MonotonicityClass::kDomainDistinct);
-  const std::string disjoint_off = verdict(MonotonicityClass::kDomainDisjoint);
+  for (const datalog::DatalogQuery& base :
+       {queries::ComplementTcProgram(), queries::WinMoveProgram()}) {
+    SCOPED_TRACE(base.name());
+    SetMetricsEnabled(false);
+    Trace::SetEnabled(false);
+    Trace::Reset();
+    Result<datalog::DatalogQuery> q = datalog::DatalogQuery::Create(
+        base.program(), base.name(), base.semantics(), bytecode);
+    ASSERT_TRUE(q.ok()) << q.status();
+    ExhaustiveOptions o;
+    o.domain_size = 3;
+    o.max_facts_i = 2;
+    o.fresh_values = 2;
+    o.max_facts_j = 2;
+    o.threads = 1;
+    auto verdict = [&](MonotonicityClass cls) {
+      Result<std::optional<Counterexample>> r = FindViolation(*q, cls, o);
+      if (!r.ok()) return "error: " + r.status().ToString();
+      return r->has_value() ? (*r)->ToString() : std::string("<none>");
+    };
+    const std::string distinct_off =
+        verdict(MonotonicityClass::kDomainDistinct);
+    const std::string disjoint_off =
+        verdict(MonotonicityClass::kDomainDisjoint);
 
-  SetMetricsEnabled(true);
-  Trace::SetEnabled(TracingCompiledIn());
-  MetricRegistry& registry = MetricRegistry::Global();
-  registry.ResetValues();
-  EXPECT_EQ(verdict(MonotonicityClass::kDomainDistinct), distinct_off);
-  EXPECT_EQ(verdict(MonotonicityClass::kDomainDisjoint), disjoint_off);
-  uint64_t pairs = 0;
-  for (const char* cls : {"Mdistinct", "Mdisjoint"}) {
-    pairs += registry
-                 .GetCounter("calm.checker.pairs_checked", {{"class", cls}})
-                 .Value();
-  }
-  const Histogram& worlds =
-      registry.GetHistogram("calm.checker.union_batch_worlds");
-  EXPECT_GT(pairs, 0u);
-  EXPECT_GE(worlds.Sum(), pairs);
-  EXPECT_EQ(worlds.Count(),
-            registry.GetCounter("calm.checker.union_batches").Value());
-  EXPECT_LT(worlds.Count(), pairs) << "no batch held more than one world";
-  EXPECT_EQ(registry.GetCounter("calm.eval.union_batch_fallbacks").Value(),
-            0u);
-  if (TracingCompiledIn()) {
+    SetMetricsEnabled(true);
+    Trace::SetEnabled(TracingCompiledIn());
+    MetricRegistry& registry = MetricRegistry::Global();
+    registry.ResetValues();
+    EXPECT_EQ(verdict(MonotonicityClass::kDomainDistinct), distinct_off);
+    EXPECT_EQ(verdict(MonotonicityClass::kDomainDisjoint), disjoint_off);
+    uint64_t pairs = 0;
+    for (const char* cls : {"Mdistinct", "Mdisjoint"}) {
+      pairs += registry
+                   .GetCounter("calm.checker.pairs_checked", {{"class", cls}})
+                   .Value();
+    }
+    const Histogram& worlds =
+        registry.GetHistogram("calm.checker.union_batch_worlds");
+    EXPECT_GT(pairs, 0u);
+    EXPECT_GE(worlds.Sum(), pairs);
+    EXPECT_EQ(worlds.Count(),
+              registry.GetCounter("calm.checker.union_batches").Value());
+    EXPECT_LT(worlds.Count(), pairs) << "no batch held more than one world";
+    EXPECT_EQ(registry.GetCounter("calm.eval.union_batch_fallbacks").Value(),
+              0u);
+    if (!TracingCompiledIn()) continue;
     EXPECT_GT(Trace::SpanCount("datalog.union_batch"), 0u);
+    const bool well_founded =
+        q->semantics() == datalog::DatalogQuery::Semantics::kWellFounded;
+    Json exported = Trace::ExportJson();
+    for (const Json& e : exported.Find("traceEvents")->items()) {
+      if (e.GetString("name").value() != "datalog.union_batch") continue;
+      const Json* args = e.Find("args");
+      EXPECT_EQ(args->GetInt("fallback").value(), 0);
+      if (well_founded) {
+        // At least Gamma(lo) and one lo/hi round.
+        EXPECT_GE(args->GetInt("gammas").value(), 3);
+      } else {
+        EXPECT_EQ(args->Find("gammas"), nullptr);
+      }
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // Parity tests for batched union checks (DESIGN.md "Union checks:
-// world-parallel batches"). One masked fixpoint answering up to 64 J's must
-// report, J by J, exactly what the per-J from-scratch probe and an
-// EvalParts + merge reference report — the same first missing fact or the
-// same error — and the checker's batched sweeps must return the verdicts,
+// world-parallel batches"). One masked fixpoint — or, for well-founded
+// programs, one masked alternation — answering up to 64 J's must report,
+// J by J, exactly what the per-J route and an EvalParts (EvaluateWellFounded)
+// + merge reference report — the same first missing fact or the same
+// error — and the checker's batched sweeps must return the verdicts,
 // witnesses and pair counts of sweeps that ask one J at a time.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "datalog/parser.h"
 #include "datalog/prepared.h"
 #include "datalog/program.h"
+#include "datalog/wellfounded.h"
 #include "monotonicity/checker.h"
 #include "monotonicity/ladder.h"
 #include "queries/graph_queries.h"
@@ -189,6 +192,18 @@ std::string Describe(const Result<std::optional<Fact>>& r) {
   return r->has_value() ? FactToString(**r) : "<none>";
 }
 
+// The first fact of `probe` missing from `out`, by a sorted merge.
+std::optional<Fact> FirstMissingFrom(const Instance& out,
+                                     const std::vector<Fact>& probe) {
+  const std::vector<Fact> facts = out.AllFacts();
+  auto it = facts.begin();
+  for (const Fact& f : probe) {
+    while (it != facts.end() && *it < f) ++it;
+    if (it == facts.end() || !(*it == f)) return f;
+  }
+  return std::nullopt;
+}
+
 // The reference union check: materialize Q(base ∪ j) through EvalParts and
 // merge Q(base)'s sorted facts against it.
 Result<std::optional<Fact>> ReferenceFirstMissing(
@@ -197,15 +212,7 @@ Result<std::optional<Fact>> ReferenceFirstMissing(
   CALM_ASSIGN_OR_RETURN(Instance out, q.prepared().EvalParts(
                                           {&base, &j}, &q.input_schema(),
                                           &q.output_schema()));
-  std::vector<Fact> facts;
-  out.ForEachFact(
-      [&](uint32_t name, const Tuple& t) { facts.emplace_back(name, t); });
-  auto it = facts.begin();
-  for (const Fact& f : probe) {
-    while (it != facts.end() && *it < f) ++it;
-    if (it == facts.end() || !(*it == f)) return std::optional<Fact>(f);
-  }
-  return std::optional<Fact>();
+  return FirstMissingFrom(out, probe);
 }
 
 // Three routes answer every J of the seeded corpus identically:
@@ -329,26 +336,205 @@ TEST(UnionBatchTest, ScratchIsPlainAfterABatch) {
   EXPECT_EQ(fresh->ToString(), after->ToString());
 }
 
-// Configurations the masked route does not serve keep the per-J default.
+// Configurations the masked route does not serve keep the per-J default:
+// the tree engine and naive evaluation under either semantics, and the
+// native closure queries. The well-founded win-move program on the
+// bytecode engine is served, 64 J's per masked alternation.
 TEST(UnionBatchTest, UnsupportedConfigurationsAskOneJAtATime) {
   const std::string text = "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).";
+  const Program win = queries::WinMoveProgram().program();
   EvalOptions tree;
   tree.engine = EvalEngine::kTree;
   EvalOptions naive = BytecodeOptions();
   naive.semi_naive = false;
+  Instance i;
   for (const EvalOptions& options : {tree, naive}) {
     DatalogQuery q = DatalogQuery::FromTextOrDie(
         text + " .output T", "tc", DatalogQuery::Semantics::kStratified,
         options);
     EXPECT_FALSE(q.prepared().SupportsUnionBatch());
-    Instance i;
     EXPECT_EQ(q.MakeUnionEvaluator(i)->MaxBatch(), 1u);
+    Result<DatalogQuery> wf = DatalogQuery::Create(
+        win, "win-move", DatalogQuery::Semantics::kWellFounded, options);
+    ASSERT_TRUE(wf.ok()) << wf.status();
+    EXPECT_FALSE(wf->prepared().SupportsUnionBatch());
+    EXPECT_EQ(wf->MakeUnionEvaluator(i)->MaxBatch(), 1u);
   }
-  DatalogQuery wf = queries::WinMoveProgram();
-  Instance i;
-  EXPECT_EQ(wf.MakeUnionEvaluator(i)->MaxBatch(), 1u);
+  Result<DatalogQuery> wf = DatalogQuery::Create(
+      win, "win-move", DatalogQuery::Semantics::kWellFounded,
+      BytecodeOptions());
+  ASSERT_TRUE(wf.ok()) << wf.status();
+  EXPECT_EQ(wf->MakeUnionEvaluator(i)->MaxBatch(), 64u);
   EXPECT_EQ(queries::MakeTransitiveClosure()->MakeUnionEvaluator(i)->MaxBatch(),
             1u);
+}
+
+// --- Well-founded batches ---------------------------------------------------
+
+// The fuzzer's win-move programs and hand-written ones with Adom, rule
+// constants, inequalities and a negated helper relation. Every program's
+// moves are its one binary input relation; Win is IDB in all of them.
+std::vector<DatalogQuery> WellFoundedCorpus(size_t cap) {
+  std::vector<std::string> texts = {
+      "Win(x) :- Move(x, y), !Win(y).\n.output Win\n",
+      "Win(x) :- Move(x, y), !Win(y).\nO(x) :- Adom(x), !Win(x).\n.output O\n",
+      "Win(x) :- Move(x, y), x != y, !Win(y).\n"
+      "Win(x) :- Move(x, 0), !Win(0).\n.output Win\n",
+      "Win(x) :- Move(x, y), !Win(y), !Stuck(x).\n"
+      "Stuck(x) :- Move(x, x).\n"
+      "O(x, y) :- Move(x, y), Win(y), y != 1.\n.output O, Win\n",
+  };
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    workload::FuzzerOptions fo;
+    fo.seed = seed;
+    fo.shape = workload::ProgramShape::kWinMove;
+    texts.push_back(workload::GenerateProgram(fo).text);
+  }
+  std::vector<DatalogQuery> out;
+  for (size_t t = 0; t < texts.size(); ++t) {
+    Result<Program> program = Parse(texts[t]);
+    EXPECT_TRUE(program.ok()) << texts[t];
+    if (!program.ok()) continue;
+    Result<DatalogQuery> q = DatalogQuery::Create(
+        *program, "wf-" + std::to_string(t),
+        DatalogQuery::Semantics::kWellFounded, BytecodeOptions(cap));
+    EXPECT_TRUE(q.ok()) << texts[t] << q.status();
+    if (q.ok()) out.push_back(std::move(q).value());
+  }
+  return out;
+}
+
+// A random instance over the query's input relations: moves among old
+// values (0..4), unary facts, and moves that reach fresh values (100..).
+Instance RandomGame(std::mt19937& rng, const Schema& input, size_t nfacts) {
+  Instance out;
+  const std::vector<RelationDecl> rels = input.relations();
+  for (size_t f = 0; f < nfacts; ++f) {
+    const RelationDecl& r = rels[Rand(rng, rels.size())];
+    Tuple t;
+    for (uint32_t a = 0; a < r.arity; ++a) {
+      t.push_back(Chance(rng, 0.7) ? V(Rand(rng, 5)) : V(100 + Rand(rng, 3)));
+    }
+    out.Insert(Fact(r.name, t));
+  }
+  return out;
+}
+
+// The binary input relation: the moves.
+uint32_t MoveRelation(const Schema& input) {
+  for (const RelationDecl& r : input.relations()) {
+    if (r.arity == 2) return r.name;
+  }
+  return 0;
+}
+
+// The reference well-founded union check: EvaluateWellFounded over
+// base ∪ j, restricted to the output, merged against Q(base)'s facts.
+Result<std::optional<Fact>> ReferenceWellFoundedMissing(
+    const DatalogQuery& q, const Instance& base, const Instance& j,
+    const std::vector<Fact>& probe) {
+  CALM_ASSIGN_OR_RETURN(
+      WellFoundedModel model,
+      EvaluateWellFounded(q.prepared(), {&base, &j}, &q.input_schema()));
+  return FirstMissingFrom(model.definitely.Restrict(q.output_schema()), probe);
+}
+
+// The well-founded twin of BatchMatchesPerJProbeAndReference: masked
+// alternations, the per-J alternation and EvaluateWellFounded + merge agree
+// J by J, errors included. Batches mix move chains of length 1 to 6 (so
+// worlds converge after different numbers of Gamma steps), random games,
+// J's holding only IDB facts, and empty J's.
+TEST(UnionBatchTest, WellFoundedBatchMatchesPerJAndReference) {
+  const size_t kSizes[] = {1, 2, 7, 63, 64};
+  size_t checks = 0, errors = 0, missing = 0, capped_batches = 0,
+         failed_batches = 0;
+  std::set<size_t> gamma_counts;
+  for (size_t cap : {size_t{0}, size_t{14}, size_t{40}}) {
+    const std::vector<DatalogQuery> corpus = WellFoundedCorpus(cap);
+    for (size_t p = 0; p < corpus.size(); ++p) {
+      const DatalogQuery& q = corpus[p];
+      ASSERT_TRUE(q.prepared().SupportsUnionBatch());
+      const uint32_t move = MoveRelation(q.input_schema());
+      ASSERT_NE(move, 0u) << q.name();
+      for (unsigned round = 0; round < 5; ++round) {
+        std::mt19937 rng(13000 + 100 * p + round);
+        const Instance base = RandomGame(rng, q.input_schema(), Rand(rng, 7));
+        std::vector<Fact> probe;
+        if (!q.EvalFacts(base, &probe).ok()) continue;  // Q(I) over the cap
+
+        const size_t n = kSizes[(p + round) % 5];
+        std::vector<Instance> js;
+        for (size_t k = 0; k < n; ++k) {
+          Instance j;
+          switch (k % 4) {
+            case 0: {  // a chain of 1 to 6 moves, from an old or fresh start
+              uint64_t at = Chance(rng, 0.5) ? Rand(rng, 5) : 200 + 10 * k;
+              for (size_t m = 0, len = 1 + Rand(rng, 6); m < len; ++m) {
+                j.Insert(Fact(move, {V(at), V(300 + 10 * k + m)}));
+                at = 300 + 10 * k + m;
+              }
+              break;
+            }
+            case 1:
+              j = RandomGame(rng, q.input_schema(), 1 + Rand(rng, 3));
+              break;
+            case 2:
+              j.Insert(Fact("Win", {V(Rand(rng, 5))}));  // idb: not input
+              if (Chance(rng, 0.5)) j.Insert(Fact(move, {V(1), V(2)}));
+              break;
+            default:
+              break;  // empty
+          }
+          js.push_back(std::move(j));
+        }
+        std::vector<const Instance*> ptrs;
+        for (const Instance& j : js) ptrs.push_back(&j);
+
+        std::unique_ptr<UnionEvaluator> ev = q.MakeUnionEvaluator(base);
+        EXPECT_EQ(ev->MaxBatch(), PreparedProgram::kMaxUnionBatch);
+        std::vector<Result<std::optional<Fact>>> got;
+        ev->FirstRetractedBatch(ptrs, probe, &got);
+        ASSERT_EQ(got.size(), n);
+
+        std::vector<std::optional<Fact>> masked;
+        size_t gammas = 0;
+        const Status batch = q.prepared().FirstMissingBatch(
+            base, ptrs, &q.input_schema(), probe, &masked, &gammas);
+        if (batch.ok()) gamma_counts.insert(gammas);
+        if (cap > 0 && n > 1) ++(batch.ok() ? capped_batches : failed_batches);
+
+        std::unique_ptr<UnionEvaluator> per_j_ev = q.MakeUnionEvaluator(base);
+        for (size_t k = 0; k < n; ++k) {
+          const std::string ctx =
+              "cap " + std::to_string(cap) + " program " + std::to_string(p) +
+              " round " + std::to_string(round) + " world " +
+              std::to_string(k) + "/" + std::to_string(n) + ": " +
+              js[k].ToString() + "\nbase: " + base.ToString();
+          const std::string want =
+              Describe(ReferenceWellFoundedMissing(q, base, js[k], probe));
+          const Result<std::optional<Fact>> per_j =
+              per_j_ev->FirstRetracted(js[k], probe);
+          EXPECT_EQ(want, Describe(per_j)) << "per-J alternation, " << ctx;
+          EXPECT_EQ(want, Describe(got[k])) << "batch, " << ctx;
+          if (batch.ok()) {
+            EXPECT_TRUE(per_j.ok()) << "the masked run succeeded but this "
+                                       "world's own run failed, "
+                                    << ctx;
+            EXPECT_EQ(want, Describe(masked[k])) << "masked run, " << ctx;
+          }
+          ++checks;
+          errors += want.rfind("error", 0) == 0;
+          missing += want.find('(') != std::string::npos;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 1000u);
+  EXPECT_GT(errors, 0u);
+  EXPECT_GT(missing, 0u);
+  EXPECT_GT(capped_batches, 0u) << "no capped batch ran masked";
+  EXPECT_GT(failed_batches, 0u) << "no batch took the per-J replay";
+  EXPECT_GE(gamma_counts.size(), 3u) << "batches all ran as many Gammas";
 }
 
 // UnionEvaluator parity at the Query layer: the closure-matrix evaluators of
@@ -509,7 +695,8 @@ std::vector<DatalogQuery> CheckerCorpus() {
   add(queries::CliqueProgram(3));
   add(queries::StarProgram(2));
   add(queries::DuplicateProgram(2));
-  for (size_t shape = 0; shape + 1 < workload::kProgramShapeCount; ++shape) {
+  add(queries::WinMoveProgram());
+  for (size_t shape = 0; shape < workload::kProgramShapeCount; ++shape) {
     for (uint64_t seed : {3, 11}) {
       workload::FuzzerOptions fo;
       fo.seed = seed;

@@ -5,10 +5,13 @@
 // max_total_facts; and the monotone alternation (lo only grows, hi only
 // shrinks) that lets the production loop stop on equal sizes. Well-founded
 // union checks, which probe the final lo, must match the generic overlay
-// evaluator's first retracted fact.
+// evaluator's first retracted fact. Run over world-masked databases, each
+// world's lo and hi move monotonically too, which the batched alternation's
+// stop test rests on.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <optional>
 #include <random>
@@ -228,6 +231,111 @@ TEST(WellFoundedTest, WinMoveGameFamiliesMatchReference) {
     }
   }
   EXPECT_GT(errors, 0u);
+}
+
+// Per-world fact counts of a masked database: weights[k] is the number of
+// facts holding in world k (a fact's rows carry disjoint world sets).
+std::vector<size_t> WorldWeights(const Database& db, size_t worlds) {
+  std::vector<size_t> weights(worlds, 0);
+  db.ForEachStore([&](uint32_t, const RelStore& store) {
+    for (uint32_t row = 0; row < store.row_count(); ++row) {
+      for (uint64_t m = store.RowMask(row); m != 0; m &= m - 1) {
+        ++weights[std::countr_zero(m)];
+      }
+    }
+  });
+  return weights;
+}
+
+// World k of a masked database, as an Instance.
+Instance WorldOf(const Database& db, size_t k) {
+  Instance out;
+  db.ForEachStore([&](uint32_t rel, const RelStore& store) {
+    Tuple t;
+    for (uint32_t row = 0; row < store.row_count(); ++row) {
+      if ((store.RowMask(row) >> k & 1) == 0) continue;
+      store.MaterializeRow(row, &t);
+      out.Insert(Fact(rel, t));
+    }
+  });
+  return out;
+}
+
+// The premise of the masked alternation's stop test (FirstMissingBatch
+// stops once the summed world weights of lo and hi repeat): with Gammas
+// run over masked copies of one seed, each world's lo weight never falls
+// and its hi weight never rises from one round to the next, and each world
+// ends on the definitely-true facts of its own alternation.
+TEST(WellFoundedTest, MaskedWorldWeightsAreMonotone) {
+  EvalOptions bytecode;
+  bytecode.engine = EvalEngine::kBytecode;
+  size_t rounds_seen = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    std::string text;
+    if (seed % 2 == 0) {
+      workload::FuzzerOptions fo;
+      fo.seed = seed;
+      fo.shape = workload::ProgramShape::kWinMove;
+      text = workload::GenerateProgram(fo).text;
+    } else {
+      std::mt19937 rng(14000 + seed);
+      text = RandomFixedNegationProgram(rng);
+    }
+    Result<Program> program = Parse(text);
+    ASSERT_TRUE(program.ok()) << text;
+    Result<PreparedProgram> prepared =
+        PreparedProgram::PrepareFixedNegation(*program, bytecode);
+    ASSERT_TRUE(prepared.ok()) << text;
+    const Schema input = InputSchema(*prepared);
+    const Instance base = workload::RandomInstance(input, 3, 4, seed);
+    std::vector<Instance> js;
+    for (uint64_t k = 0; k < 8; ++k) {
+      js.push_back(workload::RandomInstance(input, k % 4, 6, 100 * seed + k));
+    }
+    const uint64_t all = (uint64_t{1} << js.size()) - 1;
+    Database seed_db;
+    seed_db.EnableMasks(all);
+    auto add = [&](const Instance& part, uint64_t worlds) {
+      part.ForEachFact([&](uint32_t rel, const Tuple& t) {
+        seed_db.StoreOrCreate(rel)->SeedMasked(t, worlds);
+      });
+    };
+    add(base, all);
+    for (size_t k = 0; k < js.size(); ++k) add(js[k], uint64_t{1} << k);
+    auto gamma = [&](const Database& neg, Database* out) {
+      *out = seed_db.ShareDict();
+      return prepared->RunFixedNegation(out, neg);
+    };
+    Database lo = seed_db.ShareDict();  // no Adom: the seed is the input
+    Database hi, new_lo, new_hi;
+    ASSERT_TRUE(gamma(lo, &hi).ok()) << text;
+    std::vector<size_t> lo_w = WorldWeights(lo, js.size());
+    std::vector<size_t> hi_w = WorldWeights(hi, js.size());
+    while (true) {
+      ASSERT_TRUE(gamma(hi, &new_lo).ok()) << text;
+      ASSERT_TRUE(gamma(new_lo, &new_hi).ok()) << text;
+      const std::vector<size_t> new_lo_w = WorldWeights(new_lo, js.size());
+      const std::vector<size_t> new_hi_w = WorldWeights(new_hi, js.size());
+      for (size_t k = 0; k < js.size(); ++k) {
+        EXPECT_GE(new_lo_w[k], lo_w[k]) << "lo fell in world " << k << text;
+        EXPECT_LE(new_hi_w[k], hi_w[k]) << "hi rose in world " << k << text;
+      }
+      std::swap(lo, new_lo);
+      std::swap(hi, new_hi);
+      ++rounds_seen;
+      if (new_lo_w == lo_w && new_hi_w == hi_w) break;
+      lo_w = new_lo_w;
+      hi_w = new_hi_w;
+    }
+    for (size_t k = 0; k < js.size(); ++k) {
+      Result<WellFoundedModel> want =
+          EvaluateWellFounded(*prepared, {&base, &js[k]});
+      ASSERT_TRUE(want.ok()) << text;
+      EXPECT_EQ(WorldOf(lo, k).ToString(), want->definitely.ToString())
+          << "world " << k << "\n" << text;
+    }
+  }
+  EXPECT_GT(rounds_seen, 40u) << "every alternation stopped at once";
 }
 
 // Well-founded union checks run the alternation over {I, J} and probe the
