@@ -1,7 +1,6 @@
 // Engine performance benchmarks (google-benchmark): the substrate ablations
-// DESIGN.md calls out — semi-naive vs naive evaluation, stratified vs
-// well-founded semantics, transducer network simulation scaling, and the
-// monotonicity checker.
+// DESIGN.md calls out — stratified vs well-founded semantics, transducer
+// network simulation scaling, and the monotonicity checker.
 
 #include <benchmark/benchmark.h>
 
@@ -47,29 +46,15 @@ const datalog::Program& TcProgram() {
 void BM_TransitiveClosureSemiNaive(benchmark::State& state) {
   Instance input =
       workload::RandomGraphM(state.range(0), 3 * state.range(0), /*seed=*/7);
-  datalog::EvalOptions opts;
-  opts.semi_naive = true;
   size_t derived = 0;
   for (auto _ : state) {
-    Result<Instance> out = datalog::Evaluate(TcProgram(), input, opts);
+    Result<Instance> out = datalog::Evaluate(TcProgram(), input);
     benchmark::DoNotOptimize(out);
     derived = out.ok() ? out->size() : 0;
   }
   state.counters["facts"] = static_cast<double>(derived);
 }
 BENCHMARK(BM_TransitiveClosureSemiNaive)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_TransitiveClosureNaive(benchmark::State& state) {
-  Instance input =
-      workload::RandomGraphM(state.range(0), 3 * state.range(0), /*seed=*/7);
-  datalog::EvalOptions opts;
-  opts.semi_naive = false;
-  for (auto _ : state) {
-    Result<Instance> out = datalog::Evaluate(TcProgram(), input, opts);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_TransitiveClosureNaive)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_StratifiedComplementTc(benchmark::State& state) {
   datalog::Program program = datalog::ParseOrDie(
@@ -263,7 +248,7 @@ BENCHMARK(BM_ToInstance)->Arg(32)->Arg(128);
 // pre-generated code stream in which every row appears twice (TC-like
 // attempt mix — about half the attempts are rejects). Covers the packed-u64
 // open-addressing table, its growth schedule, and the batched insert the
-// engines flush through.
+// engine flushes through.
 void BM_DedupInsert(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   std::vector<uint32_t> c0, c1;
@@ -298,36 +283,6 @@ void BM_DedupInsert(benchmark::State& state) {
                           static_cast<int64_t>(c0.size()));
 }
 BENCHMARK(BM_DedupInsert)->Arg(4096)->Arg(65536);
-
-// Morsel-parallel stratum evaluation on an instance large enough that the
-// semi-naive deltas exceed the morsel size: Arg is eval_threads. Outputs are
-// byte-identical at any count (pinned by tests/engine_diff_test.cc); the
-// threads=N over threads=1 speedup on multi-core hosts is the tracked
-// number. On single-core CI runners the lanes execute inline, so this also
-// tracks the sink/merge overhead of the parallel plumbing itself.
-void BM_EvalPreparedThreads(benchmark::State& state) {
-  datalog::EvalOptions opts;
-  opts.eval_threads = static_cast<int>(state.range(0));
-  Result<datalog::PreparedProgram> p =
-      datalog::PreparedProgram::Prepare(TcProgram(), opts);
-  if (!p.ok()) {
-    state.SkipWithError("prepare failed");
-    return;
-  }
-  Instance input = workload::RandomGraphM(400, 1600, /*seed=*/7);
-  for (auto _ : state) {
-    Result<Instance> out = p->Eval(input);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EvalPreparedThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 // Union checks against one I, 64 J's at a time: Arg(1) answers each batch
 // with one world-masked run (FirstRetractedBatch), Arg(0) asks the same

@@ -13,7 +13,6 @@
 #include "base/metrics.h"
 #include "base/thread_pool.h"
 #include "base/trace.h"
-#include "datalog/evaluator.h"
 
 namespace calm::bench {
 
@@ -29,14 +28,6 @@ namespace calm::bench {
 //   --trace_out P     enable span tracing for the run and write a Chrome
 //                     trace_event file to P on exit (load in chrome://tracing
 //                     or ui.perfetto.dev; tools/trace_view.py summarizes it)
-//   --engine NAME     rule evaluator: "bytecode" (default) or "tree" (the
-//                     differential oracle); also settable via CALM_ENGINE,
-//                     the flag wins (SetDefaultEvalEngine)
-//   --eval_threads N  worker threads for morsel-parallel stratum evaluation
-//                     inside a single bytecode fixpoint (default 1 = serial;
-//                     results are byte-identical at any count); also settable
-//                     via CALM_EVAL_THREADS, the flag wins
-//                     (SetDefaultEvalThreads)
 //   --checkpoint_dir D  journal every exhaustive sweep's progress into D
 //                     (monotonicity/sweep_checkpoint.h) so a killed run —
 //                     SIGINT/SIGTERM with InstallCancelHandlers, or a hard
@@ -54,8 +45,6 @@ struct Flags {
   size_t domain_bump = 0;
   std::string metrics_out;  // empty = metrics registry stays disabled
   std::string trace_out;    // empty = tracing stays disabled
-  std::string engine;       // empty = CALM_ENGINE / bytecode default
-  size_t eval_threads = 0;  // 0 = CALM_EVAL_THREADS / serial default
   std::string checkpoint_dir;  // empty = sweeps run without a journal
 };
 
@@ -76,9 +65,6 @@ inline std::vector<FlagSpec> FlagSpecs(Flags* flags) {
   return {
       {"--threads", "N", "checker worker threads (default: CALM_THREADS)",
        nullptr, &flags->threads, true},
-      {"--eval_threads", "N",
-       "morsel-parallel evaluation threads (default: CALM_EVAL_THREADS)",
-       nullptr, &flags->eval_threads, true},
       {"--domain_bump", "N", "widen exhaustive domain_size by N", nullptr,
        &flags->domain_bump, false},
       {"--json", "PATH", "write the report as JSON", &flags->json_path,
@@ -87,8 +73,6 @@ inline std::vector<FlagSpec> FlagSpecs(Flags* flags) {
        &flags->metrics_out, nullptr, false},
       {"--trace_out", "PATH", "enable tracing, write Chrome trace on exit",
        &flags->trace_out, nullptr, false},
-      {"--engine", "NAME", "rule evaluator: bytecode (default) or tree",
-       &flags->engine, nullptr, false},
       {"--checkpoint_dir", "DIR",
        "journal sweep progress into DIR; a rerun resumes",
        &flags->checkpoint_dir, nullptr, false},
@@ -217,19 +201,7 @@ inline Flags ParseFlags(int* argc, char** argv,
     *hit->num = static_cast<size_t>(n);
   }
   *argc = out;
-  if (!flags.engine.empty()) {
-    Result<datalog::EvalEngine> engine = datalog::ParseEvalEngine(flags.engine);
-    if (!engine.ok()) {
-      std::fprintf(stderr, "--engine expects tree or bytecode, got %s\n",
-                   flags.engine.c_str());
-      std::exit(2);
-    }
-    datalog::SetDefaultEvalEngine(*engine);
-  }
   if (flags.threads != 0) SetDefaultThreads(flags.threads);
-  if (flags.eval_threads != 0) {
-    datalog::SetDefaultEvalThreads(static_cast<int>(flags.eval_threads));
-  }
   if (!flags.metrics_out.empty()) SetMetricsEnabled(true);
   if (!flags.trace_out.empty()) {
     if (!TracingCompiledIn()) {

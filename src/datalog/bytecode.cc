@@ -90,8 +90,8 @@ RuleBytecode CompileRuleBytecode(const CompiledRule& rule,
   }
 
   // Static binding analysis: a slot is bound at atom k iff an earlier atom
-  // (or an earlier position of atom k) bound it — exactly the state the
-  // tree matcher rediscovers per candidate tuple at run time.
+  // (or an earlier position of atom k) bound it — decided once here rather
+  // than per candidate tuple at run time.
   std::vector<bool> bound(rule.slot_count, false);
   for (size_t a = 0; a < rule.pos.size(); ++a) {
     const CompiledAtom& atom = rule.pos[a];
@@ -190,13 +190,12 @@ BytecodeExecutor::BytecodeExecutor(
     const BytecodeProgram& program, Database* db, const Database* negation_db,
     const std::vector<uint32_t>* growing,
     const std::vector<std::pair<uint32_t, uint32_t>>* ranges,
-    EvalStats* stats, InventionTable* invention, ExecCounters* counters,
+    InventionTable* invention, ExecCounters* counters,
     BytecodeScratch* scratch)
     : db_(db),
       negation_db_(negation_db),
       growing_(growing),
       ranges_(ranges),
-      stats_(stats),
       invention_(invention),
       counters_(counters),
       scratch_(scratch),
@@ -230,8 +229,8 @@ void BytecodeExecutor::EmitRow(const RuleBytecode& rule, const JoinOp& op,
     if (l == r) return;
   }
   // The join ran (probe/hit counters ticked); a failing constant-only
-  // inequality only suppresses the leaf, exactly as the tree matcher's
-  // per-leaf Finish does.
+  // inequality only suppresses the leaf, so the counters do not depend on
+  // where that inequality is checked.
   if (!emit_ok) return;
   const ValueDict& dict = db_->dict();
   if (kMasked && !rule.negs.empty()) {
@@ -295,7 +294,7 @@ void BytecodeExecutor::EmitRow(const RuleBytecode& rule, const JoinOp& op,
   size_t h = 0;
   if (rule.head_invents) {
     // ILOG invention stays in Value space: the Skolem table is keyed by
-    // Values so both engines invent byte-identical terms.
+    // Values, so a term's invented value does not depend on code assignment.
     Tuple& args = scratch_->tuple;
     args.clear();
     args.reserve(rule.head.size());
@@ -315,10 +314,6 @@ void BytecodeExecutor::EmitRow(const RuleBytecode& rule, const JoinOp& op,
     } else {
       ++counters_->rejected;
     }
-    return;
-  }
-  if (sink_ != nullptr) {
-    for (size_t i = 0; i < h; ++i) (*sink_)[i].push_back(head[i]);
     return;
   }
   if (head_store_->InsertCodes(head, static_cast<uint32_t>(h))) {
@@ -499,31 +494,22 @@ bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
   // is preserved, and mid-round derivations are invisible to every scan and
   // probe anyway (visibility horizons; probe indexes extend only inside
   // PrepareProbe, never on insert).
-  std::vector<std::vector<uint32_t>>& emit =
-      sink_ != nullptr ? *sink_ : scratch_->emit_cols;
+  std::vector<std::vector<uint32_t>>& emit = scratch_->emit_cols;
   if (emit.size() < nhead) emit.resize(nhead);
-  const bool direct = sink_ == nullptr;
-  if (direct) {
-    for (uint32_t i = 0; i < nhead; ++i) emit[i].clear();
-  }
+  for (uint32_t i = 0; i < nhead; ++i) emit[i].clear();
   // The emit columns are managed as raw storage plus one shared logical row
   // count `en`: per-row appends are pointer writes (no size bookkeeping, no
-  // value-initialized tails), and sizes are committed only before a flush
-  // and at return — the sink leaves with size() == rows emitted.
-  size_t en = emit[0].size();
-  size_t estore = en;
+  // value-initialized tails), and sizes are committed only before a flush.
+  size_t en = 0;
+  size_t estore = 0;
   auto ensure = [&](size_t cnt) {
     if (en + cnt <= estore) return;
     estore = std::max(std::max(estore * 2, en + cnt), size_t{1024});
     for (uint32_t i = 0; i < nhead; ++i) emit[i].resize(estore);
   };
-  auto commit = [&] {
-    for (uint32_t i = 0; i < nhead; ++i) emit[i].resize(en);
-    estore = en;
-  };
   auto flush = [&] {
     if (en == 0) return;
-    commit();
+    for (uint32_t i = 0; i < nhead; ++i) emit[i].resize(en);
     const uint32_t* ptrs[32];
     for (uint32_t i = 0; i < nhead; ++i) ptrs[i] = emit[i].data();
     head_store_->InsertBatchCols(ptrs, nhead, en, &counters_->inserted,
@@ -574,7 +560,7 @@ bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
     for (uint32_t b = 0; b < bn; ++b) {
       hitp[b] = &s1->ProbePrepared(index, kptr + b * kstride);
     }
-    counters_->probes += bn;  // tree parity: one probe per (frame = op0 row)
+    counters_->probes += bn;  // one probe per frame (= op0 row)
     for (uint32_t b = 0; b < bn; ++b) {
       const std::vector<uint32_t>& hits = *hitp[b];
       const uint32_t* hb = hits.data();
@@ -607,13 +593,9 @@ bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
       }
       en += cnt;
     }
-    if (direct && en >= kFlushRows) flush();
+    if (en >= kFlushRows) flush();
   }
-  if (direct) {
-    flush();
-  } else {
-    commit();
-  }
+  flush();
   return true;
 }
 
@@ -632,8 +614,8 @@ void BytecodeExecutor::EvalRule(const RuleBytecode& rule, size_t delta_index,
   const size_t stride = rule.slot_count + (kMasked ? 2 : 0);
   const uint32_t* ccodes = const_codes_.data();
   // Constant-only inequalities (ready_after == 0): frame-independent, but a
-  // failure must not skip the joins — the tree matcher still walks them
-  // (counting probes) and rejects each leaf in Finish.
+  // failure must not skip the joins — they still run, so the probe counters
+  // count the whole join, and each leaf is rejected at emission.
   bool emit_ok = true;
   for (const IneqCheck& iq : rule.const_ineqs) {
     if (ccodes[iq.left.const_id] == ccodes[iq.right.const_id]) {
@@ -684,8 +666,7 @@ void BytecodeExecutor::EvalRule(const RuleBytecode& rule, size_t delta_index,
     bool grows = false;
     const uint32_t end = Horizon(op.relation, *store, &grows);
     // A growing store with nothing visible this round is, for this Eval,
-    // the same as a missing store (the tree engine has no such rows at
-    // all) — bail before any probe is counted.
+    // the same as a missing store — bail before any probe is counted.
     if (grows && end == 0) return;
     size_t survivors = 0;
     if (!last) next.clear();
@@ -714,10 +695,6 @@ void BytecodeExecutor::EvalRule(const RuleBytecode& rule, size_t delta_index,
                               : ccodes[s.idx];
         }
         ++counters_->applications;
-        if (sink_ != nullptr) {
-          for (uint32_t i = 0; i < nhead; ++i) (*sink_)[i].push_back(head[i]);
-          return;
-        }
         if (head_store_->InsertCodes(head, nhead)) {
           ++counters_->inserted;
         } else {
@@ -786,19 +763,16 @@ void BytecodeExecutor::EvalRule(const RuleBytecode& rule, size_t delta_index,
         const KeySrc& k = op.key[i];
         codes[i] = k.slot >= 0 ? parent[k.slot] : ccodes[k.const_id];
       }
-      ++counters_->probes;  // tree parity: one probe per frame
+      ++counters_->probes;  // one probe per frame
       const std::vector<uint32_t>& hits = store->ProbePrepared(*index, codes);
       // Hit rows are ascending, so both the visibility horizon and the
       // delta restriction are contiguous slices.
       const uint32_t* hb = hits.data();
       const uint32_t* he = hb + hits.size();
       if (bound_hits) he = std::lower_bound(hb, he, end);
-      if (is_delta) {
-        hb = std::lower_bound(hb, he, delta_lo);
-        // delta_hi == the horizon for whole-delta runs (the clamp above
-        // already cut there); a morsel's sub-range needs its own upper cut.
-        if (delta_hi < end) he = std::lower_bound(hb, he, delta_hi);
-      }
+      // A delta ends at the horizon (the clamp above), so only its start
+      // needs a cut.
+      if (is_delta) hb = std::lower_bound(hb, he, delta_lo);
       counters_->probe_hits += static_cast<uint64_t>(he - hb);
       for (; hb != he; ++hb) visit_row(*hb, parent);
     }

@@ -10,15 +10,13 @@
 #include "base/fact.h"
 #include "base/value.h"
 #include "datalog/compiled.h"
-#include "datalog/evaluator.h"
 #include "datalog/relstore.h"
 
 namespace calm::datalog {
 
-// Skolem-term hash-consing shared by both engines (Section 5.2): identical
-// derivations reuse one invented value, and numbering follows
-// first-derivation order — so two engines that enumerate derivations in the
-// same order invent byte-identical values.
+// Skolem-term hash-consing (Section 5.2): identical derivations reuse one
+// invented value, and numbering follows first-derivation order — so one
+// program evaluated twice on one input invents byte-identical values.
 class InventionTable {
  public:
   Value GetOrCreate(uint32_t relation, const Tuple& args) {
@@ -41,11 +39,13 @@ class InventionTable {
 // projections, inequality filters, and negation anti-probes are attached to
 // the op at which they become evaluable. Execution is batch-at-a-time: a
 // level of frames (slot vectors) is expanded through each op over the
-// columnar store, so the inner loops are flat array walks instead of the
-// tree matcher's recursion. Expanding frames in order and appending matches
-// in row order makes the breadth-first leaf order equal the tree matcher's
-// depth-first enumeration — the derivation streams are identical, which the
-// differential harness (tests/engine_diff_test.cc) pins.
+// columnar store, so the inner loops are flat array walks. Expanding frames
+// in order and appending matches in row order makes the breadth-first leaf
+// order equal the depth-first enumeration of the join — for each row of the
+// first atom, in row order, each matching row of the second, and so on — so
+// the derivation stream, and with it insert order and invented-value
+// numbering, is a function of the rule and the stored rows alone.
+// tests/engine_diff_test.cc holds the results to a reference evaluator.
 //
 // Frames hold dictionary codes, not Values: the owning Database's shared
 // ValueDict makes code equality coincide with value equality, so joins,
@@ -122,17 +122,17 @@ struct BytecodeProgram {
 };
 
 // Compiles the slot-form rules (datalog/compiled.h) to bytecode. Pure
-// translation: join order, binding structure, and check placement are
-// exactly the tree matcher's, just decided once instead of per tuple.
+// translation: join order and binding structure are the compiled rule's,
+// and each check sits at the first op that binds all of its slots.
 // `pool` accumulates the rule's constants (deduplicated).
 RuleBytecode CompileRuleBytecode(const CompiledRule& rule,
                                  std::vector<Value>* pool);
 BytecodeProgram CompileBytecode(const std::vector<CompiledRule>& rules);
 
-// Observability tallies with tree-matcher parity: one probe per frame on an
-// indexed atom, hits = rows the probe returned (delta-filtered when the
-// atom is the semi-naive site), plus the round's insert/dedup outcomes
-// (derivations insert as they are emitted; see the visibility note below).
+// Observability tallies: one probe per frame on an indexed atom, hits =
+// rows the probe returned (delta-filtered when the atom is the semi-naive
+// site), plus the round's insert/dedup outcomes (derivations insert as they
+// are emitted; see the visibility note below).
 struct ExecCounters {
   uint64_t probes = 0;
   uint64_t probe_hits = 0;
@@ -178,24 +178,18 @@ class BytecodeExecutor {
                    const Database* negation_db,
                    const std::vector<uint32_t>* growing,
                    const std::vector<std::pair<uint32_t, uint32_t>>* ranges,
-                   EvalStats* stats, InventionTable* invention,
-                   ExecCounters* counters, BytecodeScratch* scratch);
+                   InventionTable* invention, ExecCounters* counters,
+                   BytecodeScratch* scratch);
 
   // Evaluates one rule, inserting head derivations into the database in
-  // tree-matcher order. When `delta_index` names a positive atom, that atom
-  // ranges over rows [delta_lo, delta_hi) of its relation's store instead
-  // of the full store (row-range semi-naive: the delta is a contiguous
-  // row slice of the main store, so no second delta store is maintained).
+  // the join's depth-first order (see above). When `delta_index` names a
+  // positive atom, that atom ranges over rows [delta_lo, delta_hi) of its
+  // relation's store instead of the full store (row-range semi-naive: the
+  // delta is the growth since the previous round, a contiguous row slice of
+  // the main store ending at the round's horizon, so no second delta store
+  // is maintained).
   void Eval(const RuleBytecode& rule, size_t delta_index, uint32_t delta_lo,
             uint32_t delta_hi);
-
-  // Redirects head emissions into `sink` (one code column per head
-  // position, appended in emission order) instead of inserting into the
-  // database. Applications are still counted; inserted/rejected are not —
-  // the morsel driver decides those when it merges the sink serially
-  // through InsertBatchCols. Only valid for rules without invention.
-  // Pass nullptr to restore direct insertion.
-  void SetSink(std::vector<std::vector<uint32_t>>* sink) { sink_ = sink; }
 
   // Bounds each op's frame level: once a level holds more than `limit`
   // code slots (frames × stride), Eval stops and exhausted() turns true —
@@ -272,13 +266,11 @@ class BytecodeExecutor {
   const Database* negation_db_;
   const std::vector<uint32_t>* growing_;
   const std::vector<std::pair<uint32_t, uint32_t>>* ranges_;
-  EvalStats* stats_;
   InventionTable* invention_;
   ExecCounters* counters_;
   BytecodeScratch* scratch_;
   const std::vector<Value>* pool_;
   std::vector<uint32_t> const_codes_;  // const_id -> code in db_'s dict
-  std::vector<std::vector<uint32_t>>* sink_ = nullptr;
   std::vector<NegPlan> neg_plan_;
   std::vector<uint32_t> neg_codes_;  // staged code-space anti-probe keys
   const bool masked_;  // the database was in masked mode at construction

@@ -1,8 +1,5 @@
 #include "datalog/evaluator.h"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "datalog/prepared.h"
 
 // One-shot entry points: prepare, run once, discard. Callers that evaluate a
@@ -11,63 +8,6 @@
 // stratification, and rule compilation are paid once instead of per call.
 
 namespace calm::datalog {
-
-namespace {
-
-EvalEngine EnvEngine() {
-  const char* env = std::getenv("CALM_ENGINE");
-  if (env != nullptr && std::string_view(env) == "tree") {
-    return EvalEngine::kTree;
-  }
-  return EvalEngine::kBytecode;
-}
-
-std::atomic<EvalEngine>& GlobalEngine() {
-  static std::atomic<EvalEngine> engine{EnvEngine()};
-  return engine;
-}
-
-int EnvEvalThreads() {
-  const char* env = std::getenv("CALM_EVAL_THREADS");
-  if (env != nullptr) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 1;
-}
-
-std::atomic<int>& GlobalEvalThreads() {
-  static std::atomic<int> threads{EnvEvalThreads()};
-  return threads;
-}
-
-}  // namespace
-
-EvalEngine DefaultEvalEngine() {
-  return GlobalEngine().load(std::memory_order_relaxed);
-}
-
-void SetDefaultEvalEngine(EvalEngine engine) {
-  GlobalEngine().store(
-      engine == EvalEngine::kDefault ? EnvEngine() : engine,
-      std::memory_order_relaxed);
-}
-
-Result<EvalEngine> ParseEvalEngine(std::string_view name) {
-  if (name == "tree") return EvalEngine::kTree;
-  if (name == "bytecode") return EvalEngine::kBytecode;
-  return InvalidArgumentError("unknown engine (want tree|bytecode): " +
-                              std::string(name));
-}
-
-int DefaultEvalThreads() {
-  return GlobalEvalThreads().load(std::memory_order_relaxed);
-}
-
-void SetDefaultEvalThreads(int n) {
-  GlobalEvalThreads().store(n > 0 ? n : EnvEvalThreads(),
-                            std::memory_order_relaxed);
-}
 
 Json EvalStatsToJson(const EvalStats& stats) {
   Json out = Json::Object();

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "base/instance.h"
 #include "base/json.h"
@@ -14,62 +13,15 @@
 
 namespace calm::datalog {
 
-// Which rule evaluator a prepared program runs on. The flat bytecode engine
-// (datalog/bytecode.h) over columnar stores is the default; the recursive
-// tree-walking matcher is kept as the in-tree differential oracle
-// (--engine=tree). Verdicts, counterexamples, and EvalStats are
-// byte-identical between the two (pinned by tests/engine_diff_test.cc).
-enum class EvalEngine {
-  kDefault = 0,  // resolve through DefaultEvalEngine()
-  kTree,
-  kBytecode,
-};
-
-// The process-wide engine that EvalEngine::kDefault resolves to. Starts as
-// kBytecode unless the CALM_ENGINE environment variable says "tree".
-EvalEngine DefaultEvalEngine();
-// Overrides the process-wide default (bench/test plumbing for --engine).
-// Passing kDefault restores the environment-derived initial value.
-void SetDefaultEvalEngine(EvalEngine engine);
-// Parses "tree" / "bytecode" (the --engine flag and CALM_ENGINE values).
-Result<EvalEngine> ParseEvalEngine(std::string_view name);
-
-// The process-wide worker count that EvalOptions::eval_threads == 0 resolves
-// to. Starts as 1 (serial) unless the CALM_EVAL_THREADS environment variable
-// names a larger count. Morsel-parallel stratum evaluation partitions
-// semi-naive delta rows across this many workers; results are byte-identical
-// at any count (pinned by tests/engine_diff_test.cc).
-int DefaultEvalThreads();
-// Overrides the process-wide default (bench/test plumbing for
-// --eval_threads). Passing n <= 0 restores the environment-derived value.
-void SetDefaultEvalThreads(int n);
-
 struct EvalOptions {
-  // Use semi-naive (delta) iteration; naive re-derivation otherwise. Both
-  // must agree (ablation-tested); semi-naive is the default.
-  bool semi_naive = true;
   // Greedily reorder positive body atoms at rule-compile time so that each
   // atom shares as many bound variables as possible with the atoms before
   // it (avoids accidental cartesian products in carelessly written rules).
   // Purely a performance knob; results are identical (ablation-tested).
   bool reorder_joins = true;
-  // When the program reads the Adom relation as edb, seed it with the active
-  // domain of the input (the paper's convention; the defining rules are
-  // omitted in its examples).
-  bool populate_adom = true;
   // Abort with ResourceExhausted when more facts than this are stored, or
-  // (bytecode engine) when one rule's partial matches need more frame
-  // slots than this.
+  // when one rule's partial matches need more frame slots than this.
   size_t max_total_facts = 10'000'000;
-  // Rule evaluator selection, resolved against DefaultEvalEngine() at
-  // Prepare time. Results are engine-independent (differential-tested);
-  // only the execution strategy differs.
-  EvalEngine engine = EvalEngine::kDefault;
-  // Worker threads for morsel-parallel stratum evaluation (bytecode engine
-  // only), resolved against DefaultEvalThreads() at Prepare time when 0.
-  // Results are byte-identical at any count (differential-tested); only
-  // wall-clock changes.
-  int eval_threads = 0;
 };
 
 struct EvalStats {

@@ -45,9 +45,6 @@ class PreparedProgram {
 
   const ProgramInfo& info() const { return info_; }
   const EvalOptions& options() const { return options_; }
-  // The engine this program was compiled for (options().engine resolved
-  // against DefaultEvalEngine() at Prepare time).
-  EvalEngine engine() const { return engine_; }
 
   // Stratified (or ILOG) evaluation; equals Evaluate()/EvaluateIlog() on
   // this program. Only valid on Prepare()-built instances.
@@ -79,7 +76,7 @@ class PreparedProgram {
 
   // Builds the seed database: the union of `parts` restricted to sch(P)
   // (and `pre_restrict`, when given), plus Adom facts when the program
-  // reads Adom and options().populate_adom is set.
+  // reads Adom.
   Database MakeSeed(std::initializer_list<const Instance*> parts,
                     const Schema* pre_restrict) const;
 
@@ -105,9 +102,9 @@ class PreparedProgram {
   // The most J's one FirstMissingBatch answers: one bit of a world mask each.
   static constexpr size_t kMaxUnionBatch = 64;
 
-  // Whether FirstMissingBatch can serve this program: bytecode engine,
-  // semi-naive, no invention (stratified or fixed-negation). The rest is
-  // asked one J at a time.
+  // Whether FirstMissingBatch can serve this program: no rule invents
+  // (stratified or fixed-negation alike). Inventing programs are asked one
+  // J at a time.
   bool SupportsUnionBatch() const;
 
   // (*out)[k] = FirstMissing({&base, js[k]}, pre_restrict, probe) for every
@@ -151,6 +148,11 @@ class PreparedProgram {
   void CompileRules(const Program& program);
   Stratum MakeStratum(const Program& program,
                       const std::vector<size_t>& rule_indices) const;
+  // Runs strata_[index] to its fixpoint over `db`, testing negated atoms
+  // against `negation_db` (db itself under stratified semantics, the fixed
+  // reference under Gamma). The one driver behind every evaluation path.
+  Status RunStratum(size_t index, Database* db, const Database* negation_db,
+                    EvalStats* stats, InventionTable* invention) const;
   void SeedInto(Database* db, std::initializer_list<const Instance*> parts,
                 const Schema* pre_restrict) const;
   // SeedInto for a masked database: `base` in every world, js[k] in world k.
@@ -174,10 +176,9 @@ class PreparedProgram {
 
   ProgramInfo info_;
   EvalOptions options_;
-  EvalEngine engine_ = EvalEngine::kBytecode;
   bool fixed_negation_ = false;
   std::vector<CompiledRule> compiled_;
-  BytecodeProgram bytecode_;  // compiled iff engine_ == kBytecode
+  BytecodeProgram bytecode_;
   std::vector<Stratum> strata_;
   Schema adom_source_;  // edb(P) minus Adom: where seeded Adom values come from
 };

@@ -48,8 +48,7 @@ class DatalogQuery : public Query {
   // Q(i ∪ j). Under stratified semantics a single check re-runs the
   // fixpoint over i ∪ j from scratch (PreparedProgram::FirstMissing), and a
   // batch of up to 64 j's runs one fixpoint whose facts carry per-j world
-  // masks (PreparedProgram::FirstMissingBatch) when the prepared program
-  // supports it (bytecode engine, semi-naive); a failed batch is re-asked
+  // masks (PreparedProgram::FirstMissingBatch); a failed batch is re-asked
   // one j at a time. Under well-founded semantics each check runs the
   // alternation over i ∪ j and probes its definitely-true facts, and a
   // batch runs one alternation of world-masked Gammas. Verdicts and errors

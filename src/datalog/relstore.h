@@ -76,8 +76,8 @@ class ValueDict {
 // Evaluation-time storage for one relation, column-major (SoA): one
 // dictionary-interned code column per attribute, all columns sharing the
 // owning Database's ValueDict. Each column is a flat vector of codes in
-// insertion order, which the fixpoint drivers rely on for deterministic
-// matching. Row identity (the probe currency of both engines) is the
+// insertion order, which the fixpoint driver relies on for deterministic
+// matching. Row identity (the probe currency of the executor) is the
 // insertion index.
 //
 // Deduplication runs over code rows in a flat open-addressing table, and
@@ -164,8 +164,8 @@ class RelStore {
   // insertion order — but arity-1/2 batches hash all keys up front
   // (simd::Mix64Batch), prefetch the dedup buckets ahead of resolution, and
   // pre-grow the table once so no rehash lands mid-batch. The bytecode
-  // engine's deferred-emission flush and the morsel-merge path live here.
-  // Attempt outcomes accumulate into `*inserted` / `*rejected`.
+  // engine's deferred-emission flush lives here. Attempt outcomes
+  // accumulate into `*inserted` / `*rejected`.
   void InsertBatchCols(const uint32_t* const* col_ptrs, uint32_t arity,
                        size_t n, uint64_t* inserted, uint64_t* rejected);
 
@@ -333,7 +333,7 @@ class RelStore {
   // fact gets it), never appending a version row.
   void SeedMasked(const Tuple& t, uint64_t worlds);
 
-  // --- columnar row access (the engines' inner loops) ---
+  // --- columnar row access (the executor's inner loops) ---
 
   // Value at (row, col); row must be < row_count().
   Value At(uint32_t row, uint32_t col) const {
@@ -437,8 +437,8 @@ class RelStore {
   std::vector<MaskIndex> indexes_;  // few masks per store; linear scan
   std::vector<uint32_t> code_scratch_;
   // InsertBatchCols scratch (packed keys and their hashes), kept allocated
-  // across batches. Batch insertion is a single-writer operation, so member
-  // scratch is safe — morsel lanes never insert, only the serial merge does.
+  // across batches. Like every insert, a batch has a single writer and no
+  // concurrent reader, so member scratch is safe.
   std::vector<uint64_t> batch_keys_;
   std::vector<uint64_t> batch_hashes_;
   std::vector<Tuple> overflow_;  // arity-mismatched stragglers
@@ -554,9 +554,9 @@ class Database {
   std::shared_ptr<ValueDict> dict_;  // heap: address stable across moves
   std::vector<std::pair<uint32_t, RelStore>> rels_;
   uint64_t worlds_ = 0;  // masked mode's world set; 0 = unmasked
-  // MRU index into rels_. Atomic (relaxed) because morsel lanes call Find
-  // concurrently during a parallel stratum round; the cache is only a hint,
-  // so any interleaving of the relaxed loads/stores stays correct.
+  // MRU index into rels_. Atomic (relaxed) so that Find, a const method,
+  // stays safe for concurrent readers of one Database; the cache is only a
+  // hint, so any interleaving of the relaxed loads/stores stays correct.
   mutable std::atomic<size_t> last_{0};
 };
 

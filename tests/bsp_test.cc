@@ -1,13 +1,12 @@
 // Tests for the bulk-synchronous (BSP) network semantics: sends staged
 // during superstep k are delivered exactly at superstep k + 1, barrier
 // quiescence, the perfect-network restriction, and async-vs-BSP output
-// byte-identity for every Figure 2 strategy at several eval-thread counts.
+// byte-identity for every Figure 2 strategy.
 
 #include <memory>
 
 #include <gtest/gtest.h>
 
-#include "datalog/evaluator.h"
 #include "datalog/program.h"
 #include "net/fault.h"
 #include "queries/graph_queries.h"
@@ -198,18 +197,11 @@ std::vector<StrategyCase> MakeFigure2Cases(
 }
 
 TEST(Bsp, AsyncAndBspAgreeOnEveryFigure2Strategy) {
-  for (int threads : {1, 2, 8}) {
-    datalog::SetDefaultEvalThreads(threads);
-    std::vector<std::unique_ptr<Query>> owned;
-    std::vector<std::unique_ptr<datalog::DatalogQuery>> owned_dl;
-    // Queries are (re)built after the thread-count override so prepared
-    // programs actually resolve to it.
-    for (StrategyCase& c : MakeFigure2Cases(&owned, &owned_dl)) {
-      SCOPED_TRACE("eval_threads=" + std::to_string(threads));
-      ExpectAsyncBspAgree(c);
-    }
+  std::vector<std::unique_ptr<Query>> owned;
+  std::vector<std::unique_ptr<datalog::DatalogQuery>> owned_dl;
+  for (StrategyCase& c : MakeFigure2Cases(&owned, &owned_dl)) {
+    ExpectAsyncBspAgree(c);
   }
-  datalog::SetDefaultEvalThreads(0);  // restore the environment default
 }
 
 TEST(Bsp, FaultedAsyncMatchesFaultlessBspWhereFairnessAllows) {

@@ -1,13 +1,21 @@
-// Randomized differential harness: the tree-walking matcher vs the flat
-// bytecode engine (DESIGN.md "Two engines, one semantics"). Programs and
-// instances are generated from fixed seeds, so every run checks the same
-// corpus; any divergence in outputs, error outcomes, EvalStats, ILOG
-// invention, or checker verdicts is a bug in one of the engines. The CI
-// engine-diff leg runs this under ASan/UBSan on top of the full suite.
+// Randomized differential harness: the bytecode engine against the
+// reference evaluator (tests/reference_eval.h; DESIGN.md "One engine, one
+// reference oracle"), which runs naive iteration over Instances straight
+// from the AST and shares only Analyze and Stratify with production.
+// Programs and instances come from fixed seeds, so every run checks the
+// same corpus. Outputs and ok/error outcomes must agree — ILOG outputs after
+// renaming every invented value to its Skolem term — and so must checker
+// verdicts: a DatalogQuery, whose union checks run as world-masked batches,
+// against the reference wrapped as a NativeQuery, whose union checks
+// re-evaluate one J at a time.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,7 +24,8 @@
 #include "datalog/parser.h"
 #include "datalog/program.h"
 #include "monotonicity/checker.h"
-#include "workload/graph_gen.h"
+#include "queries/paper_programs.h"
+#include "reference_eval.h"
 
 namespace calm::datalog {
 namespace {
@@ -158,50 +167,92 @@ Instance RandomInstance(std::mt19937& rng) {
 
 enum class Mode { kStratified, kIlog, kFixedNegation };
 
-// Evaluates one (program, instance) under both engines and both iteration
-// modes and requires byte-identical outcomes: output instance (or error
-// message), all EvalStats fields, and the ILOG invention count.
-void ExpectEnginesAgree(const std::string& text, const Instance& input,
-                        Mode mode, const std::string& label) {
+// `out`'s facts, sorted, duplicates kept, with every invented value written
+// as its Skolem term f_R(args) — read off the fact R(v, args) that invented
+// v, for each relation R in `inventing`. Two values standing for one term
+// render as two equal lines; one value claimed by two terms renders as a
+// conflict line instead.
+std::vector<std::string> SkolemRendering(const Instance& out,
+                                         const std::set<uint32_t>& inventing) {
+  std::map<Value, Fact> term;  // invented value -> the fact inventing it
+  for (uint32_t rel : inventing) {
+    for (const Tuple& t : out.TuplesOf(rel)) {
+      const Fact f(rel, Tuple(t.begin() + 1, t.end()));
+      auto [it, fresh] = term.emplace(t[0], f);
+      if (!fresh && !(it->second == f)) {
+        return {"conflict: " + ValueToString(t[0]) + " is " +
+                FactToString(it->second) + " and " + FactToString(f)};
+      }
+    }
+  }
+  std::function<std::string(Value, size_t)> render = [&](Value v,
+                                                         size_t depth) {
+    auto it = term.find(v);
+    if (it == term.end()) return ValueToString(v);
+    if (depth > term.size()) return std::string("<cycle>");
+    std::string s = "f_" + NameOf(it->second.relation) + "(";
+    for (size_t i = 0; i < it->second.args.size(); ++i) {
+      s += (i > 0 ? ", " : "") + render(it->second.args[i], depth + 1);
+    }
+    return s + ")";
+  };
+  std::vector<std::string> facts;
+  out.ForEachFact([&](uint32_t rel, const Tuple& t) {
+    std::string s = NameOf(rel) + "(";
+    for (size_t i = 0; i < t.size(); ++i) {
+      s += (i > 0 ? ", " : "") + render(t[i], 0);
+    }
+    facts.push_back(s + ")");
+  });
+  std::sort(facts.begin(), facts.end());
+  return facts;
+}
+
+// Evaluates one (program, instance) on the engine and on the reference and
+// requires the same ok/error outcome and, on success, the same facts up to
+// the naming of invented values.
+void ExpectMatchesReference(const std::string& text, const Instance& input,
+                            Mode mode, const std::string& label) {
   Result<Program> program = Parse(text);
   ASSERT_TRUE(program.ok()) << label << "\ngenerator bug:\n" << text;
-  for (bool semi_naive : {true, false}) {
-    EvalOptions tree, bytecode;
-    tree.engine = EvalEngine::kTree;
-    bytecode.engine = EvalEngine::kBytecode;
-    tree.semi_naive = bytecode.semi_naive = semi_naive;
-    EvalStats tree_stats, bytecode_stats;
-    size_t tree_invented = 0, bytecode_invented = 0;
-    auto run = [&](const EvalOptions& opts, EvalStats* stats,
-                   size_t* invented) -> Result<Instance> {
-      switch (mode) {
-        case Mode::kIlog:
-          return EvaluateIlog(*program, input, opts, stats, invented);
-        case Mode::kFixedNegation:
-          return EvaluateWithFixedNegation(*program, input, input, opts,
-                                           stats);
-        case Mode::kStratified:
-          break;
-      }
-      return Evaluate(*program, input, opts, stats);
-    };
-    Result<Instance> a = run(tree, &tree_stats, &tree_invented);
-    Result<Instance> b = run(bytecode, &bytecode_stats, &bytecode_invented);
-    const std::string ctx = label + (semi_naive ? " semi-naive" : " naive") +
-                            "\nprogram:\n" + text + "input: " +
-                            input.ToString();
-    ASSERT_EQ(a.ok(), b.ok())
-        << ctx << "\ntree: " << (a.ok() ? "ok" : a.status().message())
-        << "\nbytecode: " << (b.ok() ? "ok" : b.status().message());
-    if (a.ok()) {
-      EXPECT_EQ(a->ToString(), b->ToString()) << ctx;
-    } else {
-      EXPECT_EQ(a.status().message(), b.status().message()) << ctx;
+  auto engine = [&]() -> Result<Instance> {
+    switch (mode) {
+      case Mode::kIlog:
+        return EvaluateIlog(*program, input);
+      case Mode::kFixedNegation:
+        return EvaluateWithFixedNegation(*program, input, input);
+      case Mode::kStratified:
+        break;
     }
-    EXPECT_EQ(EvalStatsToString(tree_stats), EvalStatsToString(bytecode_stats))
-        << ctx;
-    EXPECT_EQ(tree_invented, bytecode_invented) << ctx;
+    return Evaluate(*program, input);
+  };
+  auto ref = [&]() -> Result<Instance> {
+    switch (mode) {
+      case Mode::kIlog:
+        return reference::Eval(*program, input, reference::kDefaultMaxFacts,
+                               /*allow_invention=*/true);
+      case Mode::kFixedNegation:
+        return reference::Gamma(*program, input, input);
+      case Mode::kStratified:
+        break;
+    }
+    return reference::Eval(*program, input);
+  };
+  const Result<Instance> got = engine();
+  const Result<Instance> want = ref();
+  const std::string ctx =
+      label + "\nprogram:\n" + text + "input: " + input.ToString();
+  ASSERT_EQ(got.ok(), want.ok())
+      << ctx << "\nengine: " << got.status().ToString()
+      << "\nreference: " << want.status().ToString();
+  if (!got.ok()) return;
+  std::set<uint32_t> inventing;
+  for (const Rule& r : program->rules) {
+    if (r.head.invents) inventing.insert(r.head.relation);
   }
+  EXPECT_EQ(SkolemRendering(*got, inventing),
+            SkolemRendering(*want, inventing))
+      << ctx;
 }
 
 TEST(EngineDiffTest, StratifiedRandomPrograms) {
@@ -211,7 +262,7 @@ TEST(EngineDiffTest, StratifiedRandomPrograms) {
                                      /*invention=*/false);
     for (unsigned i = 0; i < 2; ++i) {
       Instance input = RandomInstance(rng);
-      ExpectEnginesAgree(text, input, Mode::kStratified,
+      ExpectMatchesReference(text, input, Mode::kStratified,
                          "stratified seed " + std::to_string(seed));
     }
   }
@@ -224,7 +275,7 @@ TEST(EngineDiffTest, IlogInventionPrograms) {
                                      /*invention=*/true);
     for (unsigned i = 0; i < 2; ++i) {
       Instance input = RandomInstance(rng);
-      ExpectEnginesAgree(text, input, Mode::kIlog,
+      ExpectMatchesReference(text, input, Mode::kIlog,
                          "ilog seed " + std::to_string(seed));
     }
   }
@@ -239,107 +290,59 @@ TEST(EngineDiffTest, FixedNegationPrograms) {
                                      /*invention=*/false);
     for (unsigned i = 0; i < 2; ++i) {
       Instance input = RandomInstance(rng);
-      ExpectEnginesAgree(text, input, Mode::kFixedNegation,
+      ExpectMatchesReference(text, input, Mode::kFixedNegation,
                          "fixed-negation seed " + std::to_string(seed));
     }
   }
 }
 
-// Checker verdicts: FindViolation drives full query evaluations through the
-// prepared pipeline, so identical counterexamples (the whole verdict, not
-// just existence) pin the engines' derivation order end to end.
+// Checker verdicts: FindViolation drives full query evaluations — Q(I)
+// through EvalParts, the union checks through masked batches — so identical
+// counterexamples (the whole verdict, not just existence) pin the engine's
+// answers end to end against the reference's one-J-at-a-time overlay route.
 TEST(EngineDiffTest, CheckerVerdictsMatch) {
   const struct {
     const char* name;
     const char* text;
+    DatalogQuery::Semantics semantics;
   } kQueries[] = {
-      {"tc", "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z). .output T"},
+      {"tc", "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z). .output T",
+       DatalogQuery::Semantics::kStratified},
       {"qtc",
        "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
-       "O(x, y) :- Adom(x), Adom(y), !T(x, y). .output O"},
+       "O(x, y) :- Adom(x), Adom(y), !T(x, y). .output O",
+       DatalogQuery::Semantics::kStratified},
       {"guarded",
-       "O(x) :- F(x), !Q(x). Q(x) :- E(x, y), E(y, x). .output O"},
+       "O(x) :- F(x), !Q(x). Q(x) :- E(x, y), E(y, x). .output O",
+       DatalogQuery::Semantics::kStratified},
   };
+  std::vector<DatalogQuery> queries;
+  for (const auto& q : kQueries) {
+    queries.push_back(DatalogQuery::FromTextOrDie(q.text, q.name, q.semantics));
+  }
+  queries.push_back(queries::WinMoveProgram());
   monotonicity::ExhaustiveOptions options;
   options.domain_size = 2;
   options.max_facts_i = 2;
   options.fresh_values = 1;
   options.max_facts_j = 2;
-  for (const auto& q : kQueries) {
+  for (const DatalogQuery& q : queries) {
+    Result<NativeQuery> ref = reference::MakeQuery(
+        q.program(), q.name(),
+        q.semantics() == DatalogQuery::Semantics::kWellFounded);
+    ASSERT_TRUE(ref.ok()) << q.name() << ": " << ref.status();
     for (auto cls : {monotonicity::MonotonicityClass::kMonotone,
                      monotonicity::MonotonicityClass::kDomainDisjoint}) {
-      EvalOptions tree, bytecode;
-      tree.engine = EvalEngine::kTree;
-      bytecode.engine = EvalEngine::kBytecode;
-      DatalogQuery tq = DatalogQuery::FromTextOrDie(
-          q.text, q.name, DatalogQuery::Semantics::kStratified, tree);
-      DatalogQuery bq = DatalogQuery::FromTextOrDie(
-          q.text, q.name, DatalogQuery::Semantics::kStratified, bytecode);
-      auto a = monotonicity::FindViolation(tq, cls, options);
-      auto b = monotonicity::FindViolation(bq, cls, options);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ASSERT_EQ(a->has_value(), b->has_value()) << q.name;
+      auto a = monotonicity::FindViolation(q, cls, options);
+      auto b = monotonicity::FindViolation(*ref, cls, options);
+      ASSERT_TRUE(a.ok()) << q.name() << ": " << a.status();
+      ASSERT_TRUE(b.ok()) << q.name() << ": " << b.status();
+      ASSERT_EQ(a->has_value(), b->has_value()) << q.name();
       if (a->has_value()) {
-        EXPECT_EQ((*a)->ToString(), (*b)->ToString()) << q.name;
+        EXPECT_EQ((*a)->ToString(), (*b)->ToString()) << q.name();
       }
     }
   }
-}
-
-// Morsel-parallel stratum evaluation must be byte-identical at every thread
-// count: same output instance, same EvalStats (including rule_applications,
-// which counts per-derivation work, and fixpoint_rounds, which pins the
-// delta structure). Run the random corpus at eval_threads 1 / 2 / 8.
-void ExpectThreadCountsAgree(const std::string& text, const Instance& input,
-                             const std::string& label) {
-  Result<Program> program = Parse(text);
-  ASSERT_TRUE(program.ok()) << label << "\ngenerator bug:\n" << text;
-  std::string ref_out, ref_stats;
-  for (int threads : {1, 2, 8}) {
-    EvalOptions opts;
-    opts.engine = EvalEngine::kBytecode;
-    opts.eval_threads = threads;
-    EvalStats stats;
-    Result<Instance> out = Evaluate(*program, input, opts, &stats);
-    ASSERT_TRUE(out.ok()) << label << " threads=" << threads;
-    if (threads == 1) {
-      ref_out = out->ToString();
-      ref_stats = EvalStatsToString(stats);
-    } else {
-      const std::string ctx = label + " threads=" + std::to_string(threads) +
-                              "\nprogram:\n" + text;
-      EXPECT_EQ(ref_out, out->ToString()) << ctx;
-      EXPECT_EQ(ref_stats, EvalStatsToString(stats)) << ctx;
-    }
-  }
-}
-
-TEST(EngineDiffTest, EvalThreadsRandomPrograms) {
-  for (unsigned seed = 0; seed < 30; ++seed) {
-    std::mt19937 rng(4000 + seed);
-    std::string text = RandomProgram(rng, /*max_neg_stratum_delta=*/1,
-                                     /*invention=*/false);
-    Instance input = RandomInstance(rng);
-    ExpectThreadCountsAgree(text, input,
-                            "eval-threads seed " + std::to_string(seed));
-  }
-}
-
-// The random corpus above stays below the morsel size (its deltas are tens
-// of rows), so it checks the flag wiring but not the concurrent section. A
-// transitive closure over a dense random graph drives multi-thousand-row
-// deltas through the lanes — with a negation stratum stacked on top so the
-// anti-probe path runs inside lanes too.
-TEST(EngineDiffTest, EvalThreadsLargeDeltas) {
-  Instance input = workload::RandomGraphM(300, 1200, /*seed=*/11);
-  ExpectThreadCountsAgree(
-      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z). .output T", input,
-      "eval-threads large TC");
-  ExpectThreadCountsAgree(
-      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
-      "U(x, y) :- T(x, y), !E(x, y). .output U",
-      input, "eval-threads large TC with negation");
 }
 
 }  // namespace

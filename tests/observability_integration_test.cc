@@ -130,17 +130,12 @@ TEST_F(ObservabilityTest, CheckerSpanRecordsSearchProgress) {
 // count), and the verdict is the same with metrics and tracing on or off.
 // Covers a stratified program (Q_TC) and the well-founded win-move program.
 TEST_F(ObservabilityTest, UnionBatchCountersCoverEveryCheck) {
-  datalog::EvalOptions bytecode;
-  bytecode.engine = datalog::EvalEngine::kBytecode;
-  for (const datalog::DatalogQuery& base :
+  for (const datalog::DatalogQuery& q :
        {queries::ComplementTcProgram(), queries::WinMoveProgram()}) {
-    SCOPED_TRACE(base.name());
+    SCOPED_TRACE(q.name());
     SetMetricsEnabled(false);
     Trace::SetEnabled(false);
     Trace::Reset();
-    Result<datalog::DatalogQuery> q = datalog::DatalogQuery::Create(
-        base.program(), base.name(), base.semantics(), bytecode);
-    ASSERT_TRUE(q.ok()) << q.status();
     ExhaustiveOptions o;
     o.domain_size = 3;
     o.max_facts_i = 2;
@@ -148,7 +143,7 @@ TEST_F(ObservabilityTest, UnionBatchCountersCoverEveryCheck) {
     o.max_facts_j = 2;
     o.threads = 1;
     auto verdict = [&](MonotonicityClass cls) {
-      Result<std::optional<Counterexample>> r = FindViolation(*q, cls, o);
+      Result<std::optional<Counterexample>> r = FindViolation(q, cls, o);
       if (!r.ok()) return "error: " + r.status().ToString();
       return r->has_value() ? (*r)->ToString() : std::string("<none>");
     };
@@ -181,7 +176,7 @@ TEST_F(ObservabilityTest, UnionBatchCountersCoverEveryCheck) {
     if (!TracingCompiledIn()) continue;
     EXPECT_GT(Trace::SpanCount("datalog.union_batch"), 0u);
     const bool well_founded =
-        q->semantics() == datalog::DatalogQuery::Semantics::kWellFounded;
+        q.semantics() == datalog::DatalogQuery::Semantics::kWellFounded;
     Json exported = Trace::ExportJson();
     for (const Json& e : exported.Find("traceEvents")->items()) {
       if (e.GetString("name").value() != "datalog.union_batch") continue;

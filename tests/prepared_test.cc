@@ -1,5 +1,5 @@
 // Pins the compile-once pipeline to the one-shot entry points: for every
-// semantics (stratified, naive, ILOG invention, fixed-negation Gamma,
+// semantics (stratified, ILOG invention, fixed-negation Gamma,
 // well-founded) a PreparedProgram evaluated many times must return exactly
 // what the corresponding single-call API returns, with identical EvalStats.
 
@@ -43,25 +43,6 @@ TEST(PreparedProgramTest, MatchesOneShotStratified) {
     EXPECT_EQ(*out, *one_shot) << "seed " << seed;
     EXPECT_TRUE(StatsEqual(prepared_stats, one_shot_stats)) << "seed " << seed;
   }
-}
-
-TEST(PreparedProgramTest, MatchesOneShotNaiveMode) {
-  Program p = ParseOrDie(
-      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z). .output T");
-  EvalOptions naive;
-  naive.semi_naive = false;
-  Result<PreparedProgram> prepared = PreparedProgram::Prepare(p, naive);
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
-
-  Instance in = workload::RandomGraph(10, 0.2, /*seed=*/3);
-  EvalStats one_shot_stats;
-  Result<Instance> one_shot = Evaluate(p, in, naive, &one_shot_stats);
-  ASSERT_TRUE(one_shot.ok());
-  EvalStats prepared_stats;
-  Result<Instance> out = prepared->Eval(in, &prepared_stats);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(*out, *one_shot);
-  EXPECT_TRUE(StatsEqual(prepared_stats, one_shot_stats));
 }
 
 TEST(PreparedProgramTest, MatchesOneShotIlogInvention) {

@@ -180,9 +180,9 @@ Instance RandomJ(std::mt19937& rng) {
   return j;
 }
 
-EvalOptions BytecodeOptions(size_t cap = 0) {
+// Default options, with max_total_facts lowered to `cap` when nonzero.
+EvalOptions Capped(size_t cap) {
   EvalOptions options;
-  options.engine = EvalEngine::kBytecode;
   if (cap > 0) options.max_total_facts = cap;
   return options;
 }
@@ -232,7 +232,7 @@ TEST(UnionBatchTest, BatchMatchesPerJProbeAndReference) {
       ASSERT_TRUE(program.ok()) << "generator bug, seed " << seed;
       Result<DatalogQuery> q =
           DatalogQuery::Create(*program, "random", DatalogQuery::Semantics::kStratified,
-                               BytecodeOptions(cap));
+                               Capped(cap));
       ASSERT_TRUE(q.ok()) << "seed " << seed << ": " << q.status();
       ASSERT_TRUE(q->prepared().SupportsUnionBatch());
       const Instance base = RandomBase(rng);
@@ -299,11 +299,11 @@ TEST(UnionBatchTest, ScratchIsPlainAfterABatch) {
   DatalogQuery q = DatalogQuery::FromTextOrDie(
       "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
       "O(x, y) :- Adom(x), Adom(y), !T(x, y).",
-      "qtc", DatalogQuery::Semantics::kStratified, BytecodeOptions());
+      "qtc");
   DatalogQuery capped = DatalogQuery::FromTextOrDie(
       "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
       "O(x, y) :- Adom(x), Adom(y), !T(x, y).",
-      "qtc-capped", DatalogQuery::Semantics::kStratified, BytecodeOptions(12));
+      "qtc-capped", DatalogQuery::Semantics::kStratified, Capped(12));
   Instance base;
   base.Insert(Fact("E", {V(0), V(1)}));
   base.Insert(Fact("E", {V(1), V(2)}));
@@ -336,35 +336,24 @@ TEST(UnionBatchTest, ScratchIsPlainAfterABatch) {
   EXPECT_EQ(fresh->ToString(), after->ToString());
 }
 
-// Configurations the masked route does not serve keep the per-J default:
-// the tree engine and naive evaluation under either semantics, and the
-// native closure queries. The well-founded win-move program on the
-// bytecode engine is served, 64 J's per masked alternation.
-TEST(UnionBatchTest, UnsupportedConfigurationsAskOneJAtATime) {
-  const std::string text = "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).";
-  const Program win = queries::WinMoveProgram().program();
-  EvalOptions tree;
-  tree.engine = EvalEngine::kTree;
-  EvalOptions naive = BytecodeOptions();
-  naive.semi_naive = false;
+// Every invention-free program takes the masked route, stratified and
+// well-founded alike, 64 J's per batch. An ILOG program is not served, and
+// the native closure queries keep the per-J default.
+TEST(UnionBatchTest, OnlyInventionFreeProgramsBatch) {
   Instance i;
-  for (const EvalOptions& options : {tree, naive}) {
-    DatalogQuery q = DatalogQuery::FromTextOrDie(
-        text + " .output T", "tc", DatalogQuery::Semantics::kStratified,
-        options);
-    EXPECT_FALSE(q.prepared().SupportsUnionBatch());
-    EXPECT_EQ(q.MakeUnionEvaluator(i)->MaxBatch(), 1u);
-    Result<DatalogQuery> wf = DatalogQuery::Create(
-        win, "win-move", DatalogQuery::Semantics::kWellFounded, options);
-    ASSERT_TRUE(wf.ok()) << wf.status();
-    EXPECT_FALSE(wf->prepared().SupportsUnionBatch());
-    EXPECT_EQ(wf->MakeUnionEvaluator(i)->MaxBatch(), 1u);
-  }
-  Result<DatalogQuery> wf = DatalogQuery::Create(
-      win, "win-move", DatalogQuery::Semantics::kWellFounded,
-      BytecodeOptions());
-  ASSERT_TRUE(wf.ok()) << wf.status();
-  EXPECT_EQ(wf->MakeUnionEvaluator(i)->MaxBatch(), 64u);
+  DatalogQuery tc = DatalogQuery::FromTextOrDie(
+      "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z). .output T", "tc");
+  EXPECT_TRUE(tc.prepared().SupportsUnionBatch());
+  EXPECT_EQ(tc.MakeUnionEvaluator(i)->MaxBatch(), 64u);
+  const DatalogQuery wf = queries::WinMoveProgram();
+  EXPECT_TRUE(wf.prepared().SupportsUnionBatch());
+  EXPECT_EQ(wf.MakeUnionEvaluator(i)->MaxBatch(), 64u);
+  Result<Program> ilog = Parse("N(*, x) :- S(x). O(v, x) :- N(v, x).");
+  ASSERT_TRUE(ilog.ok());
+  Result<PreparedProgram> prepared =
+      PreparedProgram::Prepare(*ilog, {}, /*allow_invention=*/true);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_FALSE(prepared->SupportsUnionBatch());
   EXPECT_EQ(queries::MakeTransitiveClosure()->MakeUnionEvaluator(i)->MaxBatch(),
             1u);
 }
@@ -397,7 +386,7 @@ std::vector<DatalogQuery> WellFoundedCorpus(size_t cap) {
     if (!program.ok()) continue;
     Result<DatalogQuery> q = DatalogQuery::Create(
         *program, "wf-" + std::to_string(t),
-        DatalogQuery::Semantics::kWellFounded, BytecodeOptions(cap));
+        DatalogQuery::Semantics::kWellFounded, Capped(cap));
     EXPECT_TRUE(q.ok()) << texts[t] << q.status();
     if (q.ok()) out.push_back(std::move(q).value());
   }
@@ -678,31 +667,23 @@ SweepRecord RunFindViolation(const Query& q, monotonicity::MonotonicityClass cls
   return rec;
 }
 
-// Specimens and fuzzer programs, pinned to the bytecode engine so the
-// masked route runs under every CI engine leg.
+// Specimens and fuzzer programs.
 std::vector<DatalogQuery> CheckerCorpus() {
   std::vector<DatalogQuery> out;
-  auto add = [&](const DatalogQuery& q) {
-    Result<DatalogQuery> pinned =
-        DatalogQuery::Create(q.program(), q.name(), q.semantics(),
-                             BytecodeOptions());
-    ASSERT_TRUE(pinned.ok()) << q.name();
-    out.push_back(std::move(pinned).value());
-  };
-  add(queries::ComplementTcProgram());
-  add(queries::Example51P1());
-  add(queries::Example51P2());
-  add(queries::CliqueProgram(3));
-  add(queries::StarProgram(2));
-  add(queries::DuplicateProgram(2));
-  add(queries::WinMoveProgram());
+  out.push_back(queries::ComplementTcProgram());
+  out.push_back(queries::Example51P1());
+  out.push_back(queries::Example51P2());
+  out.push_back(queries::CliqueProgram(3));
+  out.push_back(queries::StarProgram(2));
+  out.push_back(queries::DuplicateProgram(2));
+  out.push_back(queries::WinMoveProgram());
   for (size_t shape = 0; shape < workload::kProgramShapeCount; ++shape) {
     for (uint64_t seed : {3, 11}) {
       workload::FuzzerOptions fo;
       fo.seed = seed;
       fo.shape = static_cast<workload::ProgramShape>(shape);
       workload::GeneratedProgram gp = workload::GenerateProgram(fo);
-      add(DatalogQuery::FromTextOrDie(
+      out.push_back(DatalogQuery::FromTextOrDie(
           gp.text, std::string(workload::ProgramShapeName(fo.shape)) + "-" +
                        std::to_string(seed),
           gp.semantics));
@@ -757,6 +738,33 @@ TEST(UnionBatchCheckerTest, SweepsMatchPerJSweeps) {
   }
   SetMetricsEnabled(metrics_were_on);
   EXPECT_GT(violations, 0u);
+}
+
+// Win-move is domain-disjoint monotone, so a one-cell Mdisjoint sweep finds
+// no violation and checks every pair. At domain 4 with three facts, I can
+// hold the chain 0 -> 1 -> 2 -> 3, where Win(0) first enters lo in the
+// alternation's second round: a masked alternation that stopped after one
+// lo/hi round would report Win(0) retracted. (At domain 2 every component
+// of I settles in one round.)
+TEST(UnionBatchCheckerTest, WinMoveDisjointSweepAlternatesToTheEnd) {
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(true);
+  const DatalogQuery q = queries::WinMoveProgram();
+  PerJQuery per_j(q);
+  monotonicity::ExhaustiveOptions o;
+  o.domain_size = 4;
+  o.max_facts_i = 3;
+  o.fresh_values = 2;
+  o.max_facts_j = 2;
+  o.threads = 1;
+  const auto cls = monotonicity::MonotonicityClass::kDomainDisjoint;
+  const SweepRecord a = RunFindViolation(q, cls, o);
+  const SweepRecord b = RunFindViolation(per_j, cls, o);
+  SetMetricsEnabled(metrics_were_on);
+  EXPECT_EQ(a.verdicts, "<no violation>");
+  EXPECT_EQ(a.verdicts, b.verdicts);
+  EXPECT_EQ(a.pairs, b.pairs);
+  EXPECT_GT(a.pairs, 0u);
 }
 
 // Forwards every call, batches included, and raises `cancel` once `after`
@@ -826,7 +834,7 @@ TEST(UnionBatchCheckerTest, CancelledCheckpointedSweepResumes) {
   DatalogQuery q = DatalogQuery::FromTextOrDie(
       "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"
       "O(x, y) :- Adom(x), Adom(y), !T(x, y).",
-      "qtc-resume", DatalogQuery::Semantics::kStratified, BytecodeOptions());
+      "qtc-resume");
   monotonicity::ExhaustiveOptions o;
   o.domain_size = 3;
   o.max_facts_i = 2;

@@ -243,12 +243,17 @@ class BaselineCoverageTest(unittest.TestCase):
         for name in self.baseline_names():
             self.assertRegex(name, self.FILTER)
 
-    def test_deleted_overlay_benchmarks_left_the_baseline(self):
+    def test_deleted_benchmarks_left_the_baseline(self):
         # --strict fails on a baseline name the run no longer produces, so
-        # the benchmarks of the deleted overlay route must leave with it.
+        # the benchmarks of deleted code paths — the overlay route and the
+        # morsel lanes — must leave with them.
         names = set(self.baseline_names())
         self.assertNotIn("BM_EvalIncrementalOverlay/8", names)
         self.assertNotIn("BM_EvalIncrementalOverlay/32", names)
+        for lanes in (1, 2, 8):
+            self.assertNotIn(
+                f"BM_EvalPreparedThreads/{lanes}/process_time/real_time",
+                names)
         self.assertIn("BM_FindViolationCanonical", names)
 
 
