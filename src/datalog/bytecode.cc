@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "base/simd.h"
-
 namespace calm::datalog {
 
 namespace {
@@ -73,6 +71,26 @@ inline bool ExpandRow(const JoinOp& op, const RelStore& store, uint32_t row,
 // A masked frame's world set (its two trailing slots).
 inline uint64_t FrameWorlds(const uint32_t* frame, size_t stride) {
   return frame[stride - 2] | (static_cast<uint64_t>(frame[stride - 1]) << 32);
+}
+
+// Applies one row-local scan predicate to the prefilter's row list: the
+// first predicate selects rows from [begin, end), each later one compacts
+// the survivors in place. Either way the list stays ascending.
+template <typename Keep>
+void FilterRows(Keep keep, bool first, uint32_t begin, uint32_t end,
+                std::vector<uint32_t>& rows, size_t* n) {
+  size_t m = 0;
+  if (first) {
+    rows.resize(end - begin);
+    for (uint32_t r = begin; r < end; ++r) {
+      if (keep(r)) rows[m++] = r;
+    }
+  } else {
+    for (size_t i = 0; i < *n; ++i) {
+      if (keep(rows[i])) rows[m++] = rows[i];
+    }
+  }
+  *n = m;
 }
 
 }  // namespace
@@ -360,22 +378,19 @@ bool BytecodeExecutor::BuildScanPrefilter(const JoinOp& op,
   std::vector<uint32_t>& rows = scratch_->prefilter;
   bool active = false;
   size_t n = 0;
+  auto filter = [&](auto keep) {
+    FilterRows(keep, !active, begin, end, rows, &n);
+    active = true;
+  };
   // Equality filters first (checks always compare two columns of the
   // scanned row — the compiler only emits in-atom repeats as checks), then
-  // the row-local inequalities. The first foldable predicate runs as a full
-  // range filter; the rest refine the surviving row list in place.
+  // the row-local inequalities.
   for (const auto& [col, slot] : op.checks) {
     uint32_t col2 = 0;
     if (!load_col(slot, &col2)) continue;  // defensive; checks are in-atom
     const uint32_t* a = store.ColumnData(col);
     const uint32_t* b = store.ColumnData(col2);
-    if (!active) {
-      rows.resize(end - begin);
-      n = simd::FilterEq(a, b, begin, end, rows.data());
-      active = true;
-    } else {
-      n = simd::RefineEq(a, b, rows.data(), n, rows.data());
-    }
+    filter([a, b](uint32_t r) { return a[r] == b[r]; });
   }
   const uint32_t* ccodes = const_codes_.data();
   for (const IneqCheck& iq : op.ineqs) {
@@ -387,23 +402,11 @@ bool BytecodeExecutor::BuildScanPrefilter(const JoinOp& op,
     if (lb && rb) {
       const uint32_t* a = store.ColumnData(lcol);
       const uint32_t* b = store.ColumnData(rcol);
-      if (!active) {
-        rows.resize(end - begin);
-        n = simd::FilterNe(a, b, begin, end, rows.data());
-        active = true;
-      } else {
-        n = simd::RefineNe(a, b, rows.data(), n, rows.data());
-      }
+      filter([a, b](uint32_t r) { return a[r] != b[r]; });
     } else if ((lb && rconst) || (rb && lconst)) {
       const uint32_t* a = store.ColumnData(lb ? lcol : rcol);
       const uint32_t v = ccodes[lb ? iq.right.const_id : iq.left.const_id];
-      if (!active) {
-        rows.resize(end - begin);
-        n = simd::FilterNeConst(a, begin, end, v, rows.data());
-        active = true;
-      } else {
-        n = simd::RefineNeConst(a, rows.data(), n, v, rows.data());
-      }
+      filter([a, v](uint32_t r) { return a[r] != v; });
     }
     // A side bound by an earlier atom lives in the parent frame — not
     // row-local; ExpandRow/EmitRow keep handling it per frame.
@@ -487,8 +490,8 @@ bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
   // Block-at-a-time execution. For each block of scan rows: stage the probe
   // keys row-major (copies, so nothing below can invalidate them), prefetch
   // every key's index bucket, resolve all probes, then materialize the head
-  // rows column-wise — splats for op0/constant sources, a vectorized gather
-  // over the hit span for op1 columns — into deferred emission buffers.
+  // rows column-wise — splats for op0/constant sources, a gather over the
+  // hit span for op1 columns — into deferred emission buffers.
   // Buffers flush through the batched dedup insert at block boundaries.
   // Outcomes are byte-identical to row-at-a-time insertion: attempt order
   // is preserved, and mid-round derivations are invisible to every scan and
@@ -579,13 +582,7 @@ bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
         const Src& s = head_plan[i];
         if (s.kind == 1) {
           const uint32_t* col = s1->ColumnData(s.idx);
-          if (cnt < 8) {
-            // Short hit spans (the common case on sparse joins): the plain
-            // loop beats the vector gather's setup and tail handling.
-            for (size_t k = 0; k < cnt; ++k) dst[k] = col[hb[k]];
-          } else {
-            simd::Gather(col, hb, cnt, dst);
-          }
+          for (size_t k = 0; k < cnt; ++k) dst[k] = col[hb[k]];
         } else {
           const uint32_t v = s.kind == 0 ? s0->CodeAt(row, s.idx) : s.idx;
           std::fill(dst, dst + cnt, v);
@@ -723,8 +720,8 @@ void BytecodeExecutor::EvalRule(const RuleBytecode& rule, size_t delta_index,
     };
     // A scan's row-local predicates (in-atom repeated-variable checks,
     // inequalities over this op's own columns or constants) never depend on
-    // the parent frame — fold them into one vectorized pass over the scan
-    // range instead of re-testing per frame. ExpandRow/EmitRow re-verify
+    // the parent frame — fold them into one pass over the scan range
+    // instead of re-testing per frame. ExpandRow/EmitRow re-verify
     // the same predicates on the surviving rows (they always pass), so the
     // emission semantics and counters are untouched: scans tick no probe
     // counters, and applications are only counted after the checks anyway.

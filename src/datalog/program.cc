@@ -1,5 +1,6 @@
 #include "datalog/program.h"
 
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -15,17 +16,18 @@ namespace {
 // Union checks that re-evaluate i ∪ j from scratch and probe Q(i)'s facts in
 // the evaluation stores: the stratified fixpoint in the thread-local stores,
 // or the well-founded alternation's final lo (the definitely-true facts).
-// Nothing about i is kept but the instance itself. Programs the masked route
-// serves answer batches of j's with one masked run — a fixpoint, or an
-// alternation of masked Gammas (PreparedProgram::FirstMissingBatch); a batch
-// whose run fails is re-asked one j at a time, which reproduces the per-j
-// route's errors exactly.
+// Nothing about i is kept but the instance itself. Batches of j's are
+// answered by one masked run — a fixpoint, or an alternation of masked
+// Gammas (PreparedProgram::FirstMissingBatch); a batch whose run fails is
+// re-asked one j at a time, which reproduces the per-j route's errors
+// exactly.
 class ScratchUnionEvaluator : public UnionEvaluator {
  public:
   ScratchUnionEvaluator(const DatalogQuery& query, const Instance& i)
-      : query_(query),
-        i_(i),
-        batched_(query.prepared().SupportsUnionBatch()) {}
+      : query_(query), i_(i) {
+    // DatalogQuery::Create never allows invention.
+    assert(query.prepared().SupportsUnionBatch());
+  }
 
   Result<std::optional<Fact>> FirstRetracted(
       const Instance& j, const std::vector<Fact>& base_facts) override {
@@ -44,7 +46,7 @@ class ScratchUnionEvaluator : public UnionEvaluator {
       const std::vector<const Instance*>& js,
       const std::vector<Fact>& base_facts,
       std::vector<Result<std::optional<Fact>>>* out) override {
-    if (!batched_ || js.size() < 2) {
+    if (js.size() < 2) {
       UnionEvaluator::FirstRetractedBatch(js, base_facts, out);
       return;
     }
@@ -71,14 +73,11 @@ class ScratchUnionEvaluator : public UnionEvaluator {
     for (std::optional<Fact>& m : missing_) out->emplace_back(std::move(m));
   }
 
-  size_t MaxBatch() const override {
-    return batched_ ? PreparedProgram::kMaxUnionBatch : 1;
-  }
+  size_t MaxBatch() const override { return PreparedProgram::kMaxUnionBatch; }
 
  private:
   const DatalogQuery& query_;
   const Instance& i_;
-  const bool batched_;
   std::vector<std::optional<Fact>> missing_;  // reused across batches
 };
 

@@ -5,8 +5,6 @@
 #include <cassert>
 #include <numeric>
 
-#include "base/simd.h"
-
 namespace calm::datalog {
 
 using detail::HashCodes;
@@ -258,7 +256,7 @@ void RelStore::InsertBatchCols(const uint32_t* const* col_ptrs, uint32_t arity,
       ++*rejected;
     }
   };
-  // The vector path wants a live packed-key table at a matching arity 1/2;
+  // The batched path wants a live packed-key table at a matching arity 1/2;
   // route rows through InsertCodes until its first insert establishes that
   // (and entirely, for arity 0 and wide rows — both off the hot path).
   while (i < n && (static_cast<int>(arity) != arity_ || arity - 1 > 1 ||
@@ -292,7 +290,7 @@ void RelStore::InsertBatchCols(const uint32_t* const* col_ptrs, uint32_t arity,
       batch_keys_[j] = ((static_cast<uint64_t>(c1[j]) << 32) | c0[j]) + 1;
     }
   }
-  simd::Mix64Batch(batch_keys_.data(), m, batch_hashes_.data());
+  for (size_t j = 0; j < m; ++j) batch_hashes_[j] = Mix64(batch_keys_[j]);
 
   // Two-phase probe: issue the bucket prefetches kAhead rows in front of
   // the in-order resolution, so the (random-access) dedup lines are already

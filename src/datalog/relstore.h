@@ -162,7 +162,7 @@ class RelStore {
   // (col_ptrs[0][j], .., col_ptrs[arity-1][j]). Semantically identical to
   // calling InsertCodes row by row in order — same dedup outcomes, same
   // insertion order — but arity-1/2 batches hash all keys up front
-  // (simd::Mix64Batch), prefetch the dedup buckets ahead of resolution, and
+  // (detail::Mix64), prefetch the dedup buckets ahead of resolution, and
   // pre-grow the table once so no rehash lands mid-batch. The bytecode
   // engine's deferred-emission flush lives here. Attempt outcomes
   // accumulate into `*inserted` / `*rejected`.

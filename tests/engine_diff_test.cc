@@ -59,6 +59,9 @@ bool Chance(std::mt19937& rng, double p) {
 
 // One random safe rule for head relation `head`. Head, negation, and
 // inequality arguments only use variables bound by a positive body atom.
+// Inequalities compare two variables, or a variable and a constant on
+// either side, so both the column-vs-column and the column-vs-constant scan
+// prefilters run.
 // `max_neg_stratum` bounds the strata negated atoms may reference
 // (kRels[head].stratum for the fixed-negation corpus, one below otherwise).
 std::string RandomRule(std::mt19937& rng, size_t head, size_t max_neg_stratum,
@@ -107,6 +110,11 @@ std::string RandomRule(std::mt19937& rng, size_t head, size_t max_neg_stratum,
     body += ", " + bound[Rand(rng, bound.size())] + " != " +
             bound[Rand(rng, bound.size())];
   }
+  if (!bound.empty() && Chance(rng, 0.3)) {
+    const std::string var = bound[Rand(rng, bound.size())];
+    const std::string c = std::to_string(Rand(rng, 5));
+    body += ", " + (Chance(rng, 0.5) ? var + " != " + c : c + " != " + var);
+  }
   std::string rule = kRels[head].name;
   rule += '(';
   for (uint32_t i = 0; i < kRels[head].arity; ++i) {
@@ -145,9 +153,12 @@ std::string RandomProgram(std::mt19937& rng, size_t max_neg_stratum_delta,
   return text;
 }
 
-Instance RandomInstance(std::mt19937& rng) {
+// Small instances hold at most 11 facts; large ones 24 to 48, so that
+// semi-naive delta scans start well inside a relation and scan prefilters
+// run over long row ranges.
+Instance RandomInstance(std::mt19937& rng, bool large) {
   Instance in;
-  const size_t nfacts = Rand(rng, 12);
+  const size_t nfacts = large ? 24 + Rand(rng, 25) : Rand(rng, 12);
   for (size_t i = 0; i < nfacts; ++i) {
     switch (Rand(rng, 3)) {
       case 0:
@@ -261,7 +272,7 @@ TEST(EngineDiffTest, StratifiedRandomPrograms) {
     std::string text = RandomProgram(rng, /*max_neg_stratum_delta=*/1,
                                      /*invention=*/false);
     for (unsigned i = 0; i < 2; ++i) {
-      Instance input = RandomInstance(rng);
+      Instance input = RandomInstance(rng, /*large=*/i == 1);
       ExpectMatchesReference(text, input, Mode::kStratified,
                          "stratified seed " + std::to_string(seed));
     }
@@ -274,7 +285,7 @@ TEST(EngineDiffTest, IlogInventionPrograms) {
     std::string text = RandomProgram(rng, /*max_neg_stratum_delta=*/1,
                                      /*invention=*/true);
     for (unsigned i = 0; i < 2; ++i) {
-      Instance input = RandomInstance(rng);
+      Instance input = RandomInstance(rng, /*large=*/i == 1);
       ExpectMatchesReference(text, input, Mode::kIlog,
                          "ilog seed " + std::to_string(seed));
     }
@@ -289,7 +300,7 @@ TEST(EngineDiffTest, FixedNegationPrograms) {
     std::string text = RandomProgram(rng, /*max_neg_stratum_delta=*/0,
                                      /*invention=*/false);
     for (unsigned i = 0; i < 2; ++i) {
-      Instance input = RandomInstance(rng);
+      Instance input = RandomInstance(rng, /*large=*/i == 1);
       ExpectMatchesReference(text, input, Mode::kFixedNegation,
                          "fixed-negation seed " + std::to_string(seed));
     }
