@@ -4,8 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -20,7 +18,6 @@
 #include "datalog/prepared.h"
 #include "datalog/program.h"
 #include "datalog/relstore.h"
-#include "datalog/snapshot.h"
 #include "datalog/wellfounded.h"
 #include "monotonicity/checker.h"
 #include "monotonicity/ladder.h"
@@ -449,57 +446,6 @@ void BM_LadderCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LadderCached)->Unit(benchmark::kMillisecond);
-
-// The durability layer (base/durable.h + datalog/snapshot.h): the cost of
-// one atomic snapshot publication (write + fsync + rename + dirsync) and of
-// recovering one back into a fresh Database, over the edge relation of a
-// random graph. Arg is the vertex count; fsync dominates the write, decode
-// + re-interning dominates the recover.
-datalog::Database SnapshotBenchDb(int64_t n) {
-  return datalog::Database(
-      workload::RandomGraphM(n, 3 * n, /*seed=*/7));
-}
-
-std::string SnapshotBenchPath() {
-  return "/tmp/calm_bench_snapshot_" + std::to_string(::getpid()) + ".snap";
-}
-
-void BM_SnapshotWrite(benchmark::State& state) {
-  datalog::Database db = SnapshotBenchDb(state.range(0));
-  const std::string path = SnapshotBenchPath();
-  for (auto _ : state) {
-    Status s = datalog::WriteSnapshot(db, path);
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      break;
-    }
-  }
-  std::remove(path.c_str());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SnapshotWrite)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
-
-void BM_SnapshotRecover(benchmark::State& state) {
-  datalog::Database db = SnapshotBenchDb(state.range(0));
-  const std::string path = SnapshotBenchPath();
-  Status s = datalog::WriteSnapshot(db, path);
-  if (!s.ok()) {
-    state.SkipWithError(s.ToString().c_str());
-    return;
-  }
-  for (auto _ : state) {
-    Result<datalog::Database> loaded = datalog::LoadSnapshot(path);
-    if (!loaded.ok()) {
-      state.SkipWithError(loaded.status().ToString().c_str());
-      break;
-    }
-    benchmark::DoNotOptimize(loaded);
-  }
-  std::remove(path.c_str());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SnapshotRecover)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
 
 // The fuzz-classification pipeline per program: generation, fragment check,
 // the bounded monotonicity ladder with witness audit, the differential

@@ -41,11 +41,6 @@ Counter& TornTruncations() {
       "calm.durable.torn_truncations");
   return c;
 }
-Counter& Commits() {
-  static Counter& c = MetricRegistry::Global().GetCounter(
-      "calm.durable.commits");
-  return c;
-}
 
 Status ErrnoError(const std::string& op, const std::string& path) {
   return InternalError(op + " " + path + ": " + std::strerror(errno));
@@ -89,7 +84,7 @@ Status ReadWholeFile(const std::string& path, std::string* out) {
 
 // fsync the directory containing `path` so a just-renamed entry survives a
 // crash (rename alone only makes it durable once the dir inode is synced).
-Status SyncDirOf(const std::string& path, const char* failpoint_site) {
+Status SyncDirOf(const std::string& path) {
   const size_t slash = path.rfind('/');
   std::string dir;
   if (slash == std::string::npos) {
@@ -101,7 +96,7 @@ Status SyncDirOf(const std::string& path, const char* failpoint_site) {
   }
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) return ErrnoError("open dir", dir);
-  CALM_FAILPOINT(failpoint_site);
+  CALM_FAILPOINT("durable.wal.create.dirsync");
   if (::fsync(fd) != 0) {
     Status s = ErrnoError("fsync dir", dir);
     ::close(fd);
@@ -111,25 +106,23 @@ Status SyncDirOf(const std::string& path, const char* failpoint_site) {
   return Status::Ok();
 }
 
-// The shared atomic-publication discipline: <path>.tmp, fsync, rename,
-// dirsync, with one failpoint site before each boundary. The site names are
-// string literals owned by the caller.
-Status WriteFileAtomic(const std::string& path, std::string_view bytes,
-                       const char* site_write, const char* site_fsync,
-                       const char* site_rename, const char* site_dirsync) {
+// Atomic publication of a new log's header: <path>.tmp, fsync, rename,
+// dirsync, with one failpoint site before each boundary.
+Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
   if (fd < 0) return ErrnoError("open", tmp);
   // Two half-writes with a site between them: crashing there leaves a torn
-  // tmp file — never visible under `path`, reaped by the next commit.
+  // tmp file — never visible under `path`, overwritten when the next Open
+  // creates the log.
   const size_t split = bytes.size() / 2;
   Status s = WriteAll(fd, bytes.data(), split, tmp);
   if (s.ok()) {
-    CALM_FAILPOINT(site_write);
+    CALM_FAILPOINT("durable.wal.create.write");
     s = WriteAll(fd, bytes.data() + split, bytes.size() - split, tmp);
   }
   if (s.ok()) {
-    CALM_FAILPOINT(site_fsync);
+    CALM_FAILPOINT("durable.wal.create.fsync");
     if (::fsync(fd) != 0) s = ErrnoError("fsync", tmp);
   }
   ::close(fd);
@@ -137,13 +130,13 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes,
     ::unlink(tmp.c_str());
     return s;
   }
-  CALM_FAILPOINT(site_rename);
+  CALM_FAILPOINT("durable.wal.create.rename");
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     Status r = ErrnoError("rename", tmp + " -> " + path);
     ::unlink(tmp.c_str());
     return r;
   }
-  CALM_RETURN_IF_ERROR(SyncDirOf(path, site_dirsync));
+  CALM_RETURN_IF_ERROR(SyncDirOf(path));
   if (MetricsEnabled()) BytesWritten().Increment(bytes.size());
   return Status::Ok();
 }
@@ -308,6 +301,8 @@ bool ByteReader::Str(std::string* s) {
 
 // --- domain codecs -----------------------------------------------------------
 
+namespace {
+
 void EncodeValue(Value v, ByteWriter* w) {
   w->U8(static_cast<uint8_t>(v.kind()));
   if (v.is_symbol()) {
@@ -343,6 +338,8 @@ bool DecodeValue(ByteReader* r, Value* out) {
   return false;
 }
 
+}  // namespace
+
 void EncodeTuple(const Tuple& t, ByteWriter* w) {
   w->U32(static_cast<uint32_t>(t.size()));
   for (Value v : t) EncodeValue(v, w);
@@ -351,8 +348,9 @@ void EncodeTuple(const Tuple& t, ByteWriter* w) {
 bool DecodeTuple(ByteReader* r, Tuple* out) {
   uint32_t n = 0;
   if (!r->U32(&n)) return false;
+  // No reserve(n): n is unchecked input, and each value costs at least one
+  // byte, so a short payload fails below before the tuple grows far.
   out->clear();
-  out->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Value v;
     if (!DecodeValue(r, &v)) return false;
@@ -389,27 +387,6 @@ bool DecodeInstance(ByteReader* r, Instance* out) {
   return true;
 }
 
-// --- FileWriter --------------------------------------------------------------
-
-FileWriter::FileWriter(std::string_view client_tag)
-    : buf_(BuildHeader(client_tag)) {}
-
-void FileWriter::Append(std::string_view payload) {
-  AppendRecord(&buf_, payload);
-  ++records_;
-}
-
-Status FileWriter::Commit(const std::string& path) {
-  CALM_RETURN_IF_ERROR(WriteFileAtomic(
-      path, buf_, "durable.snapshot.write", "durable.snapshot.fsync",
-      "durable.snapshot.rename", "durable.snapshot.dirsync"));
-  if (MetricsEnabled()) {
-    RecordsWritten().Increment(records_);
-    Commits().Increment();
-  }
-  return Status::Ok();
-}
-
 // --- LogWriter ---------------------------------------------------------------
 
 LogWriter::~LogWriter() { Close(); }
@@ -443,10 +420,7 @@ Status LogWriter::Open(const std::string& path, std::string_view client_tag,
     if (errno != ENOENT) return ErrnoError("stat", path);
     // New log: publish the header atomically, so no reader (or crashed
     // re-open) ever sees a file with a partial header.
-    CALM_RETURN_IF_ERROR(WriteFileAtomic(
-        path, BuildHeader(client_tag), "durable.wal.create.write",
-        "durable.wal.create.fsync", "durable.wal.create.rename",
-        "durable.wal.create.dirsync"));
+    CALM_RETURN_IF_ERROR(WriteFileAtomic(path, BuildHeader(client_tag)));
   } else {
     Result<ReadResult> prior =
         ReadRecordFile(path, client_tag, /*repair_torn_tail=*/true);

@@ -13,28 +13,23 @@
 
 // ---------------------------------------------------------------------------
 // Durable record files (see DESIGN.md, "Durability and crash recovery"): the
-// one on-disk format every persistent artifact in this repo shares —
-// Database snapshots (datalog/snapshot.h), the sweep WAL
-// (monotonicity/sweep_checkpoint.h), and the simulator's durable inboxes
-// (net/fault.h).
+// on-disk format of the repo's two persistent artifacts, the sweep
+// checkpoint WAL (monotonicity/sweep_checkpoint.h, --checkpoint_dir) and the
+// classified fuzz corpus (workload/fuzzer.h, --corpus).
 //
 // File layout:
 //   header  = magic "CALMDUR1" | u32 version | u32 tag_len | tag bytes
 //             | u32 crc32c(version..tag)
 //   record* = u32 payload_len | u32 crc32c(payload) | payload bytes
 //
-// The client tag names the record schema ("calm.snapshot", "calm.sweepwal",
-// ...) so a reader never replays a foreign file. All integers little-endian.
+// The client tag names the record schema ("calm.sweepwal", "calm.corpus")
+// so a reader never replays a foreign file. All integers little-endian.
 //
-// Two write disciplines, matching the two client shapes:
-//   * FileWriter — one-shot atomic publication: records are buffered, then
-//     Commit writes <path>.tmp, fsyncs it, renames over <path>, and fsyncs
-//     the directory. Readers only ever observe the old file or the complete
-//     new one. Snapshots use this.
-//   * LogWriter — an append-only WAL: the header is published atomically
-//     (same tmp+rename dance), then each Append writes one record and
-//     fsyncs. A crash mid-append leaves a torn tail, which replay detects
-//     (short or CRC-failing trailing record) and truncates. WALs use this.
+// One write discipline, LogWriter, an append-only WAL: the header is
+// published atomically (write <path>.tmp, fsync, rename over <path>, fsync
+// the directory), then each Append writes one record and fsyncs. A crash
+// mid-append leaves a torn tail, which replay detects (short or
+// CRC-failing trailing record) and truncates.
 //
 // Every write/fsync/rename boundary carries a CALM_FAILPOINT site (names in
 // failpoint.h's model); the kill-anywhere fuzzer in tests/durability_test.cc
@@ -65,7 +60,6 @@ class ByteWriter {
 
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
-  void clear() { buf_.clear(); }
 
  private:
   std::string buf_;
@@ -102,9 +96,6 @@ class ByteReader {
 // relation ids travel as name strings. Integer and invented values carry
 // their payloads directly.
 
-void EncodeValue(Value v, ByteWriter* w);
-bool DecodeValue(ByteReader* r, Value* out);
-
 void EncodeTuple(const Tuple& t, ByteWriter* w);
 bool DecodeTuple(ByteReader* r, Tuple* out);
 
@@ -115,35 +106,15 @@ bool DecodeInstance(ByteReader* r, Instance* out);
 
 // --- record files -----------------------------------------------------------
 
-// One-shot atomic record file. Append buffers records in memory; Commit
-// publishes them with the tmp -> fsync -> rename -> dirsync discipline.
-// Failpoint sites, in file order: durable.snapshot.write (half the bytes on
-// disk — a torn tmp file, invisible to readers), durable.snapshot.fsync
-// (all bytes written, not yet synced), durable.snapshot.rename (synced, not
-// yet visible), durable.snapshot.dirsync (renamed, directory entry not yet
-// synced).
-class FileWriter {
- public:
-  explicit FileWriter(std::string_view client_tag);
-
-  void Append(std::string_view payload);
-  size_t record_count() const { return records_; }
-  size_t byte_size() const { return buf_.size(); }
-
-  Status Commit(const std::string& path);
-
- private:
-  std::string buf_;
-  size_t records_ = 0;
-};
-
 // Append-only write-ahead log. Open replays any existing file (validating
 // the header, truncating a torn tail) and positions for appends; a missing
 // file is created with an atomically published header. Append writes one
 // record and fsyncs before returning — a returned Ok means the record
-// survives any later crash. Failpoint sites: durable.wal.append (between
-// the two halves of the record bytes — a torn tail), durable.wal.fsync
-// (record written, not synced), durable.wal.synced (record durable).
+// survives any later crash. Failpoint sites: durable.wal.create.{write,
+// fsync,rename,dirsync} (header publication, one before each boundary),
+// durable.wal.append (between the two halves of the record bytes — a torn
+// tail), durable.wal.fsync (record written, not synced), durable.wal.synced
+// (record durable).
 class LogWriter {
  public:
   LogWriter() = default;

@@ -21,8 +21,9 @@
 // parent recovers and compares against the crash-free oracle.
 //
 // Arming channels:
-//   * programmatic — failpoint::Arm("durable.fsync", 3) (tests, after fork);
-//   * environment  — CALM_FAILPOINT=durable.fsync:3 read at process start,
+//   * programmatic — failpoint::Arm("durable.wal.fsync", 3) (tests, after
+//     fork);
+//   * environment  — CALM_FAILPOINT=durable.wal.fsync:3 read at process start,
 //     so any bench binary can be crashed at a chosen boundary without code
 //     changes (the CI kill-and-resume leg uses this).
 //

@@ -73,26 +73,6 @@ inline uint64_t FrameWorlds(const uint32_t* frame, size_t stride) {
   return frame[stride - 2] | (static_cast<uint64_t>(frame[stride - 1]) << 32);
 }
 
-// Applies one row-local scan predicate to the prefilter's row list: the
-// first predicate selects rows from [begin, end), each later one compacts
-// the survivors in place. Either way the list stays ascending.
-template <typename Keep>
-void FilterRows(Keep keep, bool first, uint32_t begin, uint32_t end,
-                std::vector<uint32_t>& rows, size_t* n) {
-  size_t m = 0;
-  if (first) {
-    rows.resize(end - begin);
-    for (uint32_t r = begin; r < end; ++r) {
-      if (keep(r)) rows[m++] = r;
-    }
-  } else {
-    for (size_t i = 0; i < *n; ++i) {
-      if (keep(rows[i])) rows[m++] = rows[i];
-    }
-  }
-  *n = m;
-}
-
 }  // namespace
 
 RuleBytecode CompileRuleBytecode(const CompiledRule& rule,
@@ -358,62 +338,6 @@ void BytecodeExecutor::BuildNegPlan(const RuleBytecode& rule) {
                        static_cast<int>(neg.args.size()) &&
                    plan.store->overflow_count() == 0;
   }
-}
-
-bool BytecodeExecutor::BuildScanPrefilter(const JoinOp& op,
-                                          const RelStore& store,
-                                          uint32_t begin, uint32_t end,
-                                          const uint32_t** rows_out,
-                                          size_t* n_out) {
-  auto load_col = [&](int slot, uint32_t* col) {
-    if (slot < 0) return false;
-    for (const auto& [c, s] : op.loads) {
-      if (s == slot) {
-        *col = c;
-        return true;
-      }
-    }
-    return false;
-  };
-  std::vector<uint32_t>& rows = scratch_->prefilter;
-  bool active = false;
-  size_t n = 0;
-  auto filter = [&](auto keep) {
-    FilterRows(keep, !active, begin, end, rows, &n);
-    active = true;
-  };
-  // Equality filters first (checks always compare two columns of the
-  // scanned row — the compiler only emits in-atom repeats as checks), then
-  // the row-local inequalities.
-  for (const auto& [col, slot] : op.checks) {
-    uint32_t col2 = 0;
-    if (!load_col(slot, &col2)) continue;  // defensive; checks are in-atom
-    const uint32_t* a = store.ColumnData(col);
-    const uint32_t* b = store.ColumnData(col2);
-    filter([a, b](uint32_t r) { return a[r] == b[r]; });
-  }
-  const uint32_t* ccodes = const_codes_.data();
-  for (const IneqCheck& iq : op.ineqs) {
-    uint32_t lcol = 0, rcol = 0;
-    const bool lconst = iq.left.slot < 0;
-    const bool rconst = iq.right.slot < 0;
-    const bool lb = !lconst && load_col(iq.left.slot, &lcol);
-    const bool rb = !rconst && load_col(iq.right.slot, &rcol);
-    if (lb && rb) {
-      const uint32_t* a = store.ColumnData(lcol);
-      const uint32_t* b = store.ColumnData(rcol);
-      filter([a, b](uint32_t r) { return a[r] != b[r]; });
-    } else if ((lb && rconst) || (rb && lconst)) {
-      const uint32_t* a = store.ColumnData(lb ? lcol : rcol);
-      const uint32_t v = ccodes[lb ? iq.right.const_id : iq.left.const_id];
-      filter([a, v](uint32_t r) { return a[r] != v; });
-    }
-    // A side bound by an earlier atom lives in the parent frame — not
-    // row-local; ExpandRow/EmitRow keep handling it per frame.
-  }
-  *rows_out = rows.data();
-  *n_out = n;
-  return active;
 }
 
 bool BytecodeExecutor::EvalScanProbeFused(const RuleBytecode& rule,
@@ -718,21 +642,6 @@ void BytecodeExecutor::EvalRule(const RuleBytecode& rule, size_t delta_index,
                                         ccodes, next, worlds);
       }
     };
-    // A scan's row-local predicates (in-atom repeated-variable checks,
-    // inequalities over this op's own columns or constants) never depend on
-    // the parent frame — fold them into one pass over the scan range
-    // instead of re-testing per frame. ExpandRow/EmitRow re-verify
-    // the same predicates on the surviving rows (they always pass), so the
-    // emission semantics and counters are untouched: scans tick no probe
-    // counters, and applications are only counted after the checks anyway.
-    const uint32_t* scan_rows = nullptr;
-    size_t scan_rows_n = 0;
-    bool prefiltered = false;
-    if (op.mask == 0 && scan_begin < scan_end &&
-        (!op.checks.empty() || !op.ineqs.empty())) {
-      prefiltered = BuildScanPrefilter(op, *store, scan_begin, scan_end,
-                                       &scan_rows, &scan_rows_n);
-    }
     for (size_t f = 0; f < frames; ++f) {
       // A level past the frame limit ends the rule (and, via exhausted(),
       // the fixpoint); checked per parent, so one parent's matches bound
@@ -744,12 +653,6 @@ void BytecodeExecutor::EvalRule(const RuleBytecode& rule, size_t delta_index,
       const uint32_t* parent = cur.data() + f * stride;
       if constexpr (kMasked) parent_worlds = FrameWorlds(parent, stride);
       if (op.mask == 0) {
-        if (prefiltered) {
-          for (size_t j = 0; j < scan_rows_n; ++j) {
-            visit_row(scan_rows[j], parent);
-          }
-          continue;
-        }
         for (uint32_t row = scan_begin; row < scan_end; ++row) {
           visit_row(row, parent);
         }

@@ -157,8 +157,6 @@ struct BytecodeScratch {
   // Deferred head emissions, one column per head position, flushed through
   // RelStore::InsertBatchCols.
   std::vector<std::vector<uint32_t>> emit_cols;
-  // Scan prefilter output (surviving row indices).
-  std::vector<uint32_t> prefilter;
 };
 
 class BytecodeExecutor {
@@ -241,15 +239,6 @@ class BytecodeExecutor {
   // the general batch loop.
   bool EvalScanProbeFused(const RuleBytecode& rule, size_t delta_index,
                           uint32_t delta_lo, uint32_t delta_hi, bool emit_ok);
-
-  // Scan prefilter: folds the op's in-atom repeated-variable checks and
-  // row-local inequalities (both sides constant or bound by this op's own
-  // loads) into one pass over [begin, end), leaving the surviving row
-  // indices in scratch_->prefilter. Returns false (and filters nothing)
-  // when no predicate is row-local.
-  bool BuildScanPrefilter(const JoinOp& op, const RelStore& store,
-                          uint32_t begin, uint32_t end,
-                          const uint32_t** rows_out, size_t* n_out);
 
   // Per-Eval anti-probe plan, one entry per rule.negs entry: the negation
   // check stays in code space (ContainsCodes on the store, with bucket

@@ -359,22 +359,6 @@ class RelStore {
     }
   }
 
-  // The arity-mismatched overflow rows, in insertion order (the snapshot
-  // serializer; everything else reaches them through ForEachTuple).
-  const std::vector<Tuple>& OverflowRows() const { return overflow_; }
-
-  // Snapshot restore only: keys an empty store's columns at `arity` exactly
-  // as the first insert would, without inserting a row. A no-op once the
-  // store is keyed — replayed inserts must already match.
-  void RestoreArity(uint32_t arity) {
-    if (arity_ < 0) InitColumns(arity);
-  }
-
-  // Snapshot restore only: appends `t` to the overflow side table verbatim.
-  // Insert would instead re-key an empty store to t's arity; the serializer
-  // guarantees `t` mismatches the restored arity and is not a duplicate.
-  void RestoreOverflow(Tuple t) { overflow_.push_back(std::move(t)); }
-
   // Invokes fn(const Tuple&) for every stored tuple: columnar rows in
   // insertion order, then overflow rows.
   template <typename Fn>
@@ -532,9 +516,7 @@ class Database {
   uint64_t WorldWeight() const;
 
   // Invokes fn(relation_id, const RelStore&) for every relation entry —
-  // including empty stores — in creation order. Creation order is what the
-  // snapshot serializer preserves, so a restored database probes its
-  // relation table in the same order as the original.
+  // including empty stores — in creation order.
   template <typename Fn>
   void ForEachStore(Fn&& fn) const {
     for (const auto& [name, store] : rels_) fn(name, store);

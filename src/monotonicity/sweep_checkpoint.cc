@@ -128,6 +128,12 @@ Result<std::unique_ptr<SweepCheckpoint>> SweepCheckpoint::Open(
         if (!r.U64(&idx) || !r.U32(&code) || !r.Str(&message) || !r.AtEnd()) {
           return CorruptRecord("bad Stop error");
         }
+        // RecordStop journals errors only: an OK or unknown code would
+        // replay as a stop with neither a witness nor an error.
+        if (code == static_cast<uint32_t>(StatusCode::kOk) ||
+            code > static_cast<uint32_t>(StatusCode::kNotFound)) {
+          return CorruptRecord("Stop error with code " + std::to_string(code));
+        }
         SweepStop stop;
         stop.error = Status(static_cast<StatusCode>(code), std::move(message));
         ckpt->recorded_.insert(idx);

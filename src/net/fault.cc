@@ -18,33 +18,6 @@ void CountFault(FaultEvent::Kind kind) {
       .Increment();
 }
 
-// Record schema of the on-disk inbox WALs (EnableDurableInboxes): one fact
-// per record, relation by name + tuple, on the shared record format.
-constexpr std::string_view kInboxTag = "calm.inbox";
-
-void EncodeInboxFact(uint32_t relation, const Tuple& t,
-                     durable::ByteWriter* w) {
-  w->Str(NameOf(relation));
-  durable::EncodeTuple(t, w);
-}
-
-bool DecodeInboxFact(std::string_view payload, Fact* out) {
-  durable::ByteReader r(payload);
-  std::string name;
-  Tuple t;
-  if (!r.Str(&name) || !durable::DecodeTuple(&r, &t) || !r.AtEnd()) {
-    return false;
-  }
-  *out = Fact(InternName(name), std::move(t));
-  return true;
-}
-
-Counter& InboxFactsReplayed() {
-  static Counter& c = MetricRegistry::Global().GetCounter(
-      "calm.durable.inbox_facts_replayed");
-  return c;
-}
-
 }  // namespace
 
 const char* FaultKindName(FaultEvent::Kind kind) {
@@ -143,38 +116,6 @@ void FaultPlan::BindNetwork(size_t node_count) {
   log_.clear();
   stats_ = FaultStats();
   if (!scripted_) rng_.seed(seed_);  // rebinding restarts the decision stream
-
-  // On-disk inbox WALs: open (or create) one per node and replay whatever a
-  // previous process durably consumed back into the in-memory inboxes. A
-  // rebind in the SAME process re-reads its own journal, which is idempotent
-  // — the inbox is a set and replayed facts simply land again.
-  inbox_logs_.clear();
-  durable_status_ = Status::Ok();
-  if (!durable_dir_.empty() && node_count > 0) {
-    durable_status_ = durable::MakeDirs(durable_dir_);
-    inbox_logs_.resize(node_count);
-    uint64_t replayed_facts = 0;
-    for (size_t node = 0; durable_status_.ok() && node < node_count; ++node) {
-      const std::string path =
-          durable_dir_ + "/inbox-" + std::to_string(node) + ".wal";
-      std::vector<std::string> replayed;
-      durable_status_ = inbox_logs_[node].Open(path, kInboxTag, &replayed);
-      if (!durable_status_.ok()) break;
-      for (const std::string& payload : replayed) {
-        Fact f;
-        if (!DecodeInboxFact(payload, &f)) {
-          durable_status_ = InvalidArgumentError("inbox WAL " + path +
-                                                 ": malformed fact record");
-          break;
-        }
-        if (inbox_[node].Insert(std::move(f))) ++replayed_facts;
-      }
-    }
-    if (!durable_status_.ok()) inbox_logs_.clear();
-    if (MetricsEnabled() && replayed_facts > 0) {
-      InboxFactsReplayed().Increment(replayed_facts);
-    }
-  }
 }
 
 uint64_t FaultPlan::PartitionedUntil(size_t sender, size_t receiver) const {
@@ -407,15 +348,8 @@ void FaultPlan::OnSend(size_t sender, size_t receiver, const Fact& fact,
 void FaultPlan::OnDeliver(size_t receiver, const Instance& facts) {
   if (receiver >= inbox_.size()) return;
   Instance& inbox = inbox_[receiver];
-  const bool journal = durable_status_.ok() && receiver < inbox_logs_.size() &&
-                       inbox_logs_[receiver].is_open();
-  facts.ForEachFact([&](uint32_t name, const Tuple& t) {
-    if (!inbox.Insert(Fact(name, t))) return;  // already durable
-    if (!journal || !durable_status_.ok()) return;
-    durable::ByteWriter w;
-    EncodeInboxFact(name, t, &w);
-    durable_status_ = inbox_logs_[receiver].Append(w.data());
-  });
+  facts.ForEachFact(
+      [&](uint32_t name, const Tuple& t) { inbox.Insert(Fact(name, t)); });
 }
 
 }  // namespace calm::net

@@ -4,13 +4,10 @@
 #include <cstdint>
 #include <map>
 #include <random>
-#include <string>
 #include <vector>
 
-#include "base/durable.h"
 #include "base/fact.h"
 #include "base/instance.h"
-#include "base/status.h"
 
 namespace calm::net {
 
@@ -41,12 +38,8 @@ namespace calm::net {
 //                           that causally preceded it) and makes the
 //                           Theorem 4.4 protocol unsound under crashes.
 //
-// The durable inboxes are in-memory by default (crash-restart is simulated,
-// so "durable" only has to survive the simulated crash). EnableDurableInboxes
-// additionally journals every consumed fact onto the shared on-disk record
-// format (base/durable.h, one WAL per node), so a *process* crash mid-run
-// recovers each node's inbox exactly — the same recovery model, one level
-// down the stack.
+// The durable inboxes live in memory: crash-restart is simulated, so
+// "durable" only has to survive the simulated crash.
 //
 // Every fault is fairness-preserving: nothing is lost forever and every
 // hold-up is bounded (MaxHoldup), so Section 4.1.3's fair-run requirements
@@ -150,20 +143,6 @@ class FaultPlan {
   // attached and again on Initialize.
   void BindNetwork(size_t node_count);
 
-  // Backs every node's durable inbox with an on-disk WAL: one
-  // <dir>/inbox-<node>.wal per node on the shared record format
-  // (base/durable.h, client tag "calm.inbox"). Takes effect at the next
-  // BindNetwork, which creates `dir` as needed, replays any existing files
-  // into the in-memory inboxes (process-crash recovery; torn tails are
-  // repaired), and journals each newly consumed fact with one
-  // write+fsync'd record. WAL failures never change run behavior — they
-  // latch into durable_status() and journaling stops.
-  void EnableDurableInboxes(std::string dir) { durable_dir_ = std::move(dir); }
-
-  // The first inbox-WAL open/append failure, or OK. Callers that rely on
-  // process-crash recovery check this at the end of a run.
-  const Status& durable_status() const { return durable_status_; }
-
   // A message becoming visible to a receiver, possibly at an explicit
   // buffer position (reordering).
   struct Delivery {
@@ -245,11 +224,6 @@ class FaultPlan {
   std::vector<Instance> inbox_;
   std::vector<FaultEvent> log_;
   FaultStats stats_;
-
-  // On-disk inbox journaling (EnableDurableInboxes). Empty dir = disabled.
-  std::string durable_dir_;
-  std::vector<durable::LogWriter> inbox_logs_;  // one per node when enabled
-  Status durable_status_;
 };
 
 }  // namespace calm::net

@@ -60,8 +60,7 @@ bool Chance(std::mt19937& rng, double p) {
 // One random safe rule for head relation `head`. Head, negation, and
 // inequality arguments only use variables bound by a positive body atom.
 // Inequalities compare two variables, or a variable and a constant on
-// either side, so both the column-vs-column and the column-vs-constant scan
-// prefilters run.
+// either side, so ExpandRow and EmitRow test both shapes.
 // `max_neg_stratum` bounds the strata negated atoms may reference
 // (kRels[head].stratum for the fixed-negation corpus, one below otherwise).
 std::string RandomRule(std::mt19937& rng, size_t head, size_t max_neg_stratum,
@@ -154,8 +153,8 @@ std::string RandomProgram(std::mt19937& rng, size_t max_neg_stratum_delta,
 }
 
 // Small instances hold at most 11 facts; large ones 24 to 48, so that
-// semi-naive delta scans start well inside a relation and scan prefilters
-// run over long row ranges.
+// semi-naive delta scans start well inside a relation and scans run over
+// long row ranges.
 Instance RandomInstance(std::mt19937& rng, bool large) {
   Instance in;
   const size_t nfacts = large ? 24 + Rand(rng, 25) : Rand(rng, 12);

@@ -230,7 +230,7 @@ class BaselineCoverageTest(unittest.TestCase):
     FILTER = re.compile(
         r"BM_EvalPrepared|BM_EvalCompileEveryCall|BM_UnionCheckBatch|"
         r"BM_MonotonicityCheck|BM_FindViolation|BM_Ladder|BM_RunToQuiescence|"
-        r"BM_ToInstance|BM_DedupInsert|BM_Snapshot|BM_FuzzClassifyProgram")
+        r"BM_ToInstance|BM_DedupInsert|BM_FuzzClassifyProgram")
 
     def baseline_names(self):
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -34,14 +34,6 @@ def enc_str(s):
     return struct.pack("<I", len(raw)) + raw
 
 
-def enc_int_value(v):
-    return b"\x00" + struct.pack("<Q", v)
-
-
-def enc_sym_value(name):
-    return b"\x01" + enc_str(name)
-
-
 def test_crc32c_known_answer():
     # The iSCSI CRC32C check vector — pins the polynomial/reflection/xorout
     # to what src/base/durable.cc computes.
@@ -114,40 +106,18 @@ def test_unsupported_version_rejected():
         parse_file(make_file(b"calm.test", [], version=2))
 
 
-def test_inbox_record_decoding():
-    payload = enc_str("Msg") + struct.pack("<I", 2) + \
-        enc_sym_value("anchor") + enc_int_value(7)
-    out = wal_dump.describe_record("calm.inbox", payload, 0)
-    assert out == "Msg('anchor', 7)"
-
-
 def test_sweepwal_record_decoding():
     assert wal_dump.describe_record(
-        "calm.sweepwal", b"\x01" + struct.pack("<Q", 96), 0) == \
+        "calm.sweepwal", b"\x01" + struct.pack("<Q", 96)) == \
         "Begin space_size=96"
     assert wal_dump.describe_record(
-        "calm.sweepwal", b"\x02" + struct.pack("<Q", 5), 1) == "Done idx=5"
+        "calm.sweepwal", b"\x02" + struct.pack("<Q", 5)) == "Done idx=5"
     assert wal_dump.describe_record(
-        "calm.sweepwal", b"\x05" + struct.pack("<Q", 96), 2) == \
+        "calm.sweepwal", b"\x05" + struct.pack("<Q", 96)) == \
         "Complete winner=96"
     err = b"\x04" + struct.pack("<Q", 3) + struct.pack("<I", 8) + enc_str("disk full")
-    assert wal_dump.describe_record("calm.sweepwal", err, 3) == \
+    assert wal_dump.describe_record("calm.sweepwal", err) == \
         "StopError idx=3 code=8 message='disk full'"
-
-
-def test_snapshot_positional_decoding():
-    meta = struct.pack("<Q", 4) + struct.pack("<I", 2)
-    assert wal_dump.describe_record("calm.snapshot", meta, 0) == \
-        "meta dict_size=4 relations=2"
-    rel = enc_str("E") + struct.pack("<II", 2, 10)
-    assert wal_dump.describe_record("calm.snapshot", rel, 2) == \
-        "relation E arity=2 rows=10"
-    unset = enc_str("F") + struct.pack("<I", 0xFFFFFFFF)
-    assert wal_dump.describe_record("calm.snapshot", unset, 3) == \
-        "relation F (arity unset)"
-    trailer = enc_str("calm.snapshot.end") + struct.pack("<I", 2)
-    assert wal_dump.describe_record("calm.snapshot", trailer, 4) == \
-        "trailer relations=2"
 
 
 def _corpus_program_payload():
@@ -165,7 +135,7 @@ def _corpus_program_payload():
 
 
 def test_corpus_program_record_decoding():
-    out = wal_dump.describe_record("calm.corpus", _corpus_program_payload(), 0)
+    out = wal_dump.describe_record("calm.corpus", _corpus_program_payload())
     assert out == ("program seed=42 shape=semi-positive fragment=SP-Datalog "
                    "class=Mdistinct rules=2 ladder_rows=2 strategy=absence "
                    "bsp_supersteps=4 derived=6 conformant=yes")
@@ -177,7 +147,7 @@ def test_corpus_wellfounded_and_strategyless_rendering():
                b"\x00" + struct.pack("<Q", 0) + struct.pack("<QQQ", 0, 0, 0) +
                enc_str("Win(x0) :- E(x0, x1), !Win(x1).\n.output O\n") +
                struct.pack("<I", 1))
-    out = wal_dump.describe_record("calm.corpus", payload, 0)
+    out = wal_dump.describe_record("calm.corpus", payload)
     assert "shape=win-move" in out
     assert " wf " in out
     assert "strategy=-" in out
@@ -187,13 +157,13 @@ def test_corpus_wellfounded_and_strategyless_rendering():
 def test_corpus_divergence_record_decoding():
     payload = (b"\x02" + struct.pack("<Q", 99) + enc_str("bsp") +
                enc_str("supersteps diverged\nexpected 3\ngot 4"))
-    out = wal_dump.describe_record("calm.corpus", payload, 1)
+    out = wal_dump.describe_record("calm.corpus", payload)
     assert out == ("divergence seed=99 stage=bsp "
                    "detail='supersteps diverged'")
 
 
 def test_corpus_unknown_kind_is_reported_not_raised():
-    out = wal_dump.describe_record("calm.corpus", b"\x07", 0)
+    out = wal_dump.describe_record("calm.corpus", b"\x07")
     assert "undecodable" in out
 
 
@@ -214,7 +184,7 @@ def test_corpus_file_passes_strict_and_describes_records(tmp_path, capsys):
 
 
 def test_undecodable_payload_is_reported_not_raised():
-    out = wal_dump.describe_record("calm.sweepwal", b"\x63", 0)
+    out = wal_dump.describe_record("calm.sweepwal", b"\x63")
     assert "undecodable" in out
 
 

@@ -3,12 +3,11 @@
 
     wal_dump.py FILE [FILE ...] [--records] [--strict] [--quiet]
 
-Parses the shared on-disk format every persistent artifact uses —
-snapshots (calm.snapshot), sweep WALs (calm.sweepwal), durable inboxes
-(calm.inbox), classified fuzz corpora (calm.corpus) — verifies the header
-and per-record CRC32C checksums, and
-reports a torn tail the way LogWriter::Open's replay would repair it.
-With --records each record payload is decoded per the file's client tag.
+Parses the on-disk format of both persistent artifacts — sweep checkpoint
+WALs (calm.sweepwal) and classified fuzz corpora (calm.corpus) — verifies
+the header and per-record CRC32C checksums, and reports a torn tail the way
+LogWriter::Open's replay would repair it. With --records each record
+payload is decoded per the file's client tag.
 
 Exit code 0 when every file has a valid header (a torn tail alone is a
 crash artifact, not corruption); --strict additionally fails on torn
@@ -21,7 +20,6 @@ import sys
 
 MAGIC = b"CALMDUR1"
 FORMAT_VERSION = 1
-SNAPSHOT_NO_ARITY = 0xFFFFFFFF
 
 # Fuzz-corpus record kinds and shape names (src/workload/fuzzer.h).
 CORPUS_KIND_PROGRAM = 1
@@ -128,29 +126,7 @@ def parse_file(data):
 # --- per-tag payload decoders ------------------------------------------------
 
 
-def decode_value(r):
-    kind = r.u8()
-    if kind == 0:
-        return r.u64()
-    if kind == 1:
-        return r.string()
-    if kind == 2:
-        return f"invented:{r.u64()}"
-    raise Corrupt(f"unknown value kind {kind}")
-
-
-def decode_tuple(r):
-    return tuple(decode_value(r) for _ in range(r.u32()))
-
-
-def describe_inbox(payload, index):
-    r = Reader(payload)
-    rel = r.string()
-    args = decode_tuple(r)
-    return f"{rel}{args!r}"
-
-
-def describe_sweepwal(payload, index):
+def describe_sweepwal(payload):
     r = Reader(payload)
     kind = r.u8()
     if kind == SWEEP_BEGIN:
@@ -168,23 +144,7 @@ def describe_sweepwal(payload, index):
     raise Corrupt(f"unknown sweepwal record type {kind}")
 
 
-def describe_snapshot(payload, index):
-    # Snapshot records are positional: meta, dictionary, relations, trailer.
-    r = Reader(payload)
-    if index == 0:
-        return f"meta dict_size={r.u64()} relations={r.u32()}"
-    if index == 1:
-        return f"dictionary ({len(payload)} bytes)"
-    first = r.string()
-    if first == "calm.snapshot.end":
-        return f"trailer relations={r.u32()}"
-    arity = r.u32()
-    if arity == SNAPSHOT_NO_ARITY:
-        return f"relation {first} (arity unset)"
-    return f"relation {first} arity={arity} rows={r.u32()}"
-
-
-def describe_corpus(payload, index):
+def describe_corpus(payload):
     # Classified fuzz-corpus records (src/workload/fuzzer.cc). The fixed
     # prefix is decoded here; the trailing ladder rows carry full instance
     # witnesses and are summarized by row count only.
@@ -224,19 +184,17 @@ def describe_corpus(payload, index):
 
 
 DESCRIBERS = {
-    "calm.inbox": describe_inbox,
     "calm.sweepwal": describe_sweepwal,
-    "calm.snapshot": describe_snapshot,
     "calm.corpus": describe_corpus,
 }
 
 
-def describe_record(tag, payload, index):
+def describe_record(tag, payload):
     describer = DESCRIBERS.get(tag)
     if describer is None:
         return f"{len(payload)} bytes"
     try:
-        return describer(payload, index)
+        return describer(payload)
     except Corrupt as err:
         return f"{len(payload)} bytes (undecodable as {tag}: {err})"
 
@@ -258,7 +216,7 @@ def dump(path, show_records, quiet):
               f"records={len(records)} bytes={len(data)} [{state}]")
         if show_records:
             for i, payload in enumerate(records):
-                print(f"  [{i}] {describe_record(tag, payload, i)}")
+                print(f"  [{i}] {describe_record(tag, payload)}")
     return True, torn
 
 
