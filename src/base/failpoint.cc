@@ -1,5 +1,51 @@
 #include "base/failpoint.h"
 
+#include <charconv>
+
+namespace calm::failpoint {
+
+namespace {
+
+Status UnknownSite(std::string_view site) {
+  std::string known;
+  for (std::string_view k : kSites) {
+    if (!known.empty()) known += ", ";
+    known += k;
+  }
+  return InvalidArgumentError("unknown failpoint site '" + std::string(site) +
+                              "' (known sites: " + known + ")");
+}
+
+}  // namespace
+
+Result<std::pair<std::string, uint64_t>> ParseSpec(std::string_view spec) {
+  std::string_view site = spec;
+  uint64_t hit = 1;
+  const size_t colon = spec.rfind(':');
+  if (colon != std::string_view::npos) {
+    site = spec.substr(0, colon);
+    const std::string_view count = spec.substr(colon + 1);
+    const auto [end, ec] =
+        std::from_chars(count.data(), count.data() + count.size(), hit);
+    if (count.empty() || ec != std::errc() ||
+        end != count.data() + count.size() || hit == 0) {
+      return InvalidArgumentError("malformed hit count in " +
+                                  std::string(spec) +
+                                  " (want site:positive-integer)");
+    }
+  }
+  if (!IsKnownSite(site)) return UnknownSite(site);
+  return std::make_pair(std::string(site), hit);
+}
+
+#ifdef CALM_FAILPOINTS_DISABLED
+Status Arm(const std::string& site, uint64_t) {
+  return IsKnownSite(site) ? Status::Ok() : UnknownSite(site);
+}
+#endif
+
+}  // namespace calm::failpoint
+
 #ifndef CALM_FAILPOINTS_DISABLED
 
 #include <unistd.h>
@@ -34,30 +80,19 @@ State& GetState() {
 }
 
 // CALM_FAILPOINT=site:hit — one env read at process start, so any binary can
-// be crashed at a chosen boundary without code changes.
+// be crashed at a chosen boundary without code changes. A spec ParseSpec
+// rejects exits 2 before anything runs.
 struct EnvArm {
   EnvArm() {
     const char* spec = std::getenv("CALM_FAILPOINT");
     if (spec == nullptr || *spec == '\0') return;
-    std::string s(spec);
-    size_t colon = s.rfind(':');
-    uint64_t hit = 1;
-    std::string site = s;
-    if (colon != std::string::npos) {
-      site = s.substr(0, colon);
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(s.c_str() + colon + 1, &end, 10);
-      if (end != nullptr && *end == '\0' && n > 0) {
-        hit = n;
-      } else {
-        std::fprintf(stderr,
-                     "CALM_FAILPOINT: malformed hit count in %s "
-                     "(want site:positive-integer)\n",
-                     spec);
-        std::exit(2);
-      }
+    Result<std::pair<std::string, uint64_t>> parsed = ParseSpec(spec);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "CALM_FAILPOINT: %s\n",
+                   parsed.status().message().c_str());
+      std::exit(2);
     }
-    Arm(site, hit);
+    (void)Arm(parsed->first, parsed->second);
   }
 };
 EnvArm g_env_arm;
@@ -82,13 +117,15 @@ void Hit(const char* site) {
 
 }  // namespace detail
 
-void Arm(const std::string& site, uint64_t hit) {
+Status Arm(const std::string& site, uint64_t hit) {
+  if (!IsKnownSite(site)) return UnknownSite(site);
   detail::State& state = detail::GetState();
   std::lock_guard<std::mutex> lock(state.mu);
   state.armed_site = site;
   state.armed_hit = hit == 0 ? 1 : hit;
   state.counts.clear();
   detail::g_active.store(true, std::memory_order_relaxed);
+  return Status::Ok();
 }
 
 void Disarm() {

@@ -4,8 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "base/status.h"
 
 // ---------------------------------------------------------------------------
 // Failpoints (see DESIGN.md, "Durability and crash recovery"): named crash
@@ -26,6 +29,9 @@
 //   * environment  — CALM_FAILPOINT=durable.wal.fsync:3 read at process start,
 //     so any bench binary can be crashed at a chosen boundary without code
 //     changes (the CI kill-and-resume leg uses this).
+// Both channels accept only the names in kSites, and every site statement
+// static_asserts that its literal is one of them: a mistyped or deleted
+// site name fails the build or the arming, never silently runs crash-free.
 //
 // Cost model: compiled in (default), every site costs one relaxed atomic
 // load and a predictable branch; CMake -DCALM_FAILPOINTS=OFF defines
@@ -37,6 +43,27 @@ namespace calm::failpoint {
 // The exit code a fired failpoint terminates with; the fuzzer's parent
 // process distinguishes an injected crash from a genuine failure by it.
 inline constexpr int kCrashExitCode = 42;
+
+// Every site name a CALM_FAILPOINT statement may use, one per boundary of
+// base/durable.cc.
+inline constexpr std::string_view kSites[] = {
+    "durable.wal.create.write",  "durable.wal.create.fsync",
+    "durable.wal.create.rename", "durable.wal.create.dirsync",
+    "durable.wal.append",        "durable.wal.fsync",
+    "durable.wal.synced",        "durable.wal.truncate",
+};
+
+constexpr bool IsKnownSite(std::string_view site) {
+  for (std::string_view known : kSites) {
+    if (known == site) return true;
+  }
+  return false;
+}
+
+// "site:hit" (hit a positive integer; a bare "site" means hit 1) as
+// CALM_FAILPOINT's value gives it. InvalidArgument for a malformed hit
+// count or a site not in kSites; the message lists the known sites then.
+Result<std::pair<std::string, uint64_t>> ParseSpec(std::string_view spec);
 
 // Whether failpoint sites are compiled into this build (CALM_FAILPOINTS).
 constexpr bool FailpointsCompiledIn() {
@@ -65,7 +92,8 @@ void Hit(const char* site);
 // Arms `site`: its `hit`-th execution (1-based) after this call terminates
 // the process with kCrashExitCode. At most one site is armed at a time;
 // re-arming replaces the previous site. Arming resets the hit counters.
-void Arm(const std::string& site, uint64_t hit);
+// InvalidArgument, arming nothing, when `site` is not in kSites.
+Status Arm(const std::string& site, uint64_t hit);
 
 // Disarms the armed site (counting mode, if on, stays on).
 void Disarm();
@@ -78,10 +106,12 @@ void SetCounting(bool on);
 // reset, in site-name order. Only populated while counting or armed.
 std::vector<std::pair<std::string, uint64_t>> HitCounts();
 
-// A site statement. `site` must be a string literal (the registry stores
-// the pointer until first hit).
+// A site statement. `site` must be a string literal listed in kSites (the
+// registry stores the pointer until first hit).
 #define CALM_FAILPOINT(site)                                        \
   do {                                                              \
+    static_assert(::calm::failpoint::IsKnownSite(site),             \
+                  "failpoint site not in kSites: " site);           \
     if (::calm::failpoint::detail::Active()) {                      \
       ::calm::failpoint::detail::Hit(site);                         \
     }                                                               \
@@ -89,15 +119,18 @@ std::vector<std::pair<std::string, uint64_t>> HitCounts();
 
 #else  // CALM_FAILPOINTS_DISABLED
 
-inline void Arm(const std::string&, uint64_t) {}
+// Validates `site` as the compiled-in Arm does; arms nothing.
+Status Arm(const std::string& site, uint64_t hit);
 inline void Disarm() {}
 inline void SetCounting(bool) {}
 inline std::vector<std::pair<std::string, uint64_t>> HitCounts() {
   return {};
 }
 
-#define CALM_FAILPOINT(site) \
-  do {                       \
+#define CALM_FAILPOINT(site)                              \
+  do {                                                    \
+    static_assert(::calm::failpoint::IsKnownSite(site),   \
+                  "failpoint site not in kSites: " site); \
   } while (false)
 
 #endif  // CALM_FAILPOINTS_DISABLED

@@ -58,6 +58,13 @@ void UnionEvaluator::FirstRetractedBatch(
   for (const Instance* j : js) out->push_back(FirstRetracted(*j, base_facts));
 }
 
+void Query::EvalBatch(const std::vector<const Instance*>& inputs,
+                      std::vector<Result<Instance>>* out) const {
+  out->clear();
+  out->reserve(inputs.size());
+  for (const Instance* input : inputs) out->push_back(Eval(*input));
+}
+
 std::unique_ptr<UnionEvaluator> MakeOverlayUnionEvaluator(const Query& query,
                                                           const Instance& i) {
   return std::make_unique<OverlayUnionEvaluator>(query, i);
@@ -70,11 +77,11 @@ std::unique_ptr<UnionEvaluator> Query::MakeUnionEvaluator(
 
 namespace {
 
-// CheckGenericity past its direct evaluation: `direct` is Q(input).
+// CheckGenericity past its evaluations: `direct` is Q(input) and
+// `permuted` is Q(pi(input)).
 Status CheckPermuted(const Query& query, const Instance& input,
-                     const Instance& direct,
-                     const std::map<Value, Value>& pi) {
-  Result<Instance> permuted = query.Eval(ApplyValueMap(input, pi));
+                     const Instance& direct, const std::map<Value, Value>& pi,
+                     const Result<Instance>& permuted) {
   if (!permuted.ok()) return permuted.status();
   Instance expected = ApplyValueMap(direct, pi);
   if (expected != permuted.value()) {
@@ -92,7 +99,8 @@ Status CheckGenericity(const Query& query, const Instance& input,
                        const std::map<Value, Value>& pi) {
   Result<Instance> direct = query.Eval(input);
   if (!direct.ok()) return direct.status();
-  return CheckPermuted(query, input, direct.value(), pi);
+  return CheckPermuted(query, input, direct.value(), pi,
+                       query.Eval(ApplyValueMap(input, pi)));
 }
 
 Status ProbeGenericity(const Query& query, size_t domain_size,
@@ -128,14 +136,31 @@ Status ProbeGenericity(const Query& query, size_t domain_size,
   if (space.empty() || samples == 0) return Status::Ok();
   size_t take = std::min(samples, space.size());
   size_t stride = space.size() / take;
-  // CheckGenericity per permutation, with Q(probe) evaluated once per
-  // sample: the same verdicts, statuses and messages.
+  // Every sample and its permuted images go to the query in one batch:
+  // inputs[s * (1 + |perms|)] is sample s, its images follow. The replay
+  // walks them in CheckGenericity's order, so it returns the statuses and
+  // messages CheckGenericity per (sample, permutation) would.
+  const size_t per_sample = 1 + perms.size();
+  std::vector<Instance> images;
+  images.reserve(take * perms.size());
+  std::vector<const Instance*> inputs;
+  inputs.reserve(take * per_sample);
   for (size_t s = 0; s < take; ++s) {
     const Instance& probe = space[s * stride];
-    Result<Instance> direct = query.Eval(probe);
-    if (!direct.ok()) return direct.status();
+    inputs.push_back(&probe);
     for (const std::map<Value, Value>& pi : perms) {
-      Status st = CheckPermuted(query, probe, direct.value(), pi);
+      images.push_back(ApplyValueMap(probe, pi));
+      inputs.push_back(&images.back());
+    }
+  }
+  std::vector<Result<Instance>> outs;
+  query.EvalBatch(inputs, &outs);
+  for (size_t s = 0; s < take; ++s) {
+    const Result<Instance>& direct = outs[s * per_sample];
+    if (!direct.ok()) return direct.status();
+    for (size_t p = 0; p < perms.size(); ++p) {
+      Status st = CheckPermuted(query, space[s * stride], direct.value(),
+                                perms[p], outs[s * per_sample + 1 + p]);
       if (!st.ok()) return st;
     }
   }

@@ -63,6 +63,14 @@ class Query {
   // evaluation failure (e.g. divergence limits), never "empty result".
   virtual Result<Instance> Eval(const Instance& input) const = 0;
 
+  // Eval for many inputs: `out` is resized to inputs.size() and (*out)[k]
+  // is exactly Eval(*inputs[k]), errors included. The default asks one
+  // input at a time; DatalogQuery overrides it to run up to 64 inputs per
+  // world-masked fixpoint. The preservation sweeps and the genericity probe
+  // hand over everything they will evaluate in one call.
+  virtual void EvalBatch(const std::vector<const Instance*>& inputs,
+                         std::vector<Result<Instance>>* out) const;
+
   // Evaluates the query on a ∪ b without requiring the caller to materialize
   // the union. Semantically identical to Eval(Instance::Union(a, b)); engines
   // that can seed from two instances directly (DatalogQuery, IlogQuery)
@@ -211,8 +219,9 @@ enum class SymmetryMode {
 // {0..domain_size-1} with at most max_facts facts, each tested against a
 // fixed family of permutations (a shift into a high value range, a shift
 // into the checkers' fresh-value range {1000..}, the domain reversal, and
-// the (0,1) transposition). Returns OK when every probe commutes; the first
-// violation (or evaluation error) otherwise. A passing probe is evidence,
+// the (0,1) transposition). Every sample and permuted image goes to one
+// EvalBatch. Returns OK when every probe commutes; the first violation (or
+// evaluation error), in sample then permutation order, otherwise. A passing probe is evidence,
 // not proof — exactly the epistemic status of the bounded sweeps it guards.
 Status ProbeGenericity(const Query& query, size_t domain_size,
                        size_t max_facts, size_t samples = 12);

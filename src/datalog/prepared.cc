@@ -365,7 +365,7 @@ bool PreparedProgram::SupportsUnionBatch() const {
   return true;
 }
 
-void PreparedProgram::SeedMasked(Database* db, const Instance& base,
+void PreparedProgram::SeedMasked(Database* db, const Instance* base,
                                  const std::vector<const Instance*>& js,
                                  const Schema* pre_restrict,
                                  bool with_adom) const {
@@ -407,44 +407,53 @@ void PreparedProgram::SeedMasked(Database* db, const Instance& base,
       }
     });
   };
-  seed(base, db->worlds());
+  if (base != nullptr) seed(*base, db->worlds());
   for (size_t k = 0; k < js.size(); ++k) seed(*js[k], uint64_t{1} << k);
   if (adom.empty()) return;
   RelStore* adom_store = db->StoreOrCreate(adom_rel);
   for (const auto& [v, worlds] : adom) adom_store->SeedMasked(Tuple{v}, worlds);
 }
 
+Result<const Database*> PreparedProgram::RunMasked(
+    const Instance* base, const std::vector<const Instance*>& js,
+    const Schema* pre_restrict, std::optional<Database>* lo,
+    size_t* gammas) const {
+  assert(SupportsUnionBatch());
+  const size_t n = js.size();
+  if (n == 0 || n > kMaxUnionBatch) {
+    return InvalidArgumentError("a masked batch holds 1 to 64 instances, got " +
+                                std::to_string(n));
+  }
+  const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  if (fixed_negation_) {
+    Database* db = &lo->emplace();
+    CALM_ASSIGN_OR_RETURN(const size_t steps,
+                          AlternateMasked(base, js, pre_restrict, all, db));
+    if (gammas != nullptr) *gammas = steps;
+    return db;
+  }
+  Database* db = &LocalScratch().db;
+  db->Reset();
+  db->EnableMasks(all);
+  SeedMasked(db, base, js, pre_restrict);
+  // No invention table: SupportsUnionBatch() excludes inventing rules.
+  for (size_t i = 0; i < strata_.size(); ++i) {
+    CALM_RETURN_IF_ERROR(RunStratum(i, db, db, nullptr, nullptr));
+  }
+  return db;
+}
+
 Status PreparedProgram::FirstMissingBatch(
     const Instance& base, const std::vector<const Instance*>& js,
     const Schema* pre_restrict, const std::vector<Fact>& probe,
     std::vector<std::optional<Fact>>* out, size_t* gammas) const {
-  assert(SupportsUnionBatch());
-  const size_t n = js.size();
-  if (n == 0 || n > kMaxUnionBatch) {
-    return InvalidArgumentError("a union batch holds 1 to 64 instances, got " +
-                                std::to_string(n));
-  }
-  const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
   std::optional<Database> lo;  // a well-founded run's final lo
-  Database* db;
-  if (fixed_negation_) {
-    db = &lo.emplace();
-    CALM_ASSIGN_OR_RETURN(const size_t steps,
-                          AlternateMasked(base, js, pre_restrict, all, db));
-    if (gammas != nullptr) *gammas = steps;
-  } else {
-    db = &LocalScratch().db;
-    db->Reset();
-    db->EnableMasks(all);
-    SeedMasked(db, base, js, pre_restrict);
-    // No invention table: SupportsUnionBatch() excludes inventing rules.
-    for (size_t i = 0; i < strata_.size(); ++i) {
-      CALM_RETURN_IF_ERROR(RunStratum(i, db, db, nullptr, nullptr));
-    }
-  }
+  CALM_ASSIGN_OR_RETURN(const Database* db,
+                        RunMasked(&base, js, pre_restrict, &lo, gammas));
   // World k's answer: the first probe fact whose world set lacks bit k.
+  const size_t n = js.size();
   out->assign(n, std::nullopt);
-  uint64_t open = all;
+  uint64_t open = db->worlds();
   for (const Fact& f : probe) {
     const uint64_t lacking = open & ~db->FullMask(f.relation, f.args);
     for (uint64_t m = lacking; m != 0; m &= m - 1) {
@@ -456,8 +465,46 @@ Status PreparedProgram::FirstMissingBatch(
   return Status::Ok();
 }
 
+Status PreparedProgram::EvalBatch(const std::vector<const Instance*>& js,
+                                  const Schema* pre_restrict,
+                                  const Schema* post_restrict,
+                                  std::vector<Instance>* out,
+                                  size_t* gammas) const {
+  std::optional<Database> lo;  // a well-founded run's final lo
+  CALM_ASSIGN_OR_RETURN(const Database* db,
+                        RunMasked(nullptr, js, pre_restrict, &lo, gammas));
+  // World k holds exactly the facts with bit k in some row's mask, and
+  // version rows never repeat a (fact, world), so each world collects every
+  // one of its facts once. Rows are appended per relation, sorted, and
+  // moved in, as Database::ToInstance does for one world.
+  const size_t n = js.size();
+  out->assign(n, Instance());
+  std::vector<std::vector<Tuple>> rows(n);
+  Tuple scratch;
+  db->ForEachStore([&](uint32_t name, const RelStore& store) {
+    if (store.row_count() == 0) return;
+    if (post_restrict != nullptr) {
+      const uint32_t want = post_restrict->ArityOf(name);
+      if (want == 0 || static_cast<int>(want) != store.arity()) return;
+    }
+    for (uint32_t r = 0; r < store.row_count(); ++r) {
+      store.MaterializeRow(r, &scratch);
+      for (uint64_t m = store.RowMask(r); m != 0; m &= m - 1) {
+        rows[std::countr_zero(m)].push_back(scratch);
+      }
+    }
+    for (size_t k = 0; k < n; ++k) {
+      if (rows[k].empty()) continue;
+      std::sort(rows[k].begin(), rows[k].end());
+      (*out)[k].InsertSortedUnique(name, std::move(rows[k]));
+      rows[k].clear();
+    }
+  });
+  return Status::Ok();
+}
+
 Result<size_t> PreparedProgram::AlternateMasked(
-    const Instance& base, const std::vector<const Instance*>& js,
+    const Instance* base, const std::vector<const Instance*>& js,
     const Schema* pre_restrict, uint64_t worlds, Database* lo) const {
   // RunAlternatingFixpoint over masked databases sharing the seed's
   // dictionary: each Gamma copies the seed, and EmitRow<kMasked> subtracts

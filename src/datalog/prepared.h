@@ -129,6 +129,18 @@ class PreparedProgram {
                            std::vector<std::optional<Fact>>* out,
                            size_t* gammas = nullptr) const;
 
+  // (*out)[k] = EvalParts({js[k]}, pre_restrict, post_restrict) for every
+  // k — or, on a PrepareFixedNegation()-built program, the final lo of
+  // RunAlternatingFixpoint(js[k]) restricted to post_restrict — from one
+  // masked run: FirstMissingBatch's seeding without a common part and its
+  // run, read out by materializing world k's facts (the rows whose mask
+  // holds bit k). Same requirements and the same error contract: on any
+  // error the caller re-asks one input at a time, and a run that succeeds
+  // implies no world exceeded max_total_facts.
+  Status EvalBatch(const std::vector<const Instance*>& js,
+                   const Schema* pre_restrict, const Schema* post_restrict,
+                   std::vector<Instance>* out, size_t* gammas = nullptr) const;
+
  private:
   // One stratum of the prepared form; fixed-negation programs have exactly
   // one with every rule in it.
@@ -155,16 +167,26 @@ class PreparedProgram {
                     EvalStats* stats, InventionTable* invention) const;
   void SeedInto(Database* db, std::initializer_list<const Instance*> parts,
                 const Schema* pre_restrict) const;
-  // SeedInto for a masked database: `base` in every world, js[k] in world k.
-  // Without `with_adom`, no Adom facts are seeded (the alternation's
-  // initial lo).
-  void SeedMasked(Database* db, const Instance& base,
+  // SeedInto for a masked database: `base` (when non-null) in every world,
+  // js[k] in world k. Without `with_adom`, no Adom facts are seeded (the
+  // alternation's initial lo).
+  void SeedMasked(Database* db, const Instance* base,
                   const std::vector<const Instance*>& js,
                   const Schema* pre_restrict, bool with_adom = true) const;
-  // The well-founded half of FirstMissingBatch: leaves the final masked lo
-  // in *lo (RunAlternatingFixpoint, every world at once) and returns the
-  // number of Gamma steps it ran.
-  Result<size_t> AlternateMasked(const Instance& base,
+  // The one masked seed-and-run behind FirstMissingBatch and EvalBatch:
+  // seeds `base` (optional) and js, then runs every stratum over the
+  // thread-local scratch, or — on a fixed-negation program — the masked
+  // alternation into *lo, storing its Gamma steps in *gammas when non-null.
+  // Returns the database holding every world's answer.
+  Result<const Database*> RunMasked(const Instance* base,
+                                    const std::vector<const Instance*>& js,
+                                    const Schema* pre_restrict,
+                                    std::optional<Database>* lo,
+                                    size_t* gammas) const;
+  // The well-founded half of RunMasked: leaves the final masked lo in *lo
+  // (RunAlternatingFixpoint, every world at once) and returns the number of
+  // Gamma steps it ran.
+  Result<size_t> AlternateMasked(const Instance* base,
                                  const std::vector<const Instance*>& js,
                                  const Schema* pre_restrict, uint64_t worlds,
                                  Database* lo) const;

@@ -1,5 +1,6 @@
 #include "datalog/program.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -150,6 +151,46 @@ Result<Instance> DatalogQuery::Eval(const Instance& input) const {
 Result<Instance> DatalogQuery::EvalUnion(const Instance& a,
                                          const Instance& b) const {
   return EvalSeeded({&a, &b});
+}
+
+void DatalogQuery::EvalBatch(const std::vector<const Instance*>& inputs,
+                             std::vector<Result<Instance>>* out) const {
+  out->clear();
+  out->reserve(inputs.size());
+  std::vector<const Instance*> chunk;
+  std::vector<Instance> worlds;
+  for (size_t start = 0; start < inputs.size();
+       start += PreparedProgram::kMaxUnionBatch) {
+    const size_t n =
+        std::min(PreparedProgram::kMaxUnionBatch, inputs.size() - start);
+    if (n < 2) {
+      out->push_back(Eval(*inputs[start]));
+      continue;
+    }
+    chunk.assign(inputs.begin() + start, inputs.begin() + start + n);
+    TraceSpan span("datalog.eval_batch");
+    span.Arg("worlds", static_cast<int64_t>(n));
+    size_t gammas = 0;
+    const Status s = prepared_->EvalBatch(chunk, &input_schema_,
+                                          &output_schema_, &worlds, &gammas);
+    span.Arg("fallback", s.ok() ? 0 : 1);
+    if (semantics_ == Semantics::kWellFounded) {
+      span.Arg("gammas", static_cast<int64_t>(gammas));
+    }
+    if (MetricsEnabled()) {
+      static Counter& batches =
+          MetricRegistry::Global().GetCounter("calm.eval.eval_batches");
+      static Counter& fallbacks = MetricRegistry::Global().GetCounter(
+          "calm.eval.eval_batch_fallbacks");
+      batches.Increment();
+      if (!s.ok()) fallbacks.Increment();
+    }
+    if (!s.ok()) {
+      for (const Instance* input : chunk) out->push_back(Eval(*input));
+      continue;
+    }
+    for (Instance& w : worlds) out->push_back(std::move(w));
+  }
 }
 
 std::unique_ptr<UnionEvaluator> DatalogQuery::MakeUnionEvaluator(

@@ -44,6 +44,12 @@ class DatalogQuery : public Query {
   // materialized union (the checker inner loops call this per (I, J) pair).
   Result<Instance> EvalUnion(const Instance& a,
                              const Instance& b) const override;
+  // Up to 64 inputs per masked run (PreparedProgram::EvalBatch): one
+  // fixpoint, or one alternation of world-masked Gammas, whose world k
+  // materializes Q(inputs[k]). A run that fails is re-asked one input at a
+  // time, so results and errors equal Eval's input by input.
+  void EvalBatch(const std::vector<const Instance*>& inputs,
+                 std::vector<Result<Instance>>* out) const override;
   // Union checks that probe the evaluation stores instead of materializing
   // Q(i ∪ j). Under stratified semantics a single check re-runs the
   // fixpoint over i ∪ j from scratch (PreparedProgram::FirstMissing), and a

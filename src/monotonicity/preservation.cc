@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <set>
 #include <vector>
 
 #include "base/enumerator.h"
@@ -32,29 +34,69 @@ std::string PreservationViolation::ToString() const {
 
 namespace {
 
-// Checks preservation of Q under (injective) homomorphisms from i to j.
-// `out_i` is Q(i), computed once per source by the caller and reused across
-// every target j.
-Result<std::optional<PreservationViolation>> CheckHomPair(
-    const Query& query, const Instance& i, const Instance& out_i,
-    const Instance& j, bool injective) {
-  Result<Instance> out_j = query.Eval(j);
-  if (!out_j.ok()) return out_j.status();
+// Q(J) for every target J of one H/Hinj sweep, keyed by J's ordinal in the
+// target enumeration, next to adom(J) ascending. Every source walks the
+// same enumeration, so the ordinal is the key: no canonical form, no
+// lookup. Targets are evaluated lazily, kBlock at a time through one
+// EvalBatch when the first source reaches the block, under a once-flag
+// shared by every source and thread. Each target is thus evaluated at most
+// once per sweep, its error is memoized with it (a source reaching it stops
+// there, as if it had evaluated the target itself), and a pruned sweep pays
+// for at most one block past its stop.
+class TargetMemo {
+ public:
+  static constexpr size_t kBlock = 64;
 
-  std::optional<PreservationViolation> found;
-  ForEachHomomorphism(i, j, injective, [&](const std::map<Value, Value>& h) {
-    Instance mapped = ApplyValueMap(out_i, h);
-    mapped.ForEachFact([&](uint32_t name, const Tuple& t) {
-      if (found.has_value()) return;
-      Fact f(name, t);
-      // Only facts whose values all lie in the domain of h are constrained
-      // (Definition 2 maps adom(I); output facts use adom(I) by genericity).
-      if (!out_j->Contains(f)) found = PreservationViolation{i, j, f};
-    });
-    return !found.has_value();
-  });
-  return found;
-}
+  struct Entry {
+    Status status;  // ok() when `out` is Q(J)
+    Instance out;
+    std::vector<Value> adom;
+  };
+
+  TargetMemo(const Query& query, const std::vector<Instance>& targets)
+      : query_(query),
+        targets_(targets),
+        entries_(targets.size()),
+        once_((targets.size() + kBlock - 1) / kBlock) {}
+  // The sweep's worker threads hold its address.
+  TargetMemo(const TargetMemo&) = delete;
+  TargetMemo& operator=(const TargetMemo&) = delete;
+
+  const Entry& Get(size_t t) {
+    std::call_once(once_[t / kBlock], [&] { Evaluate(t / kBlock); });
+    return entries_[t];
+  }
+
+  // Targets evaluated so far.
+  size_t evaluated() const { return evaluated_.load(); }
+
+ private:
+  void Evaluate(size_t block) {
+    const size_t begin = block * kBlock;
+    const size_t end = std::min(begin + kBlock, targets_.size());
+    std::vector<const Instance*> inputs;
+    for (size_t t = begin; t < end; ++t) inputs.push_back(&targets_[t]);
+    std::vector<Result<Instance>> outs;
+    query_.EvalBatch(inputs, &outs);
+    for (size_t t = begin; t < end; ++t) {
+      Entry& e = entries_[t];
+      Result<Instance>& r = outs[t - begin];
+      if (r.ok()) {
+        e.out = std::move(r).value();
+      } else {
+        e.status = r.status();
+      }
+      e.adom = SortedDomain(targets_[t]);
+    }
+    evaluated_.fetch_add(end - begin);
+  }
+
+  const Query& query_;
+  const std::vector<Instance>& targets_;
+  std::vector<Entry> entries_;
+  std::vector<std::once_flag> once_;
+  std::atomic<size_t> evaluated_{0};
+};
 
 // Induced subinstance of `i` on the value subset `keep`.
 Instance InducedOn(const Instance& i, const std::set<Value>& keep) {
@@ -68,28 +110,38 @@ Instance InducedOn(const Instance& i, const std::set<Value>& keep) {
   return out;
 }
 
+// Q(i) and Q of each induced subinstance, in one EvalBatch: the subsets of
+// adom(i) come in mask order, and the replay stops where the per-subset
+// loop would — Q(i)'s error first, then the first subset whose evaluation
+// fails or whose output has a fact outside Q(i).
 Result<std::optional<PreservationViolation>> CheckExtensions(
     const Query& query, const Instance& i) {
-  Result<Instance> out_i = query.Eval(i);
-  if (!out_i.ok()) return out_i.status();
-
-  // Enumerate value subsets of adom(i); each yields an induced subinstance.
-  std::set<Value> adom_set = i.ActiveDomain();
-  std::vector<Value> adom(adom_set.begin(), adom_set.end());
-  size_t n = adom.size();
+  std::vector<Value> adom = SortedDomain(i);
+  const size_t n = adom.size();
+  std::vector<Instance> subs;
+  subs.reserve(size_t{1} << n);
   for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
     std::set<Value> keep;
     for (size_t b = 0; b < n; ++b) {
       if (mask & (uint64_t{1} << b)) keep.insert(adom[b]);
     }
-    Instance j = InducedOn(i, keep);
-    Result<Instance> out_j = query.Eval(j);
+    subs.push_back(InducedOn(i, keep));
+  }
+  std::vector<const Instance*> inputs{&i};
+  for (const Instance& j : subs) inputs.push_back(&j);
+  std::vector<Result<Instance>> outs;
+  query.EvalBatch(inputs, &outs);
+
+  if (!outs[0].ok()) return outs[0].status();
+  const Instance& out_i = outs[0].value();
+  for (size_t k = 0; k < subs.size(); ++k) {
+    const Result<Instance>& out_j = outs[k + 1];
     if (!out_j.ok()) return out_j.status();
     std::optional<PreservationViolation> found;
     out_j->ForEachFact([&](uint32_t name, const Tuple& t) {
       if (found.has_value()) return;
       Fact f(name, t);
-      if (!out_i->Contains(f)) found = PreservationViolation{i, j, f};
+      if (!out_i.Contains(f)) found = PreservationViolation{i, subs[k], f};
     });
     if (found.has_value()) return found;
   }
@@ -115,8 +167,8 @@ Result<std::optional<PreservationViolation>> FindPreservationViolation(
   // representatives of the source space (see base/enumerator.h for why the
   // reported violation stays byte-identical: the inner target loops are
   // untouched, and the first violating representative is the first violating
-  // source). Targets are evaluated directly: at these bounds a fixpoint
-  // costs less than canonicalizing its input to look it up.
+  // source). Targets need no canonical form to be shared: every source
+  // walks one enumeration, so TargetMemo keys Q(J) by J's ordinal in it.
   const bool reduce = ResolveSymmetry(query, options.symmetry,
                                      options.domain_size, options.max_facts) ==
                      SymmetryMode::kForceOn;
@@ -251,8 +303,11 @@ Result<std::optional<PreservationViolation>> FindPreservationViolation(
   } else {
     bool injective = cls == PreservationClass::kInjectiveHomomorphisms;
     // For injective homomorphisms the target needs spare values, so J ranges
-    // over a domain twice the size.
-    std::vector<Value> domain_j = IntDomain(2 * options.domain_size);
+    // over a domain twice the size. Every source walks this one target
+    // list (ForEachInstance's order), so Q(J) is memoized by ordinal.
+    const std::vector<Instance> targets = AllInstances(
+        schema, IntDomain(2 * options.domain_size), options.max_facts);
+    TargetMemo memo(query, targets);
     ParallelFor(sources.size(), options.threads, [&](size_t idx) {
       if (cancel_requested()) return;
       if (ckpt != nullptr && ckpt->IsRecorded(idx)) {
@@ -263,37 +318,51 @@ Result<std::optional<PreservationViolation>> FindPreservationViolation(
       const Instance& i = sources[idx];
       SourceOutcome& slot = slots[idx];
       bool pruned = false;
-      // Q(i) is evaluated at most once per source (lazily, so an error
-      // surfaces at the same point in the enumeration it always did).
-      std::optional<Result<Instance>> out_i;
-      ForEachInstance(schema, domain_j, options.max_facts,
-                      [&](const Instance& j) {
+      // Per source, once: adom(i), i's facts over it, and (lazily, so an
+      // error surfaces at the same point in the enumeration it always did)
+      // Q(i)'s facts over it.
+      const std::vector<Value> adom_i = SortedDomain(i);
+      IndexedFacts i_facts, out_i_facts;
+      i_facts.Assign(i, adom_i);
+      std::optional<Status> out_i;
+      HomomorphismEnumerator hom;
+      for (size_t t = 0; t < targets.size(); ++t) {
         if (first_stop.load(std::memory_order_relaxed) < idx ||
             cancel_requested()) {
           pruned = true;
-          return false;
+          break;
         }
-        if (!out_i.has_value()) out_i = query.Eval(i);
+        if (!out_i.has_value()) {
+          Result<Instance> r = query.Eval(i);
+          out_i = r.status();
+          if (r.ok()) out_i_facts.Assign(*r, adom_i);
+        }
         if (!out_i->ok()) {
-          slot.error = out_i->status();
-          return false;
+          slot.error = *out_i;
+          break;
         }
-        Result<std::optional<PreservationViolation>> r =
-            CheckHomPair(query, i, out_i->value(), j, injective);
-        if (!r.ok()) {
-          slot.error = r.status();
-          return false;
+        const TargetMemo::Entry& j = memo.Get(t);
+        if (!j.status.ok()) {
+          slot.error = j.status;
+          break;
         }
-        if (r->has_value()) {
-          slot.violation = std::move(r.value());
-          return false;
+        // Each (injective) homomorphism h : i -> J in enumeration order;
+        // the first with an h(f) missing from Q(J) is the violation.
+        hom.Reset(i_facts, adom_i.size(), targets[t], j.adom, injective);
+        while (hom.Next()) {
+          std::optional<Fact> f = hom.LeastMissingImage(out_i_facts, j.out);
+          if (f.has_value()) {
+            slot.violation = PreservationViolation{i, targets[t], *f};
+            break;
+          }
         }
-        return true;
-      });
+        if (slot.violation.has_value()) break;
+      }
       journal_outcome(idx, slot, pruned);
       if (!slot.error.ok() || slot.violation.has_value()) record_stop(idx);
       if (sources_done != nullptr) sources_done->Increment();
     });
+    span.Arg("targets", static_cast<int64_t>(memo.evaluated()));
   }
 
   if (cancelled.load(std::memory_order_relaxed)) {

@@ -313,28 +313,98 @@ TEST(ComponentsTest, SingleComponentAndEmpty) {
   EXPECT_EQ(Components(chain).size(), 1u);
 }
 
+// Every homomorphism of `i` into `j`, as value maps, in enumeration order.
+std::vector<std::vector<Value>> AllHomomorphisms(const Instance& i,
+                                                 const Instance& j,
+                                                 bool injective) {
+  const std::vector<Value> adom_i = SortedDomain(i);
+  const std::vector<Value> adom_j = SortedDomain(j);
+  IndexedFacts facts;
+  facts.Assign(i, adom_i);
+  HomomorphismEnumerator hom;
+  hom.Reset(facts, adom_i.size(), j, adom_j, injective);
+  std::vector<std::vector<Value>> out;
+  while (hom.Next()) {
+    std::vector<Value> h;
+    for (uint32_t b : hom.map()) h.push_back(adom_j[b]);
+    out.push_back(h);
+  }
+  return out;
+}
+
 TEST(HomomorphismTest, ExistsAndInjective) {
   // Path of length 2 maps homomorphically into a single edge with a loop?
   Instance path{Fact("E", {V(1), V(2)})};
   Instance loop{Fact("E", {V(5), V(5)})};
-  EXPECT_TRUE(HomomorphismExists(path, loop, /*injective=*/false));
-  EXPECT_FALSE(HomomorphismExists(path, loop, /*injective=*/true));
+  EXPECT_FALSE(AllHomomorphisms(path, loop, /*injective=*/false).empty());
+  EXPECT_TRUE(AllHomomorphisms(path, loop, /*injective=*/true).empty());
   Instance two{Fact("E", {V(7), V(8)})};
-  EXPECT_TRUE(HomomorphismExists(path, two, /*injective=*/true));
+  EXPECT_FALSE(AllHomomorphisms(path, two, /*injective=*/true).empty());
   // No homomorphism from an edge into the empty instance.
-  EXPECT_FALSE(HomomorphismExists(path, Instance{}, false));
+  EXPECT_TRUE(AllHomomorphisms(path, Instance{}, false).empty());
 }
 
 TEST(HomomorphismTest, CountsAllMappings) {
   Instance edge{Fact("E", {V(1), V(2)})};
   Instance clique2{Fact("E", {V(5), V(6)}), Fact("E", {V(6), V(5)})};
-  int count = 0;
-  ForEachHomomorphism(edge, clique2, false,
-                      [&](const std::map<Value, Value>&) {
-                        ++count;
-                        return true;
-                      });
-  EXPECT_EQ(count, 2);  // 1->5,2->6 and 1->6,2->5
+  // 1->5,2->6 and 1->6,2->5, in that order.
+  EXPECT_EQ(AllHomomorphisms(edge, clique2, false),
+            (std::vector<std::vector<Value>>{{V(5), V(6)}, {V(6), V(5)}}));
+}
+
+// Maps come in lexicographic order of (h(a_0), h(a_1), ...) over ascending
+// adom(J), injective ones skipping taken targets; a fact is tested once its
+// values are assigned, which prunes without dropping or reordering maps.
+TEST(HomomorphismTest, EnumeratesInLexicographicOrder) {
+  Instance path{Fact("E", {V(1), V(2)}), Fact("S", {V(3)})};
+  Instance j{Fact("E", {V(4), V(4)}), Fact("E", {V(4), V(7)}),
+             Fact("E", {V(7), V(4)}), Fact("S", {V(4)}), Fact("S", {V(7)})};
+  EXPECT_EQ(AllHomomorphisms(path, j, false),
+            (std::vector<std::vector<Value>>{{V(4), V(4), V(4)},
+                                             {V(4), V(4), V(7)},
+                                             {V(4), V(7), V(4)},
+                                             {V(4), V(7), V(7)},
+                                             {V(7), V(4), V(4)},
+                                             {V(7), V(4), V(7)}}));
+  // Injective: no value reused, and adom(J) must be large enough.
+  EXPECT_TRUE(AllHomomorphisms(path, j, true).empty());
+  Instance j3 = j;
+  j3.Insert(Fact("S", {V(9)}));
+  EXPECT_EQ(AllHomomorphisms(path, j3, true),
+            (std::vector<std::vector<Value>>{{V(4), V(7), V(9)},
+                                             {V(7), V(4), V(9)}}));
+  // The empty instance has one homomorphism, the empty map.
+  EXPECT_EQ(AllHomomorphisms(Instance{}, j, true).size(), 1u);
+}
+
+// LeastMissingImage reports the least h(f) missing from the target, which
+// is the first missing fact of ApplyValueMap(facts, h); values outside
+// adom(I) (an output's constants) stay fixed.
+TEST(HomomorphismTest, LeastMissingImageMatchesApplyValueMap) {
+  Instance i{Fact("E", {V(1), V(2)})};
+  Instance j{Fact("E", {V(6), V(5)})};
+  Instance out_i{Fact("O", {V(2), V(2)}), Fact("O", {V(1), V(9)}),
+                 Fact("O", {V(2), V(1)}), Fact("P", {V(1)})};
+  Instance out_j{Fact("O", {V(5), V(5)}), Fact("P", {V(6)})};
+  const std::vector<Value> adom_i = SortedDomain(i);
+  const std::vector<Value> adom_j = SortedDomain(j);
+  IndexedFacts facts, out_facts;
+  facts.Assign(i, adom_i);
+  out_facts.Assign(out_i, adom_i);
+  HomomorphismEnumerator hom;
+  hom.Reset(facts, adom_i.size(), j, adom_j, true);
+  ASSERT_TRUE(hom.Next());
+  // h = {1 -> 6, 2 -> 5}: h(O(1, 9)) = O(6, 9) and h(O(2, 1)) = O(5, 6)
+  // are missing, and O(5, 6) is the lesser.
+  std::map<Value, Value> h{{V(1), V(6)}, {V(2), V(5)}};
+  std::optional<Fact> want;
+  ApplyValueMap(out_i, h).ForEachFact([&](uint32_t rel, const Tuple& t) {
+    if (!want.has_value() && !out_j.Contains(Fact(rel, t))) want = Fact(rel, t);
+  });
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(hom.LeastMissingImage(out_facts, out_j), want);
+  EXPECT_EQ(FactToString(*want), "O(5, 6)");
+  EXPECT_FALSE(hom.Next());
 }
 
 TEST(EnumeratorTest, AllFactsOverSchema) {

@@ -448,8 +448,8 @@ std::string Render(const Result<std::optional<PreservationViolation>>& r) {
   return r->value().ToString();
 }
 
-// Reduced preservation sweeps, which evaluate every target directly, return
-// the full sweep's verdict and witness: the native star and TC queries for
+// Reduced preservation sweeps, which share one memo of target results by
+// ordinal across their sources, return the full sweep's verdict and witness: the native star and TC queries for
 // every class, and Datalog TC, win-move and two fuzzer programs per shape
 // for E and Hinj, at 1 and 4 threads.
 TEST(ReducedSweepTest, PreservationMatchesFullSweep) {
@@ -575,7 +575,8 @@ class CountingQuery : public Query {
 
 // The probe evaluates Q(I) once per sample and Q(pi(I)) once per
 // permutation: 12 samples × (1 + 4 permutations) = 60 evaluations, not the
-// 96 of one CheckGenericity per permutation. Its failure is the status
+// 96 of one CheckGenericity per permutation, handed over in one EvalBatch
+// (here Query's default, one Eval each). Its failure is the status
 // CheckGenericity returns for the first failing (sample, permutation).
 TEST(GenericityProbeTest, EvaluatesEachSampleOnce) {
   auto tc = queries::MakeTransitiveClosure();

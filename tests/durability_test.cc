@@ -227,6 +227,44 @@ void CheckRecovered(const std::string& dir) {
   }
 }
 
+// CALM_FAILPOINT's spec: site:hit over the sites failpoint::kSites lists.
+// A mistyped or deleted site name is refused, listing the known ones, so a
+// kill-and-resume run armed with it cannot pass without ever crashing.
+TEST(FailpointTest, SpecParserAcceptsOnlyKnownSites) {
+  Result<std::pair<std::string, uint64_t>> ok =
+      failpoint::ParseSpec("durable.wal.fsync:3");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->first, "durable.wal.fsync");
+  EXPECT_EQ(ok->second, 3u);
+  Result<std::pair<std::string, uint64_t>> bare =
+      failpoint::ParseSpec("durable.wal.truncate");
+  ASSERT_TRUE(bare.ok()) << bare.status();
+  EXPECT_EQ(bare->second, 1u);
+
+  Result<std::pair<std::string, uint64_t>> typo =
+      failpoint::ParseSpec("durable.fsync:3");
+  ASSERT_FALSE(typo.ok());
+  EXPECT_EQ(typo.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(typo.status().message().find("'durable.fsync'"),
+            std::string::npos);
+  for (std::string_view site : failpoint::kSites) {
+    EXPECT_NE(typo.status().message().find(site), std::string::npos) << site;
+  }
+  for (const char* bad : {"durable.wal.fsync:0", "durable.wal.fsync:",
+                          "durable.wal.fsync:-1", "durable.wal.fsync:3x",
+                          "durable.wal.fsync:99999999999999999999"}) {
+    Result<std::pair<std::string, uint64_t>> r = failpoint::ParseSpec(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_NE(r.status().message().find("malformed hit count"),
+              std::string::npos)
+        << bad;
+  }
+  EXPECT_EQ(failpoint::Arm("durable.fsync", 3).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(failpoint::Arm("durable.snapshot.rename", 1).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(KillAnywhereTest, EveryCrashSiteRecoversToACommittedState) {
   if (!failpoint::FailpointsCompiledIn()) {
     GTEST_SKIP() << "built with CALM_FAILPOINTS=OFF";
@@ -242,7 +280,10 @@ TEST(KillAnywhereTest, EveryCrashSiteRecoversToACommittedState) {
   // Every write-path site of the durable layer fires (the repair-only
   // durable.wal.truncate needs a torn tail, which a crash-free run lacks).
   std::vector<std::string> sites;
-  for (const auto& [site, hits] : counts) sites.push_back(site);
+  for (const auto& [site, hits] : counts) {
+    EXPECT_TRUE(failpoint::IsKnownSite(site)) << site;
+    sites.push_back(site);
+  }
   EXPECT_EQ(sites, (std::vector<std::string>{
                        "durable.wal.append", "durable.wal.create.dirsync",
                        "durable.wal.create.fsync", "durable.wal.create.rename",

@@ -12,12 +12,14 @@
 #include <memory>
 #include <string>
 
+#include "base/enumerator.h"
 #include "base/json.h"
 #include "base/metrics.h"
 #include "base/trace.h"
 #include "datalog/evaluator.h"
 #include "datalog/program.h"
 #include "monotonicity/checker.h"
+#include "monotonicity/preservation.h"
 #include "net/fault.h"
 #include "net/message_buffer.h"
 #include "queries/graph_queries.h"
@@ -189,6 +191,63 @@ TEST_F(ObservabilityTest, UnionBatchCountersCoverEveryCheck) {
         EXPECT_EQ(args->Find("gammas"), nullptr);
       }
     }
+  }
+}
+
+// An Hinj sweep of Datalog TC evaluates its targets in masked batches, each
+// target once: the datalog.eval_batch spans' worlds sum to the targets the
+// sweep's span reports, which is every target of the unpruned sweep (TC is
+// in Hinj), at 1 and 4 threads; no batch falls back, and the verdict is
+// the same with metrics and tracing on or off.
+TEST_F(ObservabilityTest, HinjSweepEvaluatesEachTargetOnce) {
+  const datalog::DatalogQuery q = queries::TcProgram();
+  monotonicity::PreservationOptions o;
+  o.domain_size = 2;
+  o.max_facts = 2;
+  o.symmetry = SymmetryMode::kOff;  // no genericity probe batches
+  // 1 + 16 + 120 targets over the doubled domain: three blocks, 64/64/9.
+  const size_t targets = AllInstances(q.input_schema(), IntDomain(4), 2).size();
+  ASSERT_EQ(targets, 137u);
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    o.threads = threads;
+    auto verdict = [&] {
+      auto r = monotonicity::FindPreservationViolation(
+          q, monotonicity::PreservationClass::kInjectiveHomomorphisms, o);
+      if (!r.ok()) return "error: " + r.status().ToString();
+      return r->has_value() ? (*r)->ToString() : std::string("<none>");
+    };
+    SetMetricsEnabled(false);
+    Trace::SetEnabled(false);
+    Trace::Reset();
+    const std::string off = verdict();
+    EXPECT_EQ(off, "<none>");
+
+    SetMetricsEnabled(true);
+    Trace::SetEnabled(TracingCompiledIn());
+    MetricRegistry& registry = MetricRegistry::Global();
+    registry.ResetValues();
+    EXPECT_EQ(verdict(), off);
+    EXPECT_EQ(registry.GetCounter("calm.eval.eval_batches").Value(), 3u);
+    EXPECT_EQ(registry.GetCounter("calm.eval.eval_batch_fallbacks").Value(),
+              0u);
+    if (!TracingCompiledIn()) continue;
+    int64_t worlds = 0, reported = -1;
+    Json exported = Trace::ExportJson();
+    for (const Json& e : exported.Find("traceEvents")->items()) {
+      const std::string name = e.GetString("name").value();
+      const Json* args = e.Find("args");
+      if (name == "datalog.eval_batch") {
+        worlds += args->GetInt("worlds").value();
+        EXPECT_EQ(args->GetInt("fallback").value(), 0);
+        EXPECT_EQ(args->Find("gammas"), nullptr);
+      } else if (name == "preservation.find_violation") {
+        EXPECT_EQ(reported, -1) << "one sweep, one span";
+        reported = args->GetInt("targets").value();
+      }
+    }
+    EXPECT_EQ(reported, static_cast<int64_t>(targets));
+    EXPECT_EQ(worlds, reported);
   }
 }
 

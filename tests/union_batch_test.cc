@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -524,6 +525,128 @@ TEST(UnionBatchTest, WellFoundedBatchMatchesPerJAndReference) {
   EXPECT_GT(capped_batches, 0u) << "no capped batch ran masked";
   EXPECT_GT(failed_batches, 0u) << "no batch took the per-J replay";
   EXPECT_GE(gamma_counts.size(), 3u) << "batches all ran as many Gammas";
+}
+
+// --- Evaluation batches -----------------------------------------------------
+
+std::string DescribeEval(const Result<Instance>& r) {
+  return r.ok() ? r->ToString() : "error: " + r.status().ToString();
+}
+
+// Tallies of one EvalBatch parity run, so each test can insist that errors,
+// masked runs under a cap, and per-input replays all actually happened.
+struct EvalBatchTally {
+  size_t checks = 0, errors = 0, nonempty = 0, capped_batches = 0,
+         failed_batches = 0;
+};
+
+// DatalogQuery::EvalBatch against Eval, input by input: the same facts or
+// the same error, for every chunking of `inputs` into masked runs. Chunks of
+// 2 to 64 inputs also go straight to PreparedProgram::EvalBatch; a masked
+// run that succeeds must equal Eval world by world, with no world's own
+// run failing.
+void CheckEvalBatch(const DatalogQuery& q, const std::vector<Instance>& inputs,
+                    size_t cap, const std::string& ctx,
+                    EvalBatchTally* tally) {
+  std::vector<const Instance*> ptrs;
+  for (const Instance& in : inputs) ptrs.push_back(&in);
+  std::vector<Result<Instance>> got;
+  q.EvalBatch(ptrs, &got);
+  ASSERT_EQ(got.size(), inputs.size()) << ctx;
+  std::vector<std::string> want;
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    want.push_back(DescribeEval(q.Eval(inputs[k])));
+    EXPECT_EQ(want[k], DescribeEval(got[k]))
+        << ctx << " input " << k << "/" << inputs.size() << ": "
+        << inputs[k].ToString();
+    ++tally->checks;
+    tally->errors += want[k].rfind("error", 0) == 0;
+    tally->nonempty += want[k] != "{}" && want[k].rfind("error", 0) != 0;
+  }
+  for (size_t start = 0; start < inputs.size();
+       start += PreparedProgram::kMaxUnionBatch) {
+    const size_t n =
+        std::min(PreparedProgram::kMaxUnionBatch, inputs.size() - start);
+    if (n < 2) continue;
+    std::vector<const Instance*> chunk(ptrs.begin() + start,
+                                       ptrs.begin() + start + n);
+    std::vector<Instance> worlds;
+    const Status s = q.prepared().EvalBatch(chunk, &q.input_schema(),
+                                            &q.output_schema(), &worlds);
+    if (cap > 0) ++(s.ok() ? tally->capped_batches : tally->failed_batches);
+    if (!s.ok()) continue;
+    ASSERT_EQ(worlds.size(), n) << ctx;
+    for (size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(want[start + k], DescribeEval(worlds[k]))
+          << "masked run, " << ctx << " world " << k << ": "
+          << chunk[k]->ToString();
+    }
+  }
+}
+
+constexpr size_t kEvalBatchSizes[] = {1, 2, 7, 63, 64, 65, 130};
+
+// Stratified programs with Adom, negation, constants and inequalities:
+// every batch size, with and without caps, inputs mixing bases, J's
+// (which may carry IDB facts the input schema drops) and empty instances.
+TEST(EvalBatchTest, StratifiedMatchesPerInputEval) {
+  EvalBatchTally tally;
+  for (size_t cap : {size_t{0}, size_t{14}, size_t{40}}) {
+    for (unsigned seed = 0; seed < 21; ++seed) {
+      std::mt19937 rng(15000 + seed);
+      Result<Program> program = Parse(RandomProgram(rng));
+      ASSERT_TRUE(program.ok()) << "generator bug, seed " << seed;
+      Result<DatalogQuery> q = DatalogQuery::Create(
+          *program, "random", DatalogQuery::Semantics::kStratified,
+          Capped(cap));
+      ASSERT_TRUE(q.ok()) << q.status();
+      const size_t n = kEvalBatchSizes[seed % 7];
+      std::vector<Instance> inputs;
+      for (size_t k = 0; k < n; ++k) {
+        inputs.push_back(k % 5 == 4 ? Instance()
+                         : k % 2 == 0 ? RandomBase(rng)
+                                      : Instance::Union(RandomBase(rng),
+                                                        RandomJ(rng)));
+      }
+      CheckEvalBatch(*q, inputs, cap,
+                     "cap " + std::to_string(cap) + " seed " +
+                         std::to_string(seed),
+                     &tally);
+    }
+  }
+  EXPECT_GT(tally.checks, 1500u);
+  EXPECT_GT(tally.errors, 0u);
+  EXPECT_GT(tally.nonempty, 0u);
+  EXPECT_GT(tally.capped_batches, 0u) << "no capped batch ran masked";
+  EXPECT_GT(tally.failed_batches, 0u) << "no batch took the per-input replay";
+}
+
+// Well-founded win-move programs: one masked alternation per chunk.
+TEST(EvalBatchTest, WellFoundedMatchesPerInputEval) {
+  EvalBatchTally tally;
+  for (size_t cap : {size_t{0}, size_t{14}, size_t{40}}) {
+    const std::vector<DatalogQuery> corpus = WellFoundedCorpus(cap);
+    for (size_t p = 0; p < corpus.size(); ++p) {
+      const DatalogQuery& q = corpus[p];
+      std::mt19937 rng(17000 + p);
+      const size_t n = kEvalBatchSizes[(p + cap) % 7];
+      std::vector<Instance> inputs;
+      for (size_t k = 0; k < n; ++k) {
+        inputs.push_back(k % 6 == 5 ? Instance()
+                                    : RandomGame(rng, q.input_schema(),
+                                                 Rand(rng, 9)));
+      }
+      CheckEvalBatch(q, inputs, cap,
+                     "cap " + std::to_string(cap) + " program " +
+                         std::to_string(p),
+                     &tally);
+    }
+  }
+  EXPECT_GT(tally.checks, 500u);
+  EXPECT_GT(tally.errors, 0u);
+  EXPECT_GT(tally.nonempty, 0u);
+  EXPECT_GT(tally.capped_batches, 0u) << "no capped batch ran masked";
+  EXPECT_GT(tally.failed_batches, 0u) << "no batch took the per-input replay";
 }
 
 // UnionEvaluator parity at the Query layer: the closure-matrix evaluators of
