@@ -4,12 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "base/enumerator.h"
 #include "base/metrics.h"
 #include "base/thread_pool.h"
 #include "bench/flags.h"
@@ -294,29 +296,33 @@ void RunUnionCheckBatch(benchmark::State& state,
     return;
   }
   // Every single edge over {0..3} and two fresh values, plus edge pairs
-  // out of a fresh vertex: 64 J's.
-  std::vector<Instance> js;
+  // out of a fresh vertex: 64 J's, as index subsets of the 36 edges.
   std::vector<Value> vals;
   for (uint64_t v : {0, 1, 2, 3, 1000, 1001}) vals.push_back(Value::FromInt(v));
+  std::vector<Fact> candidates;
   for (Value a : vals) {
-    for (Value b : vals) js.push_back(Instance{Fact("E", {a, b})});
+    for (Value b : vals) candidates.push_back(Fact("E", {a, b}));
   }
-  for (size_t k = 0; js.size() < 64; ++k) {
-    js.push_back(Instance{Fact("E", {vals[4], vals[k % 6]}),
-                          Fact("E", {vals[k % 4], vals[5]})});
+  FactSubsets js;
+  for (uint32_t c = 0; c < candidates.size(); ++c) js.Add({&c, 1});
+  for (uint32_t k = 0; js.size() < 64; ++k) {
+    uint32_t pair[2] = {4 * 6 + k % 6, (k % 4) * 6 + 5};
+    std::sort(pair, pair + 2);
+    js.Add(pair);
   }
-  std::vector<const Instance*> ptrs;
-  for (const Instance& j : js) ptrs.push_back(&j);
+  std::vector<Instance> per_j;
+  SubsetInstance j(candidates);
+  for (size_t k = 0; k < js.size(); ++k) per_j.push_back(j.Set(js[k]));
   std::unique_ptr<UnionEvaluator> ev = q.MakeUnionEvaluator(input);
   std::vector<Result<std::optional<Fact>>> out;
   const bool batched = state.range(0) == 1;
   for (auto _ : state) {
     if (batched) {
-      ev->FirstRetractedBatch(ptrs, base, &out);
+      ev->FirstRetractedBatch(candidates, js, base, &out);
       benchmark::DoNotOptimize(out);
     } else {
-      for (const Instance& j : js) {
-        Result<std::optional<Fact>> r = ev->FirstRetracted(j, base);
+      for (const Instance& one : per_j) {
+        Result<std::optional<Fact>> r = ev->FirstRetracted(one, base);
         benchmark::DoNotOptimize(r);
       }
     }

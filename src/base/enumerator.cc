@@ -33,52 +33,16 @@ std::vector<Fact> AllFactsOver(const Schema& schema,
   return out;
 }
 
-namespace {
-
-bool SubsetsRec(const std::vector<Fact>& facts, size_t start, size_t remaining,
-                Instance& current,
-                const std::function<bool(const Instance&)>& fn) {
-  if (remaining == 0 || start == facts.size()) return true;
-  for (size_t i = start; i < facts.size(); ++i) {
-    current.Insert(facts[i]);
-    if (!fn(current)) {
-      current.Erase(facts[i]);
-      return false;
-    }
-    if (!SubsetsRec(facts, i + 1, remaining - 1, current, fn)) {
-      current.Erase(facts[i]);
-      return false;
-    }
-    current.Erase(facts[i]);
-  }
-  return true;
-}
-
-}  // namespace
-
-bool ForEachFactSubset(const std::vector<Fact>& facts, size_t max_facts,
-                       const std::function<bool(const Instance&)>& fn) {
-  Instance current;
-  return SubsetsRec(facts, 0, max_facts, current, fn);
-}
-
 bool ForEachInstance(const Schema& schema, const std::vector<Value>& domain,
                      size_t max_facts,
                      const std::function<bool(const Instance&)>& fn) {
   Instance empty;
   if (!fn(empty)) return false;
   std::vector<Fact> facts = AllFactsOver(schema, domain);
-  return ForEachFactSubset(facts, max_facts, fn);
-}
-
-std::vector<Instance> AllFactSubsets(const std::vector<Fact>& facts,
-                                     size_t max_facts) {
-  std::vector<Instance> out;
-  ForEachFactSubset(facts, max_facts, [&](const Instance& inst) {
-    out.push_back(inst);
-    return true;
-  });
-  return out;
+  SubsetInstance current(facts);
+  return ForEachIndexSubset(
+      facts.size(), max_facts, {},
+      [&](std::span<const uint32_t> subset) { return fn(current.Set(subset)); });
 }
 
 std::vector<Instance> AllInstances(const Schema& schema,
@@ -274,53 +238,69 @@ std::vector<std::vector<uint32_t>> FactIndexPermutations(
 
 namespace {
 
-bool CanonicalSubsetsRec(
-    const std::vector<Fact>& facts, size_t start, size_t remaining,
-    Instance& current, std::vector<uint32_t>& cur_idx,
-    const std::vector<std::vector<uint32_t>>& index_perms,
-    const std::function<bool(const Instance&)>& fn) {
-  if (remaining == 0 || start == facts.size()) return true;
+// ForEachIndexSubset's DFS over the current subset `cur`.
+struct IndexSubsetDfs {
+  size_t n;
+  size_t max_size;
+  const std::vector<std::vector<uint32_t>>& index_perms;
+  const std::function<bool(std::span<const uint32_t>)>& fn;
+  std::vector<uint32_t> cur;
   std::vector<uint32_t> mapped;
-  for (size_t i = start; i < facts.size(); ++i) {
-    current.Insert(facts[i]);
-    cur_idx.push_back(static_cast<uint32_t>(i));
-    bool least = true;
+
+  // Whether no permutation maps `cur` to a lexicographically smaller list.
+  bool Least() {
     for (const std::vector<uint32_t>& perm : index_perms) {
       mapped.clear();
-      for (uint32_t fi : cur_idx) mapped.push_back(perm[fi]);
+      for (uint32_t fi : cur) mapped.push_back(perm[fi]);
       std::sort(mapped.begin(), mapped.end());
       if (std::lexicographical_compare(mapped.begin(), mapped.end(),
-                                       cur_idx.begin(), cur_idx.end())) {
-        least = false;
-        break;
-      }
-    }
-    if (least) {
-      if (!fn(current) ||
-          !CanonicalSubsetsRec(facts, i + 1, remaining - 1, current, cur_idx,
-                               index_perms, fn)) {
-        cur_idx.pop_back();
-        current.Erase(facts[i]);
+                                       cur.begin(), cur.end())) {
         return false;
       }
     }
-    cur_idx.pop_back();
-    current.Erase(facts[i]);
+    return true;
   }
-  return true;
-}
+
+  bool Rec(uint32_t start) {
+    if (cur.size() == max_size) return true;
+    for (uint32_t i = start; i < n; ++i) {
+      cur.push_back(i);
+      // A non-least subset only extends to non-least subsets (extensions
+      // append indices above the current maximum on both sides of the
+      // comparison), so its whole subtree prunes.
+      const bool go = !Least() || (fn(cur) && Rec(i + 1));
+      cur.pop_back();
+      if (!go) return false;
+    }
+    return true;
+  }
+};
 
 }  // namespace
 
-bool ForEachCanonicalFactSubset(
-    const std::vector<Fact>& facts, size_t max_facts,
+bool ForEachIndexSubset(
+    size_t n, size_t max_size,
     const std::vector<std::vector<uint32_t>>& index_perms,
-    const std::function<bool(const Instance&)>& fn) {
-  if (index_perms.empty()) return ForEachFactSubset(facts, max_facts, fn);
-  Instance current;
-  std::vector<uint32_t> cur_idx;
-  return CanonicalSubsetsRec(facts, 0, max_facts, current, cur_idx,
-                             index_perms, fn);
+    const std::function<bool(std::span<const uint32_t>)>& fn) {
+  IndexSubsetDfs dfs{n, max_size, index_perms, fn, {}, {}};
+  return dfs.Rec(0);
+}
+
+const Instance& SubsetInstance::Set(std::span<const uint32_t> subset) {
+  size_t keep = 0;
+  while (keep < subset_.size() && keep < subset.size() &&
+         subset_[keep] == subset[keep]) {
+    ++keep;
+  }
+  for (size_t k = keep; k < subset_.size(); ++k) {
+    instance_.Erase(candidates_[subset_[k]]);
+  }
+  subset_.resize(keep);
+  for (size_t k = keep; k < subset.size(); ++k) {
+    instance_.Insert(candidates_[subset[k]]);
+    subset_.push_back(subset[k]);
+  }
+  return instance_;
 }
 
 }  // namespace calm

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "base/instance.h"
@@ -27,11 +28,6 @@ bool ForEachInstance(const Schema& schema, const std::vector<Value>& domain,
                      size_t max_facts,
                      const std::function<bool(const Instance&)>& fn);
 
-// Invokes `fn` for every nonempty subset of `facts` of size at most
-// `max_facts`. Stops early when fn returns false. Returns false iff stopped.
-bool ForEachFactSubset(const std::vector<Fact>& facts, size_t max_facts,
-                       const std::function<bool(const Instance&)>& fn);
-
 // Materialized instance streams: the same spaces as the ForEach* callbacks
 // above, but as indexed vectors in the identical deterministic order. The
 // parallel checkers partition these indices across the thread pool and merge
@@ -40,8 +36,6 @@ bool ForEachFactSubset(const std::vector<Fact>& facts, size_t max_facts,
 std::vector<Instance> AllInstances(const Schema& schema,
                                    const std::vector<Value>& domain,
                                    size_t max_facts);
-std::vector<Instance> AllFactSubsets(const std::vector<Fact>& facts,
-                                     size_t max_facts);
 
 // The integer domain {0, 1, ..., n-1} as Values.
 std::vector<Value> IntDomain(size_t n, uint64_t offset = 0);
@@ -86,16 +80,65 @@ std::vector<std::vector<uint32_t>> FactIndexPermutations(
     const std::vector<Fact>& facts,
     const std::vector<std::map<Value, Value>>& value_maps);
 
-// ForEachFactSubset restricted to subsets that are lexicographically least
-// in their orbit under `index_perms` (as ascending index lists — i.e. the
-// enumeration-order-least orbit member, the same representative convention
-// as ForEachCanonicalInstance). Sound for any set of violation-preserving
-// permutations, group closure not required: the first violating subset is
-// the least of its orbit, hence kept, as are all its DFS ancestors.
-bool ForEachCanonicalFactSubset(
-    const std::vector<Fact>& facts, size_t max_facts,
+// Invokes fn for every nonempty subset of {0, .., n-1} with at most
+// `max_size` members, as an ascending index list, depth first: each subset
+// before its extensions, extensions by ascending added index ({0}, {0,1},
+// {0,1,2}, .., {0,2}, ..). With `index_perms` non-empty, only subsets that
+// are lexicographically least in their orbit under the permutations are
+// visited — the enumeration-order-least orbit member, the same
+// representative convention as ForEachCanonicalInstance. Sound for any set
+// of violation-preserving permutations, group closure not required: the
+// first violating subset is the least of its orbit, hence kept, as are all
+// its DFS ancestors. Stops early when fn returns false; returns false iff
+// stopped.
+bool ForEachIndexSubset(
+    size_t n, size_t max_size,
     const std::vector<std::vector<uint32_t>>& index_perms,
-    const std::function<bool(const Instance&)>& fn);
+    const std::function<bool(std::span<const uint32_t>)>& fn);
+
+// Index subsets stored back to back in one buffer (each subset addressed by
+// its offset, not held as its own vector): subset k is flat[ends[k-1] ..
+// ends[k]), from 0 for k = 0. The sweeps' J's are index subsets of one
+// candidate fact list, so a stream or a batch of J's is one FactSubsets.
+class FactSubsets {
+ public:
+  size_t size() const { return ends_.size(); }
+  bool empty() const { return ends_.empty(); }
+  std::span<const uint32_t> operator[](size_t k) const {
+    const uint32_t from = k == 0 ? 0 : ends_[k - 1];
+    return {flat_.data() + from, ends_[k] - from};
+  }
+  void Add(std::span<const uint32_t> subset) {
+    flat_.insert(flat_.end(), subset.begin(), subset.end());
+    ends_.push_back(static_cast<uint32_t>(flat_.size()));
+  }
+  void clear() {
+    flat_.clear();
+    ends_.clear();
+  }
+
+ private:
+  std::vector<uint32_t> flat_;
+  std::vector<uint32_t> ends_;
+};
+
+// One Instance that follows a sequence of index subsets of `candidates`
+// (distinct facts, outliving this object): Set keeps the facts of the
+// previous subset's common prefix with the new one, erases the rest of the
+// previous subset and inserts the rest of the new one. Consecutive subsets
+// of a DFS share all but their last few indices, so each costs about one
+// erase and one insert.
+class SubsetInstance {
+ public:
+  explicit SubsetInstance(const std::vector<Fact>& candidates)
+      : candidates_(candidates) {}
+  const Instance& Set(std::span<const uint32_t> subset);
+
+ private:
+  const std::vector<Fact>& candidates_;
+  Instance instance_;
+  std::vector<uint32_t> subset_;  // instance_'s indices
+};
 
 }  // namespace calm
 

@@ -50,12 +50,15 @@ class OverlayUnionEvaluator : public UnionEvaluator {
 }  // namespace
 
 void UnionEvaluator::FirstRetractedBatch(
-    const std::vector<const Instance*>& js,
+    const std::vector<Fact>& candidates, const FactSubsets& js,
     const std::vector<Fact>& base_facts,
     std::vector<Result<std::optional<Fact>>>* out) {
   out->clear();
   out->reserve(js.size());
-  for (const Instance* j : js) out->push_back(FirstRetracted(*j, base_facts));
+  SubsetInstance j(candidates);
+  for (size_t k = 0; k < js.size(); ++k) {
+    out->push_back(FirstRetracted(j.Set(js[k]), base_facts));
+  }
 }
 
 void Query::EvalBatch(const std::vector<const Instance*>& inputs,

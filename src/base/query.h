@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "base/enumerator.h"
 #include "base/instance.h"
 #include "base/schema.h"
 #include "base/status.h"
@@ -30,14 +31,16 @@ class UnionEvaluator {
   virtual Result<std::optional<Fact>> FirstRetracted(
       const Instance& j, const std::vector<Fact>& base_facts) = 0;
 
-  // FirstRetracted for a batch of j's: `out` is resized to js.size() and
-  // (*out)[k] is exactly FirstRetracted(*js[k], base_facts), errors
-  // included. The default asks one j at a time; an evaluator that shares
-  // work across a batch (DatalogQuery's evaluator runs one fixpoint, or one
-  // well-founded alternation, whose facts carry per-j world masks)
-  // overrides both this and MaxBatch.
+  // FirstRetracted for a batch of j's, each an index subset of
+  // `candidates` (distinct facts): `out` is resized to js.size() and
+  // (*out)[k] is exactly FirstRetracted(J_k, base_facts), errors included,
+  // where J_k holds candidates[c] for every c in js[k]. The default builds
+  // each J_k in one Instance (SubsetInstance) and asks one j at a time; an
+  // evaluator that shares work across a batch (DatalogQuery's evaluator
+  // runs one fixpoint, or one well-founded alternation, whose facts carry
+  // per-j world masks) overrides both this and MaxBatch.
   virtual void FirstRetractedBatch(
-      const std::vector<const Instance*>& js,
+      const std::vector<Fact>& candidates, const FactSubsets& js,
       const std::vector<Fact>& base_facts,
       std::vector<Result<std::optional<Fact>>>* out);
 

@@ -144,9 +144,15 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
 
   job->Run();  // the caller participates
 
-  std::unique_lock<std::mutex> lock(job->mu);
-  job->done_cv.wait(lock, [&] { return job->outstanding == 0; });
-  if (job->exception) std::rethrow_exception(job->exception);
+  // The exception moves out under the lock: the worker that drops the last
+  // Job reference must not free it while the caller's handler reads it.
+  std::exception_ptr exception;
+  {
+    std::unique_lock<std::mutex> lock(job->mu);
+    job->done_cv.wait(lock, [&] { return job->outstanding == 0; });
+    exception = std::move(job->exception);
+  }
+  if (exception) std::rethrow_exception(exception);
 }
 
 namespace {

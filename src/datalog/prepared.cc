@@ -365,8 +365,7 @@ bool PreparedProgram::SupportsUnionBatch() const {
   return true;
 }
 
-void PreparedProgram::SeedMasked(Database* db, const Instance* base,
-                                 const std::vector<const Instance*>& js,
+void PreparedProgram::SeedMasked(Database* db, const MaskedSeed& seed,
                                  const Schema* pre_restrict,
                                  bool with_adom) const {
   const bool seed_adom = with_adom && info_.uses_adom;
@@ -377,49 +376,66 @@ void PreparedProgram::SeedMasked(Database* db, const Instance* base,
   // admission test and the store lookup run once per relation, and each
   // Adom value is seeded once with the union of its worlds.
   std::vector<std::pair<Value, uint64_t>> adom;
-  auto seed = [&](const Instance& part, uint64_t worlds) {
-    uint32_t rel = UINT32_MAX;
-    size_t arity = 0;  // the admitted arity of `rel`; 0 admits nothing
-    bool adom_source = false;
-    RelStore* store = nullptr;
-    part.ForEachFact([&](uint32_t name, const Tuple& t) {
-      if (name != rel) {
-        rel = name;
-        arity = info_.sch.ArityOf(name);
-        if (pre_restrict != nullptr && pre_restrict->ArityOf(name) != arity) {
-          arity = 0;
-        }
-        adom_source = seed_adom && name != adom_rel &&
-                      adom_source_.ArityOf(name) != 0;
-        store = arity != 0 ? db->StoreOrCreate(name) : nullptr;
+  uint32_t rel = UINT32_MAX;
+  size_t arity = 0;  // the admitted arity of `rel`; 0 admits nothing
+  bool adom_source = false;
+  RelStore* store = nullptr;
+  auto seed_fact = [&](uint32_t name, const Tuple& t, uint64_t worlds) {
+    if (name != rel) {
+      rel = name;
+      arity = info_.sch.ArityOf(name);
+      if (pre_restrict != nullptr && pre_restrict->ArityOf(name) != arity) {
+        arity = 0;
       }
-      if (arity == 0 || t.size() != arity) return;
-      store->SeedMasked(t, worlds);
-      if (!adom_source) return;
-      for (Value v : t) {
-        auto it = std::find_if(adom.begin(), adom.end(),
-                               [v](const auto& e) { return e.first == v; });
-        if (it == adom.end()) {
-          adom.emplace_back(v, worlds);
-        } else {
-          it->second |= worlds;
-        }
+      adom_source =
+          seed_adom && name != adom_rel && adom_source_.ArityOf(name) != 0;
+      store = arity != 0 ? db->StoreOrCreate(name) : nullptr;
+    }
+    if (arity == 0 || t.size() != arity) return;
+    store->SeedMasked(t, worlds);
+    if (!adom_source) return;
+    for (Value v : t) {
+      auto it = std::find_if(adom.begin(), adom.end(),
+                             [v](const auto& e) { return e.first == v; });
+      if (it == adom.end()) {
+        adom.emplace_back(v, worlds);
+      } else {
+        it->second |= worlds;
       }
-    });
+    }
   };
-  if (base != nullptr) seed(*base, db->worlds());
-  for (size_t k = 0; k < js.size(); ++k) seed(*js[k], uint64_t{1} << k);
+  auto seed_part = [&](const Instance& part, uint64_t worlds) {
+    part.ForEachFact(
+        [&](uint32_t name, const Tuple& t) { seed_fact(name, t, worlds); });
+  };
+  if (seed.inputs != nullptr) {
+    for (size_t k = 0; k < seed.inputs->size(); ++k) {
+      seed_part(*(*seed.inputs)[k], uint64_t{1} << k);
+    }
+  } else {
+    // Transposed: each candidate once, with the worlds whose J holds it.
+    seed_part(*seed.base, db->worlds());
+    const std::vector<Fact>& candidates = *seed.candidates;
+    std::vector<uint64_t> worlds(candidates.size(), 0);
+    for (size_t k = 0; k < seed.subsets->size(); ++k) {
+      for (uint32_t c : (*seed.subsets)[k]) worlds[c] |= uint64_t{1} << k;
+    }
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      if (worlds[c] != 0) {
+        seed_fact(candidates[c].relation, candidates[c].args, worlds[c]);
+      }
+    }
+  }
   if (adom.empty()) return;
   RelStore* adom_store = db->StoreOrCreate(adom_rel);
   for (const auto& [v, worlds] : adom) adom_store->SeedMasked(Tuple{v}, worlds);
 }
 
 Result<const Database*> PreparedProgram::RunMasked(
-    const Instance* base, const std::vector<const Instance*>& js,
-    const Schema* pre_restrict, std::optional<Database>* lo,
-    size_t* gammas) const {
+    const MaskedSeed& seed, const Schema* pre_restrict,
+    std::optional<Database>* lo, size_t* gammas) const {
   assert(SupportsUnionBatch());
-  const size_t n = js.size();
+  const size_t n = seed.worlds();
   if (n == 0 || n > kMaxUnionBatch) {
     return InvalidArgumentError("a masked batch holds 1 to 64 instances, got " +
                                 std::to_string(n));
@@ -428,14 +444,14 @@ Result<const Database*> PreparedProgram::RunMasked(
   if (fixed_negation_) {
     Database* db = &lo->emplace();
     CALM_ASSIGN_OR_RETURN(const size_t steps,
-                          AlternateMasked(base, js, pre_restrict, all, db));
+                          AlternateMasked(seed, pre_restrict, all, db));
     if (gammas != nullptr) *gammas = steps;
     return db;
   }
   Database* db = &LocalScratch().db;
   db->Reset();
   db->EnableMasks(all);
-  SeedMasked(db, base, js, pre_restrict);
+  SeedMasked(db, seed, pre_restrict);
   // No invention table: SupportsUnionBatch() excludes inventing rules.
   for (size_t i = 0; i < strata_.size(); ++i) {
     CALM_RETURN_IF_ERROR(RunStratum(i, db, db, nullptr, nullptr));
@@ -444,12 +460,17 @@ Result<const Database*> PreparedProgram::RunMasked(
 }
 
 Status PreparedProgram::FirstMissingBatch(
-    const Instance& base, const std::vector<const Instance*>& js,
-    const Schema* pre_restrict, const std::vector<Fact>& probe,
-    std::vector<std::optional<Fact>>* out, size_t* gammas) const {
+    const Instance& base, const std::vector<Fact>& candidates,
+    const FactSubsets& js, const Schema* pre_restrict,
+    const std::vector<Fact>& probe, std::vector<std::optional<Fact>>* out,
+    size_t* gammas) const {
   std::optional<Database> lo;  // a well-founded run's final lo
+  MaskedSeed seed;
+  seed.base = &base;
+  seed.candidates = &candidates;
+  seed.subsets = &js;
   CALM_ASSIGN_OR_RETURN(const Database* db,
-                        RunMasked(&base, js, pre_restrict, &lo, gammas));
+                        RunMasked(seed, pre_restrict, &lo, gammas));
   // World k's answer: the first probe fact whose world set lacks bit k.
   const size_t n = js.size();
   out->assign(n, std::nullopt);
@@ -471,8 +492,10 @@ Status PreparedProgram::EvalBatch(const std::vector<const Instance*>& js,
                                   std::vector<Instance>* out,
                                   size_t* gammas) const {
   std::optional<Database> lo;  // a well-founded run's final lo
+  MaskedSeed seed;
+  seed.inputs = &js;
   CALM_ASSIGN_OR_RETURN(const Database* db,
-                        RunMasked(nullptr, js, pre_restrict, &lo, gammas));
+                        RunMasked(seed, pre_restrict, &lo, gammas));
   // World k holds exactly the facts with bit k in some row's mask, and
   // version rows never repeat a (fact, world), so each world collects every
   // one of its facts once. Rows are appended per relation, sorted, and
@@ -503,26 +526,27 @@ Status PreparedProgram::EvalBatch(const std::vector<const Instance*>& js,
   return Status::Ok();
 }
 
-Result<size_t> PreparedProgram::AlternateMasked(
-    const Instance* base, const std::vector<const Instance*>& js,
-    const Schema* pre_restrict, uint64_t worlds, Database* lo) const {
+Result<size_t> PreparedProgram::AlternateMasked(const MaskedSeed& seed,
+                                                const Schema* pre_restrict,
+                                                uint64_t worlds,
+                                                Database* lo) const {
   // RunAlternatingFixpoint over masked databases sharing the seed's
   // dictionary: each Gamma copies the seed, and EmitRow<kMasked> subtracts
   // a negated fact's world set in the reference iterate, so world k
-  // alternates exactly as base ∪ js[k] would.
-  Database seed;
-  seed.EnableMasks(worlds);
-  SeedMasked(&seed, base, js, pre_restrict);
+  // alternates exactly as its own input would.
+  Database seeded;
+  seeded.EnableMasks(worlds);
+  SeedMasked(&seeded, seed, pre_restrict);
   size_t steps = 0;
   auto gamma = [&](const Database& neg, Database* out) {
-    *out = seed.ShareDict();
+    *out = seeded.ShareDict();
     ++steps;
     return RunFixedNegation(out, neg);
   };
-  *lo = seed.ShareDict();
+  *lo = seeded.ShareDict();
   lo->Reset();
   lo->EnableMasks(worlds);
-  SeedMasked(lo, base, js, pre_restrict, /*with_adom=*/false);
+  SeedMasked(lo, seed, pre_restrict, /*with_adom=*/false);
 
   // Per world, lo only grows and hi only shrinks (the unmasked argument),
   // so equal summed world-set sizes mean every world's lo and hi repeat;

@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "base/enumerator.h"
 #include "base/instance.h"
 #include "base/schema.h"
 #include "base/status.h"
@@ -107,24 +108,26 @@ class PreparedProgram {
   // J at a time.
   bool SupportsUnionBatch() const;
 
-  // (*out)[k] = FirstMissing({&base, js[k]}, pre_restrict, probe) for every
-  // k — or, on a PrepareFixedNegation()-built program, the first probe fact
-  // missing from the final lo of RunAlternatingFixpoint(base ∪ js[k]) —
-  // from one run over masked databases (RelStore's world masks): base's
-  // facts hold in every world, js[k]'s in world k, and world k's answer is
-  // the first probe fact whose world set (in the fixpoint, or in lo) lacks
-  // bit k. A stratified run is one fixpoint over the thread-local scratch;
-  // a well-founded run alternates lo := Gamma(hi), hi := Gamma(lo) with
-  // masked Gammas until the summed world-set sizes of lo and hi repeat, and
-  // stores the number of Gamma steps in *gammas when non-null. Requires
-  // SupportsUnionBatch() and 1 to kMaxUnionBatch J's. On any error —
-  // max_total_facts included — the caller re-asks the batch one J at a time
-  // through the per-J route, which reproduces that route's exact errors; a
-  // run that succeeds implies no world exceeded the limit (each world's
-  // facts are a subset of the stored rows at every round of every Gamma).
+  // (*out)[k] = FirstMissing({&base, &J_k}, pre_restrict, probe) for every
+  // k, where J_k holds candidates[c] for every c in js[k] — or, on a
+  // PrepareFixedNegation()-built program, the first probe fact missing from
+  // the final lo of RunAlternatingFixpoint(base ∪ J_k) — from one run over
+  // masked databases (RelStore's world masks): base's facts hold in every
+  // world and each candidate is seeded once, in the worlds whose subset
+  // holds it; world k's answer is the first probe fact whose world set (in
+  // the fixpoint, or in lo) lacks bit k. A stratified run is one fixpoint
+  // over the thread-local scratch; a well-founded run alternates
+  // lo := Gamma(hi), hi := Gamma(lo) with masked Gammas until the summed
+  // world-set sizes of lo and hi repeat, and stores the number of Gamma
+  // steps in *gammas when non-null. Requires SupportsUnionBatch() and 1 to
+  // kMaxUnionBatch subsets. On any error — max_total_facts included — the
+  // caller re-asks the batch one J at a time through the per-J route, which
+  // reproduces that route's exact errors; a run that succeeds implies no
+  // world exceeded the limit (each world's facts are a subset of the stored
+  // rows at every round of every Gamma).
   Status FirstMissingBatch(const Instance& base,
-                           const std::vector<const Instance*>& js,
-                           const Schema* pre_restrict,
+                           const std::vector<Fact>& candidates,
+                           const FactSubsets& js, const Schema* pre_restrict,
                            const std::vector<Fact>& probe,
                            std::vector<std::optional<Fact>>* out,
                            size_t* gammas = nullptr) const;
@@ -132,11 +135,11 @@ class PreparedProgram {
   // (*out)[k] = EvalParts({js[k]}, pre_restrict, post_restrict) for every
   // k — or, on a PrepareFixedNegation()-built program, the final lo of
   // RunAlternatingFixpoint(js[k]) restricted to post_restrict — from one
-  // masked run: FirstMissingBatch's seeding without a common part and its
-  // run, read out by materializing world k's facts (the rows whose mask
-  // holds bit k). Same requirements and the same error contract: on any
-  // error the caller re-asks one input at a time, and a run that succeeds
-  // implies no world exceeded max_total_facts.
+  // masked run with js[k]'s facts in world k, read out by materializing
+  // world k's facts (the rows whose mask holds bit k). Same requirements
+  // and the same error contract: on any error the caller re-asks one input
+  // at a time, and a run that succeeds implies no world exceeded
+  // max_total_facts.
   Status EvalBatch(const std::vector<const Instance*>& js,
                    const Schema* pre_restrict, const Schema* post_restrict,
                    std::vector<Instance>* out, size_t* gammas = nullptr) const;
@@ -167,27 +170,35 @@ class PreparedProgram {
                     EvalStats* stats, InventionTable* invention) const;
   void SeedInto(Database* db, std::initializer_list<const Instance*> parts,
                 const Schema* pre_restrict) const;
-  // SeedInto for a masked database: `base` (when non-null) in every world,
-  // js[k] in world k. Without `with_adom`, no Adom facts are seeded (the
-  // alternation's initial lo).
-  void SeedMasked(Database* db, const Instance* base,
-                  const std::vector<const Instance*>& js,
+  // What one masked run seeds, world k of worlds(): either `base` in every
+  // world and each candidates[c] once, in the worlds whose subset holds c
+  // (a union-check batch), or inputs[k] in world k (an evaluation batch).
+  struct MaskedSeed {
+    const Instance* base = nullptr;
+    const std::vector<Fact>* candidates = nullptr;
+    const FactSubsets* subsets = nullptr;
+    const std::vector<const Instance*>* inputs = nullptr;
+    size_t worlds() const {
+      return inputs != nullptr ? inputs->size() : subsets->size();
+    }
+  };
+  // SeedInto for a masked database. Without `with_adom`, no Adom facts are
+  // seeded (the alternation's initial lo).
+  void SeedMasked(Database* db, const MaskedSeed& seed,
                   const Schema* pre_restrict, bool with_adom = true) const;
   // The one masked seed-and-run behind FirstMissingBatch and EvalBatch:
-  // seeds `base` (optional) and js, then runs every stratum over the
-  // thread-local scratch, or — on a fixed-negation program — the masked
-  // alternation into *lo, storing its Gamma steps in *gammas when non-null.
-  // Returns the database holding every world's answer.
-  Result<const Database*> RunMasked(const Instance* base,
-                                    const std::vector<const Instance*>& js,
+  // seeds `seed`, then runs every stratum over the thread-local scratch,
+  // or — on a fixed-negation program — the masked alternation into *lo,
+  // storing its Gamma steps in *gammas when non-null. Returns the database
+  // holding every world's answer.
+  Result<const Database*> RunMasked(const MaskedSeed& seed,
                                     const Schema* pre_restrict,
                                     std::optional<Database>* lo,
                                     size_t* gammas) const;
   // The well-founded half of RunMasked: leaves the final masked lo in *lo
   // (RunAlternatingFixpoint, every world at once) and returns the number of
   // Gamma steps it ran.
-  Result<size_t> AlternateMasked(const Instance* base,
-                                 const std::vector<const Instance*>& js,
+  Result<size_t> AlternateMasked(const MaskedSeed& seed,
                                  const Schema* pre_restrict, uint64_t worlds,
                                  Database* lo) const;
   // Seeds `parts` into the thread-local scratch database and runs every

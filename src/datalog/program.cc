@@ -44,18 +44,19 @@ class ScratchUnionEvaluator : public UnionEvaluator {
   }
 
   void FirstRetractedBatch(
-      const std::vector<const Instance*>& js,
+      const std::vector<Fact>& candidates, const FactSubsets& js,
       const std::vector<Fact>& base_facts,
       std::vector<Result<std::optional<Fact>>>* out) override {
     if (js.size() < 2) {
-      UnionEvaluator::FirstRetractedBatch(js, base_facts, out);
+      UnionEvaluator::FirstRetractedBatch(candidates, js, base_facts, out);
       return;
     }
     TraceSpan span("datalog.union_batch");
     span.Arg("worlds", static_cast<int64_t>(js.size()));
     size_t gammas = 0;
     const Status s = query_.prepared().FirstMissingBatch(
-        i_, js, &query_.input_schema(), base_facts, &missing_, &gammas);
+        i_, candidates, js, &query_.input_schema(), base_facts, &missing_,
+        &gammas);
     span.Arg("fallback", s.ok() ? 0 : 1);
     if (query_.semantics() == DatalogQuery::Semantics::kWellFounded) {
       span.Arg("gammas", static_cast<int64_t>(gammas));
@@ -66,7 +67,7 @@ class ScratchUnionEvaluator : public UnionEvaluator {
             "calm.eval.union_batch_fallbacks");
         fallbacks.Increment();
       }
-      UnionEvaluator::FirstRetractedBatch(js, base_facts, out);
+      UnionEvaluator::FirstRetractedBatch(candidates, js, base_facts, out);
       return;
     }
     out->clear();

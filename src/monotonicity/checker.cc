@@ -63,14 +63,14 @@ Result<std::optional<Counterexample>> PairChecker::Check(const Instance& j) {
 }
 
 void PairChecker::CheckBatch(
-    const std::vector<const Instance*>& js,
+    const std::vector<Fact>& candidates, const FactSubsets& js,
     std::vector<Result<std::optional<Counterexample>>>* out) {
   if (!base_ready_) Prepare();
   if (!base_status_.ok()) {
     out->assign(js.size(), base_status_);
     return;
   }
-  union_eval_->FirstRetractedBatch(js, base_facts_, &answers_);
+  union_eval_->FirstRetractedBatch(candidates, js, base_facts_, &answers_);
   out->clear();
   out->reserve(js.size());
   for (size_t k = 0; k < js.size(); ++k) {
@@ -78,8 +78,10 @@ void PairChecker::CheckBatch(
     if (!a.ok()) {
       out->push_back(a.status());
     } else if (a->has_value()) {
+      Instance j;
+      for (uint32_t c : js[k]) j.Insert(candidates[c]);
       out->push_back(std::optional<Counterexample>(
-          Counterexample{i_, *js[k], **a}));
+          Counterexample{i_, std::move(j), **a}));
     } else {
       out->push_back(std::optional<Counterexample>());
     }
@@ -145,6 +147,20 @@ std::vector<std::map<Value, Value>> StabilizerValueMaps(
   return out;
 }
 
+std::vector<MonotonicityClass> CandidateKinds(
+    const std::vector<Fact>& candidates, const std::set<Value>& adom_i) {
+  std::vector<MonotonicityClass> out;
+  out.reserve(candidates.size());
+  for (const Fact& f : candidates) {
+    size_t old = 0;
+    for (Value v : f.args) old += adom_i.count(v);
+    out.push_back(old == 0            ? MonotonicityClass::kDomainDisjoint
+                  : old < f.arity() ? MonotonicityClass::kDomainDistinct
+                                    : MonotonicityClass::kMonotone);
+  }
+  return out;
+}
+
 namespace {
 
 // One cell's first stopping event (error or counterexample) in its own J
@@ -163,7 +179,8 @@ struct CellOutcome {
 // derivation (orbit canonicalization, automorphism search, subset DFS) costs
 // more than the checks themselves at paper-scale bounds. So the whole
 // enumeration is materialized once per key into a plan: per representative
-// I, the J stream in enumeration order. Checking walks the plan through a
+// I, its candidates and the J stream in enumeration order, as index subsets
+// of the candidates. Checking walks the plan through a
 // PairChecker in the exact order the streaming sweep would have visited, so
 // verdicts, counterexamples, and stop points are byte-identical — only the
 // enumeration work is amortized, never the checks.
@@ -174,7 +191,8 @@ struct CellOutcome {
 // sound.
 struct SweepPlanEntry {
   Instance i;
-  std::vector<Instance> js;  // J subsets, enumeration order
+  std::vector<Fact> candidates;  // CandidateJFacts for the plan's class
+  FactSubsets js;                // J's, enumeration order
 };
 
 struct SweepPlan {
@@ -226,19 +244,19 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
                                            options.max_facts_i)) {
     SweepPlanEntry entry;
     entry.i = std::move(i);
-    std::vector<Fact> candidates =
-        CandidateJFacts(schema, entry.i, fresh, cell.cls);
-    pairs += SubsetCountBound(candidates.size(), cell.max_facts_j,
+    entry.candidates = CandidateJFacts(schema, entry.i, fresh, cell.cls);
+    pairs += SubsetCountBound(entry.candidates.size(), cell.max_facts_j,
                               kMaxPlanPairs);
     if (pairs >= kMaxPlanPairs) {  // too big to materialize
       plan.reset();
       break;
     }
-    ForEachCanonicalFactSubset(
-        candidates, cell.max_facts_j,
-        FactIndexPermutations(candidates, StabilizerValueMaps(entry.i, fresh)),
-        [&](const Instance& j) {
-          entry.js.push_back(j);
+    ForEachIndexSubset(
+        entry.candidates.size(), cell.max_facts_j,
+        FactIndexPermutations(entry.candidates,
+                              StabilizerValueMaps(entry.i, fresh)),
+        [&](std::span<const uint32_t> j) {
+          entry.js.Add(j);
           return true;
         });
     plan->entries.push_back(std::move(entry));
@@ -248,27 +266,12 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
   return cache->emplace(key, std::move(plan)).first->second;
 }
 
-// The narrowest class whose J space holds `j` (a subset of some class's
-// candidates for I), as an int ordered like MonotonicityClass: 2 when no
-// value of j is in adom(I) (domain disjoint), 1 when every fact has one
-// outside it (domain distinct), 0 otherwise.
-int KindOf(const Instance& j, const std::set<Value>& adom_i) {
-  int kind = 2;
-  j.ForEachFact([&](uint32_t, const Tuple& t) {
-    size_t old = 0;
-    for (Value v : t) old += adom_i.count(v);
-    kind = std::min(kind, old == 0 ? 2 : old < t.size() ? 1 : 0);
-  });
-  return kind;
-}
-
-// A stream's buffered j's and their answers (FindViolations' visit), kept
-// per thread so the slots' allocations are reused across I's and sweeps.
+// A stream's buffered J's and their answers (FindViolations' visit), kept
+// per thread so the buffers' allocations are reused across I's and sweeps.
 // Sweeps never nest on one thread (no query evaluation runs a sweep).
 struct BatchBuffer {
-  std::vector<Instance> slots;  // copies of enumerator j's awaiting a flush
-  std::vector<const Instance*> batch;
-  std::vector<int> kinds;  // KindOf each batched j
+  FactSubsets batch;       // J's awaiting a flush
+  std::vector<int> kinds;  // each batched J's narrowest class
   std::vector<Result<std::optional<Counterexample>>> answers;
 };
 
@@ -522,12 +525,25 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
         });
         return (live & ~hit) != 0;
       };
+      // Every J of the stream is an index subset of one candidate list: a
+      // plan's, or one built here for the streaming DFS. A J's kind is the
+      // least kind of its candidates, computed once per stream.
+      const SweepPlan* plan = reduce ? plan_for(head) : nullptr;
+      std::vector<Fact> streamed;
+      if (plan == nullptr) {
+        streamed = CandidateJFacts(schema, i, fresh, cells[head].cls);
+      }
+      const std::vector<Fact>& candidates =
+          plan != nullptr ? plan->entries[idx].candidates : streamed;
+      std::vector<MonotonicityClass> kinds;
+      if (tag) kinds = CandidateKinds(candidates, adom_i);
       // With a batching union evaluator, the j's this stream would check
       // are buffered, answered together (PairChecker::CheckBatch) and
       // settled in J order. Live and hit cells are re-read at settle time,
       // since a stop earlier in the batch, or on another thread, may have
-      // closed cells; answers past a stream's end are dropped.
-      const SweepPlan* plan = reduce ? plan_for(head) : nullptr;
+      // closed cells; answers past a stream's end are dropped. Otherwise
+      // each j is checked in place, as one Instance edited from the last.
+      SubsetInstance single(candidates);
       buf.batch.clear();
       buf.kinds.clear();
       auto count_batch = [&](size_t worlds) {
@@ -536,13 +552,13 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
         batch_worlds->Observe(worlds);
       };
       auto flush = [&] {
-        checker.CheckBatch(buf.batch, &buf.answers);
+        checker.CheckBatch(candidates, buf.batch, &buf.answers);
         count_batch(buf.batch.size());
         bool go = true;
         for (size_t b = 0; b < buf.batch.size() && go; ++b) {
           uint64_t hit = 0;
           const uint64_t live =
-              cells_at(buf.kinds[b], buf.batch[b]->size(), &hit);
+              cells_at(buf.kinds[b], buf.batch[b].size(), &hit);
           if (live == 0 || cancel_requested()) {
             pruned = true;
             go = false;
@@ -554,8 +570,12 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
         buf.kinds.clear();
         return go;
       };
-      auto visit = [&](const Instance& j) {
-        const int kind = tag ? KindOf(j, adom_i) : cls_of(head);
+      auto visit = [&](std::span<const uint32_t> j) {
+        int kind = cls_of(head);
+        if (tag) {
+          kind = static_cast<int>(MonotonicityClass::kDomainDisjoint);
+          for (uint32_t c : j) kind = std::min(kind, static_cast<int>(kinds[c]));
+        }
         uint64_t hit = 0;
         const uint64_t live = cells_at(kind, j.size(), &hit);
         if (live == 0 || cancel_requested()) {
@@ -568,45 +588,32 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
         }
         if (hit == 0) return true;
         const size_t limit = checker.batch_limit();
-        if (limit == 1) {  // one j at a time: check and settle in place
-          Result<std::optional<Counterexample>> r = checker.Check(j);
+        if (limit == 1) {
+          Result<std::optional<Counterexample>> r =
+              checker.Check(single.Set(j));
           count_batch(1);
           return settle(live, hit, r);
         }
-        // Plan J's stay put; an enumerator's j is reused after we return,
-        // so a j that waits for a later flush is copied into a slot (sized
-        // while no slot is held).
-        const Instance* held = &j;
-        if (plan == nullptr) {
-          if (buf.batch.empty() && buf.slots.size() < limit) {
-            buf.slots.resize(limit);
-          }
-          buf.slots[buf.batch.size()] = j;
-          held = &buf.slots[buf.batch.size()];
-        }
-        buf.batch.push_back(held);
+        buf.batch.Add(j);
         buf.kinds.push_back(kind);
         return buf.batch.size() < limit || flush();
       };
       if (plan != nullptr) {
         // Plan path: walk the precomputed J stream; checks, order, and stop
         // points match the streaming path exactly.
-        for (const Instance& j : plan->entries[idx].js) {
-          if (!visit(j)) break;
+        const FactSubsets& js = plan->entries[idx].js;
+        for (size_t k = 0; k < js.size(); ++k) {
+          if (!visit(js[k])) break;
         }
       } else {
-        std::vector<Fact> candidates =
-            CandidateJFacts(schema, i, fresh, cells[head].cls);
-        if (!reduce) {
-          ForEachFactSubset(candidates, bound(head), visit);
-        } else {
+        std::vector<std::vector<uint32_t>> perms;
+        if (reduce) {
           if (!stabilizer.has_value()) {
             stabilizer = StabilizerValueMaps(i, fresh);
           }
-          ForEachCanonicalFactSubset(
-              candidates, bound(head),
-              FactIndexPermutations(candidates, *stabilizer), visit);
+          perms = FactIndexPermutations(candidates, *stabilizer);
         }
+        ForEachIndexSubset(candidates.size(), bound(head), perms, visit);
       }
       if (!buf.batch.empty()) flush();
       if (observing) {

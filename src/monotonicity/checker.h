@@ -6,9 +6,11 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "base/enumerator.h"
 #include "base/instance.h"
 #include "base/query.h"
 #include "base/schema.h"
@@ -115,6 +117,12 @@ std::vector<Fact> CandidateJFacts(const Schema& schema, const Instance& i,
 // under them (the reduced sweep's J filter).
 std::vector<std::map<Value, Value>> StabilizerValueMaps(
     const Instance& i, const std::vector<Value>& fresh);
+// CandidateKinds: per candidate, the narrowest class whose J space holds it
+// as a one-fact J — kDomainDisjoint when none of its values is in adom(I),
+// kDomainDistinct when some value is outside adom(I), kMonotone otherwise.
+// A J's narrowest class is the least kind among its facts.
+std::vector<MonotonicityClass> CandidateKinds(
+    const std::vector<Fact>& candidates, const std::set<Value>& adom_i);
 
 struct RandomOptions {
   size_t trials = 100;
@@ -147,10 +155,12 @@ class PairChecker {
   // evaluating the pair in isolation. Callers are responsible for j's kind.
   Result<std::optional<Counterexample>> Check(const Instance& j);
 
-  // Check for each of `js`: `out` is resized to js.size() and (*out)[k] is
-  // exactly Check(*js[k]). The union evaluator shares its work across up to
-  // batch_limit() j's.
-  void CheckBatch(const std::vector<const Instance*>& js,
+  // Check for each of `js`, index subsets of `candidates` (distinct facts):
+  // `out` is resized to js.size() and (*out)[k] is exactly Check(J_k), where
+  // J_k holds candidates[c] for every c in js[k]. The union evaluator shares
+  // its work across up to batch_limit() j's; a J_k is built as an Instance
+  // only for a counterexample.
+  void CheckBatch(const std::vector<Fact>& candidates, const FactSubsets& js,
                   std::vector<Result<std::optional<Counterexample>>>* out);
 
   // How many j's one CheckBatch shares work across (the union evaluator's

@@ -11,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -212,25 +214,75 @@ TEST(CanonicalEnumeratorTest, FactIndexPermutationsMatchValueMaps) {
 // and for the stabilizer-reduced one.
 // ---------------------------------------------------------------------------
 
+std::vector<std::vector<uint32_t>> StreamPerms(
+    const std::vector<Fact>& candidates, const Instance& i,
+    const std::vector<Value>& fresh, bool reduced) {
+  if (!reduced) return {};
+  return FactIndexPermutations(candidates,
+                               monotonicity::StabilizerValueMaps(i, fresh));
+}
+
+// The J stream as the sweeps enumerate it: index subsets of the candidate
+// list, each materialized as an Instance.
 std::vector<Instance> JStream(const Schema& schema, const Instance& i,
                               const std::vector<Value>& fresh,
                               MonotonicityClass cls, size_t k, bool reduced) {
   std::vector<Fact> candidates =
       monotonicity::CandidateJFacts(schema, i, fresh, cls);
+  SubsetInstance j(candidates);
   std::vector<Instance> out;
-  auto keep = [&](const Instance& j) {
-    out.push_back(j);
-    return true;
-  };
-  if (reduced) {
-    ForEachCanonicalFactSubset(
-        candidates, k,
-        FactIndexPermutations(candidates,
-                              monotonicity::StabilizerValueMaps(i, fresh)),
-        keep);
-  } else {
-    ForEachFactSubset(candidates, k, keep);
+  ForEachIndexSubset(candidates.size(), k,
+                     StreamPerms(candidates, i, fresh, reduced),
+                     [&](std::span<const uint32_t> subset) {
+                       out.push_back(j.Set(subset));
+                       return true;
+                     });
+  return out;
+}
+
+// The reference stream: the Instance DFS the sweeps ran before J's became
+// index subsets. It inserts and erases candidate facts in one Instance and
+// keeps the subsets least in their orbit under `perms`.
+void ReferenceSubsets(const std::vector<Fact>& facts, size_t start,
+                      size_t remaining,
+                      const std::vector<std::vector<uint32_t>>& perms,
+                      Instance& current, std::vector<uint32_t>& cur_idx,
+                      std::vector<Instance>* out) {
+  if (remaining == 0) return;
+  for (size_t f = start; f < facts.size(); ++f) {
+    current.Insert(facts[f]);
+    cur_idx.push_back(static_cast<uint32_t>(f));
+    bool least = true;
+    for (const std::vector<uint32_t>& perm : perms) {
+      std::vector<uint32_t> mapped;
+      for (uint32_t c : cur_idx) mapped.push_back(perm[c]);
+      std::sort(mapped.begin(), mapped.end());
+      least = least && !std::lexicographical_compare(
+                           mapped.begin(), mapped.end(), cur_idx.begin(),
+                           cur_idx.end());
+    }
+    if (least) {
+      out->push_back(current);
+      ReferenceSubsets(facts, f + 1, remaining - 1, perms, current, cur_idx,
+                       out);
+    }
+    cur_idx.pop_back();
+    current.Erase(facts[f]);
   }
+}
+
+std::vector<Instance> ReferenceJStream(const Schema& schema, const Instance& i,
+                                       const std::vector<Value>& fresh,
+                                       MonotonicityClass cls, size_t k,
+                                       bool reduced) {
+  std::vector<Fact> candidates =
+      monotonicity::CandidateJFacts(schema, i, fresh, cls);
+  Instance current;
+  std::vector<uint32_t> cur_idx;
+  std::vector<Instance> out;
+  ReferenceSubsets(candidates, 0, k,
+                   StreamPerms(candidates, i, fresh, reduced), current,
+                   cur_idx, &out);
   return out;
 }
 
@@ -275,6 +327,12 @@ TEST(SweepStreamTest, NarrowStreamsAreFilteredWideStreams) {
         for (size_t c = 0; c < 3; ++c) {
           for (size_t k = 1; k <= max_k; ++k) {
             streams[c][k] = JStream(schema, i, fresh, kClasses[c], k, reduced);
+            EXPECT_TRUE(streams[c][k] ==
+                        ReferenceJStream(schema, i, fresh, kClasses[c], k,
+                                         reduced))
+                << "seed " << seed << " schema " << schema.ToString()
+                << " I " << i.ToString() << " reduced " << reduced
+                << ": class " << c << " at " << k;
           }
         }
         for (size_t h = 0; h < 3; ++h) {
@@ -297,6 +355,26 @@ TEST(SweepStreamTest, NarrowStreamsAreFilteredWideStreams) {
           }
         }
       }
+      // A J's narrowest class, the least kind of its candidates, decides
+      // InClassSpace for every class.
+      const std::vector<Fact> candidates = monotonicity::CandidateJFacts(
+          schema, i, fresh, MonotonicityClass::kMonotone);
+      const std::vector<MonotonicityClass> kinds =
+          monotonicity::CandidateKinds(candidates, i.ActiveDomain());
+      ASSERT_EQ(kinds.size(), candidates.size());
+      SubsetInstance j(candidates);
+      ForEachIndexSubset(
+          candidates.size(), max_k, {}, [&](std::span<const uint32_t> subset) {
+            MonotonicityClass least = MonotonicityClass::kDomainDisjoint;
+            for (uint32_t c : subset) least = std::min(least, kinds[c]);
+            for (MonotonicityClass c : kClasses) {
+              EXPECT_EQ(InClassSpace(j.Set(subset), i, c), c <= least)
+                  << "seed " << seed << " I " << i.ToString() << " J "
+                  << j.Set(subset).ToString() << " class "
+                  << static_cast<int>(c);
+            }
+            return true;
+          });
     }
   }
 }

@@ -153,32 +153,68 @@ Instance RandomBase(std::mt19937& rng) {
   return in;
 }
 
-// J's mix old values (0..4) with fresh ones (100..102), so facts repeat
-// across the worlds of one batch, and sometimes carry an IDB fact, which
-// the input schema drops. The empty J is among them.
-Instance RandomJ(std::mt19937& rng) {
-  Instance j;
-  const size_t nfacts = Rand(rng, 4);
+// J facts mix old values (0..4) with fresh ones (100..102), so facts repeat
+// across the worlds of one batch, and are sometimes IDB facts, which the
+// input schema drops.
+Fact RandomJFact(std::mt19937& rng) {
   auto val = [&]() {
     return Chance(rng, 0.5) ? V(Rand(rng, 5)) : V(100 + Rand(rng, 3));
   };
-  for (size_t i = 0; i < nfacts; ++i) {
-    switch (Rand(rng, 8)) {
-      case 0:
-        j.Insert(Fact("F", {val()}));
-        break;
-      case 1:
-        j.Insert(Fact("G", {val(), val(), val()}));
-        break;
-      case 2:
-        j.Insert(Fact("P", {val(), val()}));  // idb: not input
-        break;
-      default:
-        j.Insert(Fact("E", {val(), val()}));
-        break;
-    }
+  switch (Rand(rng, 8)) {
+    case 0:
+      return Fact("F", {val()});
+    case 1:
+      return Fact("G", {val(), val(), val()});
+    case 2:
+      return Fact("P", {val(), val()});  // idb: not input
+    default:
+      return Fact("E", {val(), val()});
   }
+}
+
+// Up to three J facts; the empty J is among them.
+Instance RandomJ(std::mt19937& rng) {
+  Instance j;
+  const size_t nfacts = Rand(rng, 4);
+  for (size_t i = 0; i < nfacts; ++i) j.Insert(RandomJFact(rng));
   return j;
+}
+
+// A batch of J's as the checker hands it over: index subsets of one
+// candidate list holding every fact of some J once, in an order shuffled by
+// `seed` (so relations interleave, unlike the sweeps' candidate lists).
+struct SubsetBatch {
+  std::vector<Fact> candidates;
+  FactSubsets js;
+  size_t shared = 0;  // candidates held by two or more J's
+  size_t idb = 0;     // candidates outside `input`
+};
+
+SubsetBatch AsSubsets(const std::vector<Instance>& js, const Schema& input,
+                      unsigned seed) {
+  SubsetBatch out;
+  Instance all;
+  for (const Instance& j : js) all.InsertAll(j);
+  out.candidates = all.AllFacts();
+  std::mt19937 shuffle(seed);
+  std::shuffle(out.candidates.begin(), out.candidates.end(), shuffle);
+  std::vector<size_t> holders(out.candidates.size(), 0);
+  std::vector<uint32_t> subset;
+  for (const Instance& j : js) {
+    subset.clear();
+    for (uint32_t c = 0; c < out.candidates.size(); ++c) {
+      if (j.Contains(out.candidates[c])) {
+        subset.push_back(c);
+        ++holders[c];
+      }
+    }
+    out.js.Add(subset);
+  }
+  for (uint32_t c = 0; c < out.candidates.size(); ++c) {
+    out.shared += holders[c] > 1;
+    out.idb += input.ArityOf(out.candidates[c].relation) == 0;
+  }
+  return out;
 }
 
 // Default options, with max_total_facts lowered to `cap` when nonzero.
@@ -217,7 +253,8 @@ Result<std::optional<Fact>> ReferenceFirstMissing(
 }
 
 // Three routes answer every J of the seeded corpus identically:
-// FirstRetractedBatch (one masked fixpoint per batch, or its per-J replay
+// FirstRetractedBatch over the batch's candidate-index subsets (one masked
+// fixpoint per batch with each candidate seeded once, or its per-J replay
 // after a failed run), the per-J from-scratch probe, and the EvalParts +
 // merge reference — the same first missing fact, or the same error under a
 // small max_total_facts. A masked run that succeeds must also mean every
@@ -225,7 +262,7 @@ Result<std::optional<Fact>> ReferenceFirstMissing(
 TEST(UnionBatchTest, BatchMatchesPerJProbeAndReference) {
   const size_t kSizes[] = {1, 2, 7, 63, 64};
   size_t checks = 0, errors = 0, missing = 0, capped_batches = 0,
-         failed_batches = 0;
+         failed_batches = 0, shared = 0, idb = 0;
   for (size_t cap : {size_t{0}, size_t{14}, size_t{40}}) {
     for (unsigned seed = 0; seed < 80; ++seed) {
       std::mt19937 rng(9000 + seed);
@@ -247,26 +284,29 @@ TEST(UnionBatchTest, BatchMatchesPerJProbeAndReference) {
         js[n - 1] = Instance();  // an empty J
         js[n - 2] = js[0];       // a J repeated whole
       }
-      std::vector<const Instance*> ptrs;
-      for (const Instance& j : js) ptrs.push_back(&j);
+      const SubsetBatch sb = AsSubsets(js, q->input_schema(), seed);
+      shared += sb.shared;
+      idb += sb.idb;
 
       std::unique_ptr<UnionEvaluator> ev = q->MakeUnionEvaluator(base);
       EXPECT_EQ(ev->MaxBatch(), PreparedProgram::kMaxUnionBatch);
       std::vector<Result<std::optional<Fact>>> got;
-      ev->FirstRetractedBatch(ptrs, probe, &got);
+      ev->FirstRetractedBatch(sb.candidates, sb.js, probe, &got);
       ASSERT_EQ(got.size(), n);
 
       std::vector<std::optional<Fact>> masked;
       const Status batch = q->prepared().FirstMissingBatch(
-          base, ptrs, &q->input_schema(), probe, &masked);
+          base, sb.candidates, sb.js, &q->input_schema(), probe, &masked);
       if (cap > 0 && n > 1) ++(batch.ok() ? capped_batches : failed_batches);
 
+      SubsetInstance materialized(sb.candidates);
       for (size_t k = 0; k < n; ++k) {
         const std::string ctx = "cap " + std::to_string(cap) + " seed " +
                                 std::to_string(seed) + " world " +
                                 std::to_string(k) + "/" + std::to_string(n) +
                                 ": " + js[k].ToString() +
                                 "\nbase: " + base.ToString();
+        EXPECT_EQ(materialized.Set(sb.js[k]), js[k]) << ctx;
         const std::string want =
             Describe(ReferenceFirstMissing(*q, base, js[k], probe));
         const Result<std::optional<Fact>> per_j =
@@ -291,6 +331,8 @@ TEST(UnionBatchTest, BatchMatchesPerJProbeAndReference) {
   EXPECT_GT(missing, 0u);
   EXPECT_GT(capped_batches, 0u) << "no capped batch ran masked";
   EXPECT_GT(failed_batches, 0u) << "no batch took the per-J replay";
+  EXPECT_GT(shared, 0u) << "no candidate was shared by two worlds";
+  EXPECT_GT(idb, 0u) << "no candidate was an IDB fact";
 }
 
 // A batch run leaves the thread-local scratch plain: the next from-scratch
@@ -312,7 +354,7 @@ TEST(UnionBatchTest, ScratchIsPlainAfterABatch) {
   a.Insert(Fact("E", {V(2), V(0)}));
   Instance b;
   b.Insert(Fact("E", {V(100), V(101)}));
-  const std::vector<const Instance*> js = {&a, &b};
+  const SubsetBatch js = AsSubsets({a, b}, q.input_schema(), 0);
 
   Result<Instance> fresh = q.EvalUnion(base, a);
   ASSERT_TRUE(fresh.ok());
@@ -320,7 +362,8 @@ TEST(UnionBatchTest, ScratchIsPlainAfterABatch) {
   ASSERT_TRUE(q.EvalFacts(base, &probe).ok());
   std::vector<std::optional<Fact>> out;
   ASSERT_TRUE(q.prepared()
-                  .FirstMissingBatch(base, js, &q.input_schema(), probe, &out)
+                  .FirstMissingBatch(base, js.candidates, js.js,
+                                     &q.input_schema(), probe, &out)
                   .ok());
   ASSERT_TRUE(out[0].has_value());  // closing the cycle retracts O facts
   EXPECT_FALSE(out[1].has_value());
@@ -329,8 +372,8 @@ TEST(UnionBatchTest, ScratchIsPlainAfterABatch) {
   EXPECT_EQ(fresh->ToString(), after->ToString());
 
   EXPECT_FALSE(capped.prepared()
-                   .FirstMissingBatch(base, js, &capped.input_schema(), probe,
-                                      &out)
+                   .FirstMissingBatch(base, js.candidates, js.js,
+                                      &capped.input_schema(), probe, &out)
                    .ok());
   after = q.EvalUnion(base, a);
   ASSERT_TRUE(after.ok());
@@ -477,19 +520,20 @@ TEST(UnionBatchTest, WellFoundedBatchMatchesPerJAndReference) {
           }
           js.push_back(std::move(j));
         }
-        std::vector<const Instance*> ptrs;
-        for (const Instance& j : js) ptrs.push_back(&j);
+        const SubsetBatch sb =
+            AsSubsets(js, q.input_schema(), 100 * p + round);
 
         std::unique_ptr<UnionEvaluator> ev = q.MakeUnionEvaluator(base);
         EXPECT_EQ(ev->MaxBatch(), PreparedProgram::kMaxUnionBatch);
         std::vector<Result<std::optional<Fact>>> got;
-        ev->FirstRetractedBatch(ptrs, probe, &got);
+        ev->FirstRetractedBatch(sb.candidates, sb.js, probe, &got);
         ASSERT_EQ(got.size(), n);
 
         std::vector<std::optional<Fact>> masked;
         size_t gammas = 0;
         const Status batch = q.prepared().FirstMissingBatch(
-            base, ptrs, &q.input_schema(), probe, &masked, &gammas);
+            base, sb.candidates, sb.js, &q.input_schema(), probe, &masked,
+            &gammas);
         if (batch.ok()) gamma_counts.insert(gammas);
         if (cap > 0 && n > 1) ++(batch.ok() ? capped_batches : failed_batches);
 
@@ -863,6 +907,58 @@ TEST(UnionBatchCheckerTest, SweepsMatchPerJSweeps) {
   EXPECT_GT(violations, 0u);
 }
 
+// Candidate lists longer than 64 facts: one ternary and one binary relation
+// at domain 2 with 2 fresh values give up to 4^3 + 4^2 = 80 candidates per
+// I, so batches hold candidate indices past 63 (the index lists, not the
+// 64-bit world masks, address candidates). Ladders over the batched route
+// match per-J ladders at 1 and 4 threads, reduced and full, for a monotone
+// query and for two whose violations need a fact of either relation.
+TEST(UnionBatchCheckerTest, WideCandidateListsMatchPerJ) {
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(true);
+  const Schema schema({{"G", 3}, {"E", 2}});
+  const std::vector<Value> fresh = IntDomain(2, 1000);
+  size_t widest = 0;
+  for (const Instance& i : AllInstances(schema, IntDomain(2), 1)) {
+    widest = std::max(widest, monotonicity::CandidateJFacts(
+                                  schema, i, fresh,
+                                  monotonicity::MonotonicityClass::kMonotone)
+                                  .size());
+  }
+  EXPECT_GT(widest, 64u);
+  size_t violations = 0;
+  for (const char* text : {"O(x, z) :- G(x, y, z), E(y, z).",
+                           "O(x) :- E(x, y), !G(y, y, x).",
+                           "O(x, y, z) :- G(x, y, z), !E(z, x)."}) {
+    const DatalogQuery q = DatalogQuery::FromTextOrDie(text, text);
+    PerJQuery per_j(q);
+    for (SymmetryMode symmetry : {SymmetryMode::kAuto, SymmetryMode::kOff}) {
+      for (size_t threads : {1u, 4u}) {
+        monotonicity::ExhaustiveOptions o;
+        o.domain_size = 2;
+        o.max_facts_i = 1;
+        o.fresh_values = 2;
+        o.threads = threads;
+        o.symmetry = symmetry;
+        const std::string ctx = std::string(text) + " threads " +
+                                std::to_string(threads) + " symmetry " +
+                                std::to_string(static_cast<int>(symmetry));
+        const SweepRecord a = RunLadder(q, o, 2);
+        const SweepRecord b = RunLadder(per_j, o, 2);
+        EXPECT_EQ(a.verdicts, b.verdicts) << ctx;
+        violations += a.verdicts.find("retracted") != std::string::npos;
+        if (threads == 1) {
+          EXPECT_EQ(a.pairs, b.pairs) << ctx;
+          EXPECT_EQ(a.instances, b.instances) << ctx;
+          EXPECT_GT(a.pairs, 64u) << ctx;
+        }
+      }
+    }
+  }
+  SetMetricsEnabled(metrics_were_on);
+  EXPECT_EQ(violations, 8u);
+}
+
 // Win-move is domain-disjoint monotone, so a one-cell Mdisjoint sweep finds
 // no violation and checks every pair. At domain 4 with three facts, I can
 // hold the chain 0 -> 1 -> 2 -> 3, where Win(0) first enters lo in the
@@ -924,11 +1020,11 @@ class CancellingQuery : public Query {
       return inner_->FirstRetracted(j, base_facts);
     }
     void FirstRetractedBatch(
-        const std::vector<const Instance*>& js,
+        const std::vector<Fact>& candidates, const FactSubsets& js,
         const std::vector<Fact>& base_facts,
         std::vector<Result<std::optional<Fact>>>* out) override {
       if (++owner_->batches_ >= owner_->after_) owner_->cancel_->store(true);
-      inner_->FirstRetractedBatch(js, base_facts, out);
+      inner_->FirstRetractedBatch(candidates, js, base_facts, out);
     }
     size_t MaxBatch() const override { return inner_->MaxBatch(); }
 
