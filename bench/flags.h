@@ -203,14 +203,7 @@ inline Flags ParseFlags(int* argc, char** argv,
   *argc = out;
   if (flags.threads != 0) SetDefaultThreads(flags.threads);
   if (!flags.metrics_out.empty()) SetMetricsEnabled(true);
-  if (!flags.trace_out.empty()) {
-    if (!TracingCompiledIn()) {
-      std::fprintf(stderr,
-                   "--trace_out requested but this binary was built with "
-                   "-DCALM_TRACING=OFF; the trace will be empty\n");
-    }
-    Trace::SetEnabled(true);
-  }
+  if (!flags.trace_out.empty()) Trace::SetEnabled(true);
   return flags;
 }
 

@@ -8,23 +8,13 @@ namespace calm {
 
 namespace {
 
-// Shared precomputation: the sorted active domain, the sorted fact list, a
-// per-fact argument-index view (fact arg -> index into `vals`), the refined
-// occurrence-signature cells, and the twin-class partition.
-struct LabelingContext {
+// I as the refinement and the leaf test read it: the sorted active domain,
+// the sorted fact list, and each fact's arguments as indices into `vals`.
+struct IndexedInstance {
   std::vector<Value> vals;   // sorted adom(I)
   std::vector<Fact> facts;   // I's facts, ascending
   // arg_idx[fi][p]: index into vals of facts[fi].args[p].
   std::vector<std::vector<uint32_t>> arg_idx;
-  // cell[vi]: refined signature cell of vals[vi]. Values in different cells
-  // have provably different occurrence structure, so no isomorphism maps
-  // one onto the other.
-  std::vector<size_t> cell;
-  // Twin classes: vi ~ wj iff the transposition (vals[vi] vals[wj]) fixes I
-  // setwise. This is an equivalence (transpositions conjugate inside
-  // Aut(I)), refined by `cell`.
-  std::vector<std::vector<size_t>> twin_class;
-  std::vector<size_t> class_of;  // vals index -> twin_class index
 };
 
 size_t IndexOf(const std::vector<Value>& vals, Value v) {
@@ -52,13 +42,17 @@ std::vector<size_t> RankSignatures(
 // Iterative partition refinement over value occurrence signatures. Round 0
 // groups values by their multiset of (relation, position) occurrences; each
 // later round extends the signature with the current cells of every
-// co-occurring argument, until the cell count stops growing.
-std::vector<size_t> RefineCells(const LabelingContext& ctx) {
+// co-occurring argument, until the cell count stops growing. cell[vi] is the
+// refined cell of vals[vi]: values in different cells have provably
+// different occurrence structure, so no isomorphism maps one onto the other.
+std::vector<size_t> RefineCells(const IndexedInstance& ctx) {
   size_t k = ctx.vals.size();
   std::vector<std::vector<uint64_t>> sig(k);
   for (size_t fi = 0; fi < ctx.facts.size(); ++fi) {
     const Fact& f = ctx.facts[fi];
     for (size_t p = 0; p < f.arity(); ++p) {
+      // Injective while positions stay below 2^16; Datalog arities are
+      // capped at 32 (datalog/analysis.h, kMaxArity).
       sig[ctx.arg_idx[fi][p]].push_back((uint64_t{f.relation} << 16) |
                                         static_cast<uint64_t>(p));
     }
@@ -104,29 +98,8 @@ std::vector<size_t> RefineCells(const LabelingContext& ctx) {
   return cell;
 }
 
-// The fact list of I with vals[u] and vals[w] swapped, compared against the
-// original: true iff the transposition is an automorphism.
-bool TranspositionFixes(const LabelingContext& ctx, size_t u, size_t w) {
-  std::vector<Fact> mapped;
-  mapped.reserve(ctx.facts.size());
-  for (size_t fi = 0; fi < ctx.facts.size(); ++fi) {
-    const Fact& f = ctx.facts[fi];
-    Tuple t;
-    t.reserve(f.arity());
-    for (size_t p = 0; p < f.arity(); ++p) {
-      size_t vi = ctx.arg_idx[fi][p];
-      if (vi == u) vi = w;
-      else if (vi == w) vi = u;
-      t.push_back(ctx.vals[vi]);
-    }
-    mapped.emplace_back(f.relation, std::move(t));
-  }
-  std::sort(mapped.begin(), mapped.end());
-  return mapped == ctx.facts;
-}
-
-LabelingContext BuildContext(const Instance& instance) {
-  LabelingContext ctx;
+IndexedInstance IndexInstance(const Instance& instance) {
+  IndexedInstance ctx;
   std::set<Value> adom = instance.ActiveDomain();
   ctx.vals.assign(adom.begin(), adom.end());
   ctx.facts = instance.AllFacts();
@@ -139,134 +112,20 @@ LabelingContext BuildContext(const Instance& instance) {
     }
     ctx.arg_idx.push_back(std::move(idx));
   }
-  if (ctx.vals.empty()) return ctx;
-  ctx.cell = RefineCells(ctx);
-
-  ctx.class_of.assign(ctx.vals.size(), SIZE_MAX);
-  for (size_t vi = 0; vi < ctx.vals.size(); ++vi) {
-    if (ctx.class_of[vi] != SIZE_MAX) continue;
-    size_t c = ctx.twin_class.size();
-    ctx.twin_class.push_back({vi});
-    ctx.class_of[vi] = c;
-    for (size_t wj = vi + 1; wj < ctx.vals.size(); ++wj) {
-      if (ctx.class_of[wj] != SIZE_MAX || ctx.cell[wj] != ctx.cell[vi]) {
-        continue;
-      }
-      if (TranspositionFixes(ctx, vi, wj)) {
-        ctx.twin_class[c].push_back(wj);
-        ctx.class_of[wj] = c;
-      }
-    }
-  }
   return ctx;
 }
 
-// Backtracking over the refinement-compatible label assignments: labels are
-// handed out cell block by cell block (cells in signature-rank order, an
-// isomorphism-invariant order), and at depth d we choose which value of the
-// current cell receives label d. Restricting to cell-compatible assignments
-// keeps the choice canonical while shrinking the search from k! leaves to
-// the product of cell-size factorials — refinement is what makes the
-// labeling affordable on the checker hot paths. Branches through distinct
-// members of one twin class are related by an automorphism, so only the
-// least unassigned member of each class is explored and the leaf
-// multiplicity is carried in `multiplier` (automorphisms preserve cells, so
-// the achieving-assignment count is still exactly |Aut(I)|).
-struct LabelSearch {
-  const LabelingContext& ctx;
-  std::vector<size_t> label_cell;  // depth -> cell whose block holds label d
-  std::vector<uint32_t> label;     // vals index -> label
-  std::vector<bool> assigned;
-  std::vector<Fact> best;
-  std::vector<uint32_t> best_label;
-  uint64_t best_count = 0;
-  bool have_best = false;
-
-  explicit LabelSearch(const LabelingContext& c)
-      : ctx(c),
-        label(c.vals.size(), 0),
-        assigned(c.vals.size(), false) {
-    size_t ncells = 1 + *std::max_element(ctx.cell.begin(), ctx.cell.end());
-    std::vector<size_t> cell_size(ncells, 0);
-    for (size_t vi = 0; vi < ctx.vals.size(); ++vi) ++cell_size[ctx.cell[vi]];
-    for (size_t c = 0; c < ncells; ++c) {
-      label_cell.insert(label_cell.end(), cell_size[c], c);
-    }
-  }
-
-  std::vector<Fact> RelabelSorted() const {
-    std::vector<Fact> out;
-    out.reserve(ctx.facts.size());
-    for (size_t fi = 0; fi < ctx.facts.size(); ++fi) {
-      const Fact& f = ctx.facts[fi];
-      Tuple t;
-      t.reserve(f.arity());
-      for (size_t p = 0; p < f.arity(); ++p) {
-        t.push_back(Value::FromInt(label[ctx.arg_idx[fi][p]]));
-      }
-      out.emplace_back(f.relation, std::move(t));
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  void Run(size_t depth, uint64_t multiplier) {
-    if (depth == ctx.vals.size()) {
-      std::vector<Fact> leaf = RelabelSorted();
-      if (!have_best || leaf < best) {
-        best = std::move(leaf);
-        best_label = label;
-        best_count = multiplier;
-        have_best = true;
-      } else if (leaf == best) {
-        best_count += multiplier;
-      }
-      return;
-    }
-    size_t want_cell = label_cell[depth];
-    std::vector<bool> class_tried(ctx.twin_class.size(), false);
-    for (size_t vi = 0; vi < ctx.vals.size(); ++vi) {
-      if (assigned[vi] || ctx.cell[vi] != want_cell) continue;
-      size_t c = ctx.class_of[vi];
-      if (class_tried[c]) continue;
-      class_tried[c] = true;
-      uint64_t unassigned_twins = 0;
-      for (size_t member : ctx.twin_class[c]) {
-        if (!assigned[member]) ++unassigned_twins;
-      }
-      assigned[vi] = true;
-      label[vi] = static_cast<uint32_t>(depth);
-      Run(depth + 1, multiplier * unassigned_twins);
-      assigned[vi] = false;
-    }
-  }
-};
-
 }  // namespace
-
-CanonicalForm CanonicalizeInstance(const Instance& instance) {
-  CanonicalForm form;
-  LabelingContext ctx = BuildContext(instance);
-  if (ctx.vals.empty()) return form;
-
-  LabelSearch search(ctx);
-  search.Run(0, 1);
-  form.facts = std::move(search.best);
-  form.automorphism_count = search.best_count;
-  for (size_t vi = 0; vi < ctx.vals.size(); ++vi) {
-    form.to_canonical[ctx.vals[vi]] = Value::FromInt(search.best_label[vi]);
-  }
-  return form;
-}
 
 std::vector<std::map<Value, Value>> InstanceAutomorphisms(
     const Instance& instance) {
-  LabelingContext ctx = BuildContext(instance);
+  IndexedInstance ctx = IndexInstance(instance);
   std::vector<std::map<Value, Value>> out;
   if (ctx.vals.empty()) {
     out.push_back({});
     return out;
   }
+  const std::vector<size_t> cell = RefineCells(ctx);
 
   // Backtrack over within-cell bijections (automorphisms preserve the
   // refined cells); test setwise fixing at the leaves.
@@ -297,7 +156,7 @@ std::vector<std::map<Value, Value>> InstanceAutomorphisms(
       return;
     }
     for (size_t wj = 0; wj < k; ++wj) {
-      if (used[wj] || ctx.cell[wj] != ctx.cell[vi]) continue;
+      if (used[wj] || cell[wj] != cell[vi]) continue;
       used[wj] = true;
       image[vi] = wj;
       rec(vi + 1);
@@ -306,23 +165,6 @@ std::vector<std::map<Value, Value>> InstanceAutomorphisms(
   };
   rec(0);
   return out;
-}
-
-std::string CanonicalKey(const std::vector<Fact>& facts) {
-  std::string key;
-  key.reserve(facts.size() * 16);
-  auto put32 = [&key](uint32_t x) {
-    key.append(reinterpret_cast<const char*>(&x), sizeof(x));
-  };
-  auto put64 = [&key](uint64_t x) {
-    key.append(reinterpret_cast<const char*>(&x), sizeof(x));
-  };
-  for (const Fact& f : facts) {
-    put32(f.relation);
-    put32(static_cast<uint32_t>(f.arity()));
-    for (Value v : f.args) put64(v.raw());
-  }
-  return key;
 }
 
 }  // namespace calm

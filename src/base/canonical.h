@@ -1,62 +1,27 @@
 #ifndef CALM_BASE_CANONICAL_H_
 #define CALM_BASE_CANONICAL_H_
 
-#include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "base/instance.h"
 
 namespace calm {
 
-// Canonical labeling of an instance under value isomorphism. Generic queries
-// (Section 2: Q(pi(I)) = pi(Q(I))) cannot distinguish isomorphic instances,
-// so a canonical form is both a perfect cache key for query results and the
-// basis for sweeping one representative per isomorphism orbit instead of the
-// whole bounded space.
-//
-// The canonical form relabels adom(I) onto the integer values {0..k-1} such
-// that the resulting sorted fact list is lexicographically minimal over the
-// remaining permutations after iterative partition refinement over value
-// occurrence signatures: labels are assigned cell block by cell block in
-// signature-rank order (both isomorphism-invariant), and backtracking
-// explores the within-cell orderings. Values with different occurrence
-// structure cannot swap under any isomorphism, so the restricted minimum is
-// still equal across isomorphic instances — which is the property the cache
-// keying and orbit reduction need. Proven twin values (transpositions fixing
-// I) collapse whole branches exactly.
-//
-// Complexity is the product of cell-size factorials times |I| log |I| —
-// usually a handful of leaves once refinement separates the values; the
-// fully symmetric worst case is bounded by the tiny checker adom sizes
-// (k <= 8 or so). This is not a general-purpose graph canonizer.
-struct CanonicalForm {
-  // The relabeled facts, ascending — equal across isomorphic instances.
-  std::vector<Fact> facts;
-  // A witnessing relabeling: ApplyValueMap(I, to_canonical) has fact list
-  // `facts`. Maps adom(I) onto Value::FromInt(0..k-1).
-  std::map<Value, Value> to_canonical;
-  // |Aut(I)|: how many of the k! relabelings achieve `facts` — equivalently
-  // the number of value bijections adom(I) -> adom(I) fixing I setwise.
-  uint64_t automorphism_count = 1;
-};
-
-CanonicalForm CanonicalizeInstance(const Instance& instance);
-
 // Every value bijection adom(I) -> adom(I) that fixes I setwise, as value
-// maps (the identity included). The result has exactly
-// CanonicalizeInstance(I).automorphism_count entries, in deterministic
-// order. Used to filter J-candidate subsets down to stabilizer-orbit
-// representatives in the reduced monotonicity sweeps.
+// maps (the identity included), in deterministic order. Generic queries
+// (Section 2: Q(pi(I)) = pi(Q(I))) treat I and pi(I) alike, so the reduced
+// monotonicity sweeps use Aut(I) to filter J-candidate subsets down to
+// stabilizer-orbit representatives.
+//
+// Iterative partition refinement over value occurrence signatures first
+// splits adom(I) into cells no automorphism can cross; backtracking then
+// tries only within-cell bijections and keeps those that fix I. The cost is
+// the product of cell-size factorials times |I| log |I| — a handful of
+// leaves once refinement separates the values, and bounded by the checkers'
+// tiny adom sizes in the fully symmetric worst case.
 std::vector<std::map<Value, Value>> InstanceAutomorphisms(
     const Instance& instance);
-
-// A compact byte string identifying a canonical fact list (relation ids and
-// raw values, length-prefixed). Injective on sorted fact lists, so two
-// instances share a key iff they are isomorphic (given both lists came from
-// CanonicalizeInstance). Suitable for unordered_map keying.
-std::string CanonicalKey(const std::vector<Fact>& facts);
 
 }  // namespace calm
 

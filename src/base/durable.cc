@@ -200,20 +200,6 @@ Result<size_t> ParseHeader(std::string_view contents,
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
-#if defined(__SSE4_2__)
-  while (n >= 8) {
-    uint64_t v;
-    std::memcpy(&v, p, 8);
-    crc = static_cast<uint32_t>(__builtin_ia32_crc32di(crc, v));
-    p += 8;
-    n -= 8;
-  }
-  while (n > 0) {
-    crc = __builtin_ia32_crc32qi(crc, *p);
-    ++p;
-    --n;
-  }
-#else
   static const std::array<uint32_t, 256>& table = *[] {
     auto* t = new std::array<uint32_t, 256>();
     for (uint32_t i = 0; i < 256; ++i) {
@@ -228,7 +214,6 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
   for (size_t i = 0; i < n; ++i) {
     crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
   }
-#endif
   return ~crc;
 }
 

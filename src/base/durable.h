@@ -41,8 +41,7 @@ namespace calm::durable {
 // The record-file format version this build writes and reads.
 inline constexpr uint32_t kFormatVersion = 1;
 
-// CRC32C (Castagnoli). Uses the SSE4.2 crc32 instruction when the build
-// targets it, a table otherwise; both compute the same iSCSI polynomial.
+// CRC32C (Castagnoli, the iSCSI polynomial), table-driven.
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
 
 // --- byte-level payload encoding -------------------------------------------

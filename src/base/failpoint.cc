@@ -1,6 +1,12 @@
 #include "base/failpoint.h"
 
+#include <unistd.h>
+
 #include <charconv>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <mutex>
 
 namespace calm::failpoint {
 
@@ -37,26 +43,6 @@ Result<std::pair<std::string, uint64_t>> ParseSpec(std::string_view spec) {
   if (!IsKnownSite(site)) return UnknownSite(site);
   return std::make_pair(std::string(site), hit);
 }
-
-#ifdef CALM_FAILPOINTS_DISABLED
-Status Arm(const std::string& site, uint64_t) {
-  return IsKnownSite(site) ? Status::Ok() : UnknownSite(site);
-}
-#endif
-
-}  // namespace calm::failpoint
-
-#ifndef CALM_FAILPOINTS_DISABLED
-
-#include <unistd.h>
-
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <mutex>
-
-namespace calm::failpoint {
 
 namespace detail {
 
@@ -154,5 +140,3 @@ std::vector<std::pair<std::string, uint64_t>> HitCounts() {
 }
 
 }  // namespace calm::failpoint
-
-#endif  // CALM_FAILPOINTS_DISABLED

@@ -33,9 +33,8 @@
 // static_asserts that its literal is one of them: a mistyped or deleted
 // site name fails the build or the arming, never silently runs crash-free.
 //
-// Cost model: compiled in (default), every site costs one relaxed atomic
-// load and a predictable branch; CMake -DCALM_FAILPOINTS=OFF defines
-// CALM_FAILPOINTS_DISABLED and every site collapses to an empty statement.
+// Cost model: every site costs one relaxed atomic load and a predictable
+// branch while nothing is armed or counting.
 // ---------------------------------------------------------------------------
 
 namespace calm::failpoint {
@@ -64,17 +63,6 @@ constexpr bool IsKnownSite(std::string_view site) {
 // CALM_FAILPOINT's value gives it. InvalidArgument for a malformed hit
 // count or a site not in kSites; the message lists the known sites then.
 Result<std::pair<std::string, uint64_t>> ParseSpec(std::string_view spec);
-
-// Whether failpoint sites are compiled into this build (CALM_FAILPOINTS).
-constexpr bool FailpointsCompiledIn() {
-#ifdef CALM_FAILPOINTS_DISABLED
-  return false;
-#else
-  return true;
-#endif
-}
-
-#ifndef CALM_FAILPOINTS_DISABLED
 
 namespace detail {
 
@@ -116,24 +104,6 @@ std::vector<std::pair<std::string, uint64_t>> HitCounts();
       ::calm::failpoint::detail::Hit(site);                         \
     }                                                               \
   } while (false)
-
-#else  // CALM_FAILPOINTS_DISABLED
-
-// Validates `site` as the compiled-in Arm does; arms nothing.
-Status Arm(const std::string& site, uint64_t hit);
-inline void Disarm() {}
-inline void SetCounting(bool) {}
-inline std::vector<std::pair<std::string, uint64_t>> HitCounts() {
-  return {};
-}
-
-#define CALM_FAILPOINT(site)                              \
-  do {                                                    \
-    static_assert(::calm::failpoint::IsKnownSite(site),   \
-                  "failpoint site not in kSites: " site); \
-  } while (false)
-
-#endif  // CALM_FAILPOINTS_DISABLED
 
 }  // namespace calm::failpoint
 

@@ -66,10 +66,6 @@ Counter& MetricRegistry::GetCounter(std::string_view name,
   return GetSeries(&counters_, name, std::move(labels));
 }
 
-Gauge& MetricRegistry::GetGauge(std::string_view name, MetricLabels labels) {
-  return GetSeries(&gauges_, name, std::move(labels));
-}
-
 Histogram& MetricRegistry::GetHistogram(std::string_view name,
                                         MetricLabels labels) {
   return GetSeries(&histograms_, name, std::move(labels));
@@ -99,16 +95,6 @@ Json MetricRegistry::Snapshot() const {
   }
   root.Set("counters", std::move(counters));
 
-  Json gauges = Json::Array();
-  for (const auto& [key, gauge] : gauges_) {
-    Json series = Json::Object();
-    series.Set("name", Json::Str(key.first));
-    series.Set("labels", LabelsToJson(key.second));
-    series.Set("value", Json::Int(gauge->Value()));
-    gauges.Append(std::move(series));
-  }
-  root.Set("gauges", std::move(gauges));
-
   Json histograms = Json::Array();
   for (const auto& [key, histogram] : histograms_) {
     Json series = Json::Object();
@@ -137,7 +123,6 @@ Json MetricRegistry::Snapshot() const {
 void MetricRegistry::ResetValues() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, c] : counters_) c->Reset();
-  for (auto& [key, g] : gauges_) g->Reset();
   for (auto& [key, h] : histograms_) h->Reset();
 }
 

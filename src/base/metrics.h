@@ -17,8 +17,8 @@
 namespace calm {
 
 // ---------------------------------------------------------------------------
-// Metrics registry (see DESIGN.md, "Observability"): labeled counter / gauge
-// / histogram families with a JSON snapshot. The hot paths of the engine
+// Metrics registry (see DESIGN.md, "Observability"): labeled counter and
+// histogram families with a JSON snapshot. The hot paths of the engine
 // (the semi-naive fixpoint, the exhaustive sweeps, the network simulator)
 // accumulate into plain locals and flush here at natural boundaries — once
 // per fixpoint, per candidate instance, per transition — so instrumentation
@@ -66,23 +66,10 @@ class Counter {
   std::array<Shard, kShards> shards_;
 };
 
-// A point-in-time signed value (progress, sizes). Low-rate by design: a
-// single atomic, updated at flush points rather than in inner loops.
-class Gauge {
- public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
 // A histogram over uint64 observations with fixed power-of-two bucket
 // boundaries: le 1, 2, 4, ..., 2^(kBuckets-2), +inf. Observe is a couple of
-// relaxed atomic adds; like Gauge it is meant for flush points (per-eval
-// delta sizes, per-run transition counts), not per-tuple inner loops.
+// relaxed atomic adds, meant for flush points (per-eval delta sizes, per-run
+// transition counts), not per-tuple inner loops.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 24;  // last bucket is +inf
@@ -126,12 +113,10 @@ class MetricRegistry {
   static MetricRegistry& Global();
 
   Counter& GetCounter(std::string_view name, MetricLabels labels = {});
-  Gauge& GetGauge(std::string_view name, MetricLabels labels = {});
   Histogram& GetHistogram(std::string_view name, MetricLabels labels = {});
 
   // A deterministic snapshot (families and series in sorted order):
   //   {"counters": [{"name": ..., "labels": {...}, "value": N}, ...],
-  //    "gauges":   [...],
   //    "histograms": [{"name": ..., "labels": {...}, "count": N, "sum": N,
   //                    "buckets": [{"le": 1, "count": n}, ...]}, ...]}
   // Values are read with relaxed loads; take the snapshot at a quiescent
@@ -151,7 +136,6 @@ class MetricRegistry {
 
   mutable std::mutex mu_;
   std::map<SeriesKey, std::unique_ptr<Counter>> counters_;
-  std::map<SeriesKey, std::unique_ptr<Gauge>> gauges_;
   std::map<SeriesKey, std::unique_ptr<Histogram>> histograms_;
 };
 

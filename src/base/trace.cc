@@ -8,8 +8,6 @@
 
 namespace calm {
 
-#ifndef CALM_TRACING_DISABLED
-
 namespace trace_internal {
 
 std::atomic<bool> g_enabled{false};
@@ -233,8 +231,6 @@ Json Trace::ExportJson() {
   root.Set("displayTimeUnit", Json::Str("ms"));
   return root;
 }
-
-#endif  // !CALM_TRACING_DISABLED
 
 Status Trace::WriteChromeTrace(const std::string& path) {
   std::string text = ExportJson().Dump(/*indent=*/-1);

@@ -15,15 +15,11 @@
 // trace_event JSON (chrome://tracing / Perfetto loads the file directly).
 //
 // Cost model, in increasing order of spend:
-//   * compiled out      — CMake -DCALM_TRACING=OFF defines
-//                         CALM_TRACING_DISABLED; every macro and class below
-//                         collapses to an empty inline body, so the traced
-//                         build is byte-for-byte free of tracing work.
-//   * compiled in, off  — the default. Each span site costs one relaxed
-//                         atomic load and a branch (measured <3% on the
-//                         hottest sweep benches; see DESIGN.md).
-//   * enabled           — appends one fixed-size event record per span to a
-//                         thread-local vector; no locks, no I/O until export.
+//   * off      — the default. Each span site costs one relaxed atomic load
+//                and a branch (measured <3% on the hottest sweep benches;
+//                see DESIGN.md).
+//   * enabled  — appends one fixed-size event record per span to a
+//                thread-local vector; no locks, no I/O until export.
 //
 // Determinism: a span's id is (thread slot << 32) | per-thread sequence, and
 // events are appended in open order, so two runs of the same single-threaded
@@ -40,17 +36,6 @@ struct TraceArg {
   const char* key;
   int64_t value;
 };
-
-// Whether the tracing layer is compiled into this build (CALM_TRACING).
-constexpr bool TracingCompiledIn() {
-#ifdef CALM_TRACING_DISABLED
-  return false;
-#else
-  return true;
-#endif
-}
-
-#ifndef CALM_TRACING_DISABLED
 
 namespace trace_internal {
 
@@ -151,40 +136,6 @@ class TraceSpan {
  private:
   uint32_t index_ = trace_internal::kInvalidIndex;
 };
-
-#else  // CALM_TRACING_DISABLED: everything below is a compile-time no-op.
-
-inline constexpr bool TracingEnabled() { return false; }
-
-class Trace {
- public:
-  static void SetEnabled(bool) {}
-  static void Reset() {}
-  static void SetCapacity(size_t) {}
-  static size_t DroppedCount() { return 0; }
-  static size_t EventCount() { return 0; }
-  static size_t SpanCount(const std::string&) { return 0; }
-  static size_t InstantCount(const std::string&) { return 0; }
-  static Json ExportJson() {
-    Json root = Json::Object();
-    root.Set("traceEvents", Json::Array());
-    return root;
-  }
-  static Status WriteChromeTrace(const std::string&);
-  static void Instant(const char*, std::initializer_list<TraceArg> = {}) {}
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) {}
-  TraceSpan(const char*, std::initializer_list<TraceArg>) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  void Arg(const char*, int64_t) {}
-  bool active() const { return false; }
-};
-
-#endif  // CALM_TRACING_DISABLED
 
 }  // namespace calm
 

@@ -218,8 +218,9 @@ Instance EdgesAsOutput(const Instance& in) {
 //         reachable in the union (the query is antitone in reach);
 //   TC:   first base pair with base_reach(a, b) missing from the union —
 //         always none, since reach only grows, but computed honestly.
-// Bases or unions past 64 vertices delegate to the overlay evaluator (the
-// checker sweeps run at ≤ ~8 values; the cap is a budget, not a limit).
+// The factory declines bases past 64 vertices, and unions past 64 delegate
+// to the overlay evaluator (the checker sweeps run at ≤ ~8 values; the cap
+// is a budget, not a limit).
 class ClosureUnionEvaluator : public UnionEvaluator {
  public:
   ClosureUnionEvaluator(const Query& query, const Instance& i, bool complement)
@@ -267,7 +268,7 @@ class ClosureUnionEvaluator : public UnionEvaluator {
     }
     if (!touches_base) return std::optional<Fact>();
 
-    if (viable_ && reach_.empty() && !verts_.empty()) {
+    if (reach_.empty() && !verts_.empty()) {
       // Decode the base matrix from Q(i): for TC each fact IS a reach bit;
       // for Q_TC the facts are exactly the cleared bits of verts x verts.
       const uint64_t full =
@@ -294,7 +295,7 @@ class ClosureUnionEvaluator : public UnionEvaluator {
     }
     std::sort(uverts_.begin(), uverts_.end());
     uverts_.erase(std::unique(uverts_.begin(), uverts_.end()), uverts_.end());
-    if (!viable_ || uverts_.size() > 64) {
+    if (uverts_.size() > 64) {
       if (fallback_ == nullptr) {
         fallback_ = MakeOverlayUnionEvaluator(query_, base_);
       }

@@ -88,7 +88,7 @@ Result<std::vector<net::FaultEvent>> ShrinkDivergence(
 struct TraceRecord {
   int version = 1;
   std::string scenario;  // catalog name (bench/bench_fault_confluence.cc)
-  std::string policy;    // "hash" | "attr-hash" | "domain-hash" | "all-to-one"
+  std::string policy;    // "hash" | "domain-hash" | "all-to-one"
   uint64_t policy_salt = 0;
   std::string model;  // ModelOptions::ToString()
   std::vector<uint64_t> nodes;  // node ids (integer domain values)

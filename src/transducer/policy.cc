@@ -38,12 +38,6 @@ std::set<Value> HashPolicy::NodesFor(const Fact& fact) const {
   return {network_[HashFact(fact, salt_) % network_.size()]};
 }
 
-std::set<Value> AttributeHashPolicy::NodesFor(const Fact& fact) const {
-  Value v = fact.args[position_ % fact.args.size()];
-  size_t h = HashCombine(std::hash<Value>{}(v), std::hash<uint64_t>{}(salt_));
-  return {network_[h % network_.size()]};
-}
-
 std::set<Value> HashDomainGuidedPolicy::NodesForValue(Value value) const {
   size_t h =
       HashCombine(std::hash<Value>{}(value), std::hash<uint64_t>{}(salt_));

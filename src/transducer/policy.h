@@ -59,21 +59,6 @@ class HashPolicy : public DistributionPolicy {
   uint64_t salt_;
 };
 
-// Hashes a fixed attribute position (like Example 4.1's P1, which partitions
-// E on its first attribute). Positions beyond a fact's arity wrap around.
-class AttributeHashPolicy : public DistributionPolicy {
- public:
-  AttributeHashPolicy(Network network, size_t position, uint64_t salt = 0)
-      : network_(std::move(network)), position_(position), salt_(salt) {}
-  std::set<Value> NodesFor(const Fact& fact) const override;
-  std::string name() const override { return "attr-hash"; }
-
- private:
-  Network network_;
-  size_t position_;
-  uint64_t salt_;
-};
-
 // Domain-guided policy from a hash-based domain assignment: alpha(a) = the
 // node a hashes to. P(R(a1..ak)) = union of alpha(ai) (Example 4.1's P2).
 class HashDomainGuidedPolicy : public DistributionPolicy {

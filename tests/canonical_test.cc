@@ -1,9 +1,9 @@
 // The genericity-aware symmetry reduction (base/canonical.h,
 // base/enumerator.h) and its wiring into the exhaustive checkers. The
 // load-bearing contracts:
-//   * the canonical form is invariant under value permutations,
-//   * orbit representatives and orbit sizes match a brute-force grouping of
-//     the full instance stream,
+//   * InstanceAutomorphisms is exactly a brute-force Aut(I),
+//   * orbit representatives and orbit sizes match a grouping of the full
+//     instance stream by a brute-force isomorphism key,
 //   * reduced sweeps return byte-identical verdicts AND counterexamples to
 //     the full sweeps on every Figure 1/2 query at the seed bounds,
 //   * a non-generic query is caught by the probe and falls back to the full
@@ -51,24 +51,53 @@ using monotonicity::PreservationViolation;
 Value V(uint64_t i) { return Value::FromInt(i); }
 
 // ---------------------------------------------------------------------------
-// Canonical labeling
+// Brute-force isomorphism and automorphisms
 // ---------------------------------------------------------------------------
 
-TEST(CanonicalFormTest, EmptyInstance) {
-  CanonicalForm form = CanonicalizeInstance(Instance{});
-  EXPECT_TRUE(form.facts.empty());
-  EXPECT_TRUE(form.to_canonical.empty());
-  EXPECT_EQ(form.automorphism_count, 1u);
-  EXPECT_EQ(InstanceAutomorphisms(Instance{}).size(), 1u);
+// The brute-force isomorphism key: the least sorted fact list over every
+// bijection of adom(I) onto {0..k-1}. Two instances share a key iff some
+// value bijection maps one onto the other. k! relabelings, so only for the
+// tiny adoms below.
+std::vector<Fact> IsoKey(const Instance& i) {
+  std::set<Value> adom = i.ActiveDomain();
+  std::vector<Value> vals(adom.begin(), adom.end());
+  std::vector<uint64_t> labels(vals.size());
+  for (size_t v = 0; v < labels.size(); ++v) labels[v] = v;
+  std::vector<Fact> best;
+  bool first = true;
+  do {
+    std::map<Value, Value> relabel;
+    for (size_t v = 0; v < vals.size(); ++v) relabel[vals[v]] = V(labels[v]);
+    std::vector<Fact> facts = ApplyValueMap(i, relabel).AllFacts();
+    if (first || facts < best) best = std::move(facts);
+    first = false;
+  } while (std::next_permutation(labels.begin(), labels.end()));
+  return best;
 }
 
-TEST(CanonicalFormTest, KnownAutomorphismCounts) {
+// Aut(I) by brute force: every permutation of adom(I) that maps I onto
+// itself, in lexicographic order of the image sequence.
+std::vector<std::map<Value, Value>> BruteForceAutomorphisms(const Instance& i) {
+  std::set<Value> adom = i.ActiveDomain();
+  std::vector<Value> vals(adom.begin(), adom.end());
+  std::vector<Value> image = vals;
+  std::vector<std::map<Value, Value>> out;
+  do {
+    std::map<Value, Value> m;
+    for (size_t v = 0; v < vals.size(); ++v) m[vals[v]] = image[v];
+    if (ApplyValueMap(i, m) == i) out.push_back(std::move(m));
+  } while (std::next_permutation(image.begin(), image.end()));
+  return out;
+}
+
+TEST(InstanceAutomorphismsTest, KnownCounts) {
   struct Case {
     std::string label;
     Instance instance;
-    uint64_t auts;
+    size_t auts;
   };
   std::vector<Case> cases;
+  cases.push_back({"empty", Instance{}, 1});
   cases.push_back({"single edge", Instance{Fact("E", {V(0), V(1)})}, 1});
   cases.push_back(
       {"2-cycle", Instance{Fact("E", {V(0), V(1)}), Fact("E", {V(1), V(0)})},
@@ -82,52 +111,35 @@ TEST(CanonicalFormTest, KnownAutomorphismCounts) {
                    2});
   cases.push_back({"loop", Instance{Fact("E", {V(7), V(7)})}, 1});
   for (const Case& c : cases) {
-    CanonicalForm form = CanonicalizeInstance(c.instance);
-    EXPECT_EQ(form.automorphism_count, c.auts) << c.label;
-    // InstanceAutomorphisms enumerates exactly the |Aut(I)| fixing maps.
-    std::vector<std::map<Value, Value>> auts =
-        InstanceAutomorphisms(c.instance);
-    EXPECT_EQ(auts.size(), c.auts) << c.label;
-    for (const std::map<Value, Value>& a : auts) {
-      EXPECT_EQ(ApplyValueMap(c.instance, a).AllFacts(),
-                c.instance.AllFacts())
-          << c.label << ": a claimed automorphism does not fix the instance";
-    }
+    EXPECT_EQ(InstanceAutomorphisms(c.instance).size(), c.auts) << c.label;
   }
 }
 
-TEST(CanonicalFormTest, ToCanonicalWitnessesTheForm) {
-  Instance i{Fact("E", {V(10), V(42)}), Fact("E", {V(42), V(42)}),
-             Fact("E", {V(42), V(7)})};
-  CanonicalForm form = CanonicalizeInstance(i);
-  // The witnessing relabeling really produces the canonical fact list...
-  EXPECT_EQ(ApplyValueMap(i, form.to_canonical).AllFacts(), form.facts);
-  // ...and maps adom(I) onto {0..k-1}.
-  std::set<Value> image;
-  for (const auto& [from, to] : form.to_canonical) image.insert(to);
-  ASSERT_EQ(form.to_canonical.size(), i.ActiveDomain().size());
-  ASSERT_EQ(image.size(), form.to_canonical.size());
-  for (size_t v = 0; v < image.size(); ++v) EXPECT_TRUE(image.count(V(v)));
-}
-
-TEST(CanonicalFormTest, InvariantUnderRandomPermutations) {
-  Schema schema({{"E", 2}});
-  std::vector<Instance> probes = AllInstances(schema, IntDomain(3), 2);
-  // A few instances with scattered values (the checkers' fresh range, gaps).
+// InstanceAutomorphisms is exactly Aut(I), in the same order, on the whole
+// {E/2, S/1} space at domain 3 and on instances with scattered values (the
+// checkers' fresh range, gaps). Relabeling I leaves |Aut(I)| and the
+// isomorphism key alone.
+TEST(InstanceAutomorphismsTest, MatchBruteForce) {
+  std::vector<Instance> probes =
+      AllInstances(Schema({{"E", 2}, {"S", 1}}), IntDomain(3), 3);
+  ASSERT_EQ(probes.size(), 299u);  // 12 facts, subsets of size <= 3
   probes.push_back(Instance{Fact("E", {V(1000), V(0)}),
                             Fact("E", {V(1001), V(0)}),
                             Fact("E", {V(3), V(1000)})});
   probes.push_back(Instance{Fact("E", {V(5), V(9)}), Fact("E", {V(9), V(5)}),
                             Fact("E", {V(2), V(2)})});
+  probes.push_back(Instance{Fact("E", {V(1000), V(1001)}),
+                            Fact("E", {V(1001), V(1002)}),
+                            Fact("E", {V(1002), V(1000)}),
+                            Fact("S", {V(7)})});
   for (const Instance& i : probes) {
-    CanonicalForm base = CanonicalizeInstance(i);
-    for (uint64_t seed = 0; seed < 8; ++seed) {
+    const std::vector<std::map<Value, Value>> auts = InstanceAutomorphisms(i);
+    EXPECT_EQ(auts, BruteForceAutomorphisms(i)) << i.ToString();
+    for (uint64_t seed = 0; seed < 4; ++seed) {
       Instance permuted = ApplyValueMap(i, workload::RandomPermutation(i, seed));
-      CanonicalForm got = CanonicalizeInstance(permuted);
-      EXPECT_EQ(got.facts, base.facts) << i.ToString() << " seed " << seed;
-      EXPECT_EQ(got.automorphism_count, base.automorphism_count)
+      EXPECT_EQ(InstanceAutomorphisms(permuted).size(), auts.size())
           << i.ToString() << " seed " << seed;
-      EXPECT_EQ(CanonicalKey(got.facts), CanonicalKey(base.facts));
+      EXPECT_EQ(IsoKey(permuted), IsoKey(i)) << i.ToString() << " seed " << seed;
     }
   }
 }
@@ -141,11 +153,12 @@ void CheckOrbitsAgainstBruteForce(const Schema& schema, size_t domain_size,
   std::vector<Value> domain = IntDomain(domain_size);
   std::vector<Instance> all = AllInstances(schema, domain, max_facts);
 
-  // Brute force: group the full stream by canonical key; the representative
-  // of each orbit is its first (enumeration-order-least) member.
-  std::map<std::string, std::vector<size_t>> orbits;  // key -> indices
+  // Brute force: group the full stream by isomorphism key; the
+  // representative of each orbit is its first (enumeration-order-least)
+  // member.
+  std::map<std::vector<Fact>, std::vector<size_t>> orbits;  // key -> indices
   for (size_t idx = 0; idx < all.size(); ++idx) {
-    orbits[CanonicalKey(CanonicalizeInstance(all[idx]).facts)].push_back(idx);
+    orbits[IsoKey(all[idx])].push_back(idx);
   }
 
   std::vector<uint64_t> orbit_sizes;
@@ -155,9 +168,9 @@ void CheckOrbitsAgainstBruteForce(const Schema& schema, size_t domain_size,
   ASSERT_EQ(orbit_sizes.size(), reps.size());
 
   uint64_t total = 0;
-  std::set<std::string> seen;
+  std::set<std::vector<Fact>> seen;
   for (size_t r = 0; r < reps.size(); ++r) {
-    std::string key = CanonicalKey(CanonicalizeInstance(reps[r]).facts);
+    std::vector<Fact> key = IsoKey(reps[r]);
     ASSERT_TRUE(orbits.count(key)) << reps[r].ToString();
     ASSERT_TRUE(seen.insert(key).second)
         << "orbit emitted twice: " << reps[r].ToString();

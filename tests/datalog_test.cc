@@ -205,6 +205,34 @@ TEST(EvaluatorTest, MatchesReferenceEvaluator) {
   EXPECT_EQ(EvalOrDie(p, in), *want);
 }
 
+// A join that probes the last column of a 32-column atom: F(x) binds x
+// first, so E is probed on column 31, the top bit of a 32-bit probe mask.
+// Rows whose F value sits in column 0 or 30 instead must not match.
+TEST(EvaluatorTest, ProbeOnColumn31MatchesReferenceEvaluator) {
+  std::string atom = "E(";
+  for (int c = 0; c <= 30; ++c) atom += "a" + std::to_string(c) + ", ";
+  Program p = ParseOrDie("O(x) :- F(x), " + atom + "x). .output O");
+  auto row = [](uint64_t fill, uint64_t col0, uint64_t col30, uint64_t last) {
+    Tuple t(32, Value::FromInt(fill));
+    t[0] = Value::FromInt(col0);
+    t[30] = Value::FromInt(col30);
+    t[31] = Value::FromInt(last);
+    return Fact("E", t);
+  };
+  Instance in{Fact("F", {Value::FromInt(1)}), Fact("F", {Value::FromInt(3)}),
+              Fact("F", {Value::FromInt(5)})};
+  in.Insert(row(0, 0, 0, 1));
+  in.Insert(row(0, 3, 0, 2));
+  in.Insert(row(0, 0, 5, 4));
+  in.Insert(row(7, 7, 7, 5));
+  for (uint64_t i = 0; i < 12; ++i) in.Insert(row(i % 4, i, i % 7, 6 + i % 3));
+  Result<Instance> want = reference::Eval(p, in);
+  ASSERT_TRUE(want.ok()) << want.status();
+  const Instance got = EvalOrDie(p, in);
+  EXPECT_EQ(got, *want);
+  EXPECT_EQ(got.TuplesOf(InternName("O")).size(), 2u) << got.ToString();
+}
+
 TEST(EvaluatorTest, StratifiedNegationComplementOfTC) {
   Program p = ParseOrDie(
       "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).\n"

@@ -44,16 +44,6 @@ TEST(CounterTest, ExactUnderConcurrency) {
   }
 }
 
-TEST(GaugeTest, SetAndAdd) {
-  Gauge& g = MetricRegistry::Global().GetGauge(UniqueName("gauge"));
-  g.Set(10);
-  EXPECT_EQ(g.Value(), 10);
-  g.Add(-3);
-  EXPECT_EQ(g.Value(), 7);
-  g.Set(-5);
-  EXPECT_EQ(g.Value(), -5);
-}
-
 TEST(HistogramTest, PowerOfTwoBuckets) {
   Histogram& h = MetricRegistry::Global().GetHistogram(UniqueName("hist"));
   h.Observe(0);

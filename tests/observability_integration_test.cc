@@ -58,7 +58,6 @@ class ObservabilityTest : public ::testing::Test {
 // records one datalog.eval span whose args match EvalStats, and one
 // datalog.stratum span per stratum.
 TEST_F(ObservabilityTest, EvalSpansReconstructStratumStructure) {
-  if (!TracingCompiledIn()) GTEST_SKIP() << "built with CALM_TRACING=OFF";
   Trace::SetEnabled(true);
 
   datalog::DatalogQuery engine = queries::ComplementTcProgram();
@@ -95,7 +94,6 @@ TEST_F(ObservabilityTest, EvalSpansReconstructStratumStructure) {
 // FindViolation on Q_TC records one checker.find_violation span carrying
 // the search-space size it actually walked.
 TEST_F(ObservabilityTest, CheckerSpanRecordsSearchProgress) {
-  if (!TracingCompiledIn()) GTEST_SKIP() << "built with CALM_TRACING=OFF";
   Trace::SetEnabled(true);
 
   auto qtc = queries::MakeComplementTransitiveClosure();
@@ -155,7 +153,7 @@ TEST_F(ObservabilityTest, UnionBatchCountersCoverEveryCheck) {
         verdict(MonotonicityClass::kDomainDisjoint);
 
     SetMetricsEnabled(true);
-    Trace::SetEnabled(TracingCompiledIn());
+    Trace::SetEnabled(true);
     MetricRegistry& registry = MetricRegistry::Global();
     registry.ResetValues();
     EXPECT_EQ(verdict(MonotonicityClass::kDomainDistinct), distinct_off);
@@ -175,7 +173,6 @@ TEST_F(ObservabilityTest, UnionBatchCountersCoverEveryCheck) {
     EXPECT_LT(worlds.Count(), pairs) << "no batch held more than one world";
     EXPECT_EQ(registry.GetCounter("calm.eval.union_batch_fallbacks").Value(),
               0u);
-    if (!TracingCompiledIn()) continue;
     EXPECT_GT(Trace::SpanCount("datalog.union_batch"), 0u);
     const bool well_founded =
         q.semantics() == datalog::DatalogQuery::Semantics::kWellFounded;
@@ -224,14 +221,13 @@ TEST_F(ObservabilityTest, HinjSweepEvaluatesEachTargetOnce) {
     EXPECT_EQ(off, "<none>");
 
     SetMetricsEnabled(true);
-    Trace::SetEnabled(TracingCompiledIn());
+    Trace::SetEnabled(true);
     MetricRegistry& registry = MetricRegistry::Global();
     registry.ResetValues();
     EXPECT_EQ(verdict(), off);
     EXPECT_EQ(registry.GetCounter("calm.eval.eval_batches").Value(), 3u);
     EXPECT_EQ(registry.GetCounter("calm.eval.eval_batch_fallbacks").Value(),
               0u);
-    if (!TracingCompiledIn()) continue;
     int64_t worlds = 0, reported = -1;
     Json exported = Trace::ExportJson();
     for (const Json& e : exported.Find("traceEvents")->items()) {
@@ -255,7 +251,6 @@ TEST_F(ObservabilityTest, HinjSweepEvaluatesEachTargetOnce) {
 // count, the heartbeat count, and the per-node delivery totals that the
 // network reports in RunStats.
 TEST_F(ObservabilityTest, NetworkSpansMatchRunStats) {
-  if (!TracingCompiledIn()) GTEST_SKIP() << "built with CALM_TRACING=OFF";
   Trace::SetEnabled(true);
 
   auto query = queries::MakeWinMove();
@@ -442,9 +437,6 @@ TEST_F(ObservabilityTest, NetworkSubLayerSpansAndCounters) {
                     .Value();
   }
   EXPECT_EQ(per_node, transitions);
-
-  // The rest reads spans, which CALM_TRACING=OFF compiles out.
-  if (!TracingCompiledIn()) return;
 
   // One child span per sub-layer under every net.step.
   const char* const kChildren[] = {"net.deliver",   "net.system_facts",

@@ -68,7 +68,6 @@ TEST_F(TraceTest, DisabledRecordsNothing) {
 }
 
 TEST_F(TraceTest, RecordsSpansAndInstants) {
-  if (!TracingCompiledIn()) GTEST_SKIP() << "built with CALM_TRACING=OFF";
   Trace::SetEnabled(true);
   RecordSampleSpans();
   EXPECT_EQ(Trace::EventCount(), 4u);
@@ -79,7 +78,6 @@ TEST_F(TraceTest, RecordsSpansAndInstants) {
 }
 
 TEST_F(TraceTest, NestingAndParentIds) {
-  if (!TracingCompiledIn()) GTEST_SKIP() << "built with CALM_TRACING=OFF";
   Trace::SetEnabled(true);
   RecordSampleSpans();
 
@@ -118,7 +116,6 @@ TEST_F(TraceTest, NestingAndParentIds) {
 }
 
 TEST_F(TraceTest, IdsAndOrderAreDeterministicAcrossRuns) {
-  if (!TracingCompiledIn()) GTEST_SKIP() << "built with CALM_TRACING=OFF";
   Trace::SetEnabled(true);
   RecordSampleSpans();
   std::string first = DeterministicPart(Trace::ExportJson());
@@ -128,7 +125,6 @@ TEST_F(TraceTest, IdsAndOrderAreDeterministicAcrossRuns) {
   EXPECT_EQ(first, second);
 }
 
-#ifndef CALM_TRACING_DISABLED
 TEST_F(TraceTest, ArgsPastTheLimitAreDropped) {
   Trace::SetEnabled(true);
   {
@@ -143,10 +139,8 @@ TEST_F(TraceTest, ArgsPastTheLimitAreDropped) {
   EXPECT_EQ(event.Find("args")->members().size(),
             1 + trace_internal::kMaxArgs);
 }
-#endif  // !CALM_TRACING_DISABLED
 
 TEST_F(TraceTest, CapacityCapDropsNewestAndCounts) {
-  if (!TracingCompiledIn()) GTEST_SKIP() << "built with CALM_TRACING=OFF";
   Trace::SetEnabled(true);
   Trace::SetCapacity(4);
   for (int i = 0; i < 10; ++i) {
@@ -158,7 +152,6 @@ TEST_F(TraceTest, CapacityCapDropsNewestAndCounts) {
 }
 
 TEST_F(TraceTest, ChromeTraceFileRoundTripsThroughJson) {
-  if (!TracingCompiledIn()) GTEST_SKIP() << "built with CALM_TRACING=OFF";
   Trace::SetEnabled(true);
   RecordSampleSpans();
   std::string path = ::testing::TempDir() + "/trace_test_export.json";
@@ -178,17 +171,6 @@ TEST_F(TraceTest, ChromeTraceFileRoundTripsThroughJson) {
   ASSERT_TRUE(parsed->Find("traceEvents")->is_array());
   EXPECT_EQ(parsed->Find("traceEvents")->items().size(), 4u);
   EXPECT_EQ(DeterministicPart(*parsed), DeterministicPart(Trace::ExportJson()));
-}
-
-TEST_F(TraceTest, DisabledBuildExportsEmptyDocument) {
-  if (TracingCompiledIn()) GTEST_SKIP() << "covered by the enabled tests";
-  Trace::SetEnabled(true);  // must be a no-op
-  RecordSampleSpans();
-  Json exported = Trace::ExportJson();
-  EXPECT_EQ(exported.Find("traceEvents")->items().size(), 0u);
-  std::string path = ::testing::TempDir() + "/trace_test_empty.json";
-  EXPECT_TRUE(Trace::WriteChromeTrace(path).ok());
-  std::remove(path.c_str());
 }
 
 // The pin behind the whole design: instrumentation only observes. Checker

@@ -737,6 +737,52 @@ TEST(UnionEvaluatorTest, EngineEvaluatorsMatchOverlayRoute) {
   }
 }
 
+// The closure evaluators' 64-vertex masks at their boundary: path bases of
+// 63, 64 and 65 vertices (a 65-vertex base gets the overlay evaluator), and
+// J's whose union has up to 66. Fresh values sort below and above the base,
+// so union indices shift; the J's close cycles at the first and the last
+// mask bits, add one or two fresh vertices, or touch no base vertex.
+TEST(UnionEvaluatorTest, ClosureEvaluatorsMatchOverlayAtTheMaskWidth) {
+  std::vector<std::unique_ptr<Query>> queries;
+  queries.push_back(queries::MakeTransitiveClosure());
+  queries.push_back(queries::MakeComplementTransitiveClosure());
+  auto e = [](uint64_t a, uint64_t b) { return Fact("E", {V(a), V(b)}); };
+  size_t retractions = 0;
+  for (uint64_t n : {63u, 64u, 65u}) {
+    const uint64_t first = 100, last = first + n - 1;
+    Instance base;
+    for (uint64_t v = first; v < last; ++v) base.Insert(e(v, v + 1));
+    const std::vector<Instance> js = {
+        Instance{e(last, first)},
+        Instance{e(last, last - 1)},
+        Instance{e(first + 40, first + 10)},
+        Instance{e(last, 1000)},
+        Instance{e(5, first)},
+        Instance{e(last, 1000), e(1000, first)},
+        Instance{e(last, 5), e(5, 6), e(6, first)},
+        Instance{e(last, 1000), e(1000, 1001), e(1001, last - 1)},
+        Instance{e(5, 1000)},
+        Instance{e(1000, 1001), e(1001, 1000)},
+    };
+    for (const auto& q : queries) {
+      std::vector<Fact> base_facts;
+      ASSERT_TRUE(q->EvalFacts(base, &base_facts).ok());
+      std::unique_ptr<UnionEvaluator> engine = q->MakeUnionEvaluator(base);
+      std::unique_ptr<UnionEvaluator> overlay =
+          MakeOverlayUnionEvaluator(*q, base);
+      for (const Instance& j : js) {
+        Result<std::optional<Fact>> a = engine->FirstRetracted(j, base_facts);
+        Result<std::optional<Fact>> b = overlay->FirstRetracted(j, base_facts);
+        ASSERT_TRUE(a.ok() && b.ok()) << q->name() << " n " << n;
+        EXPECT_EQ(Describe(a), Describe(b))
+            << q->name() << " n " << n << "\nj: " << j.ToString();
+        retractions += b->has_value();
+      }
+    }
+  }
+  EXPECT_GT(retractions, 0u) << "no J retracted anything";
+}
+
 // --- Checker level ----------------------------------------------------------
 
 // A Query forwarding everything to `inner`, except that its union evaluator
