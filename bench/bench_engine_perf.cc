@@ -567,6 +567,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   int rc = CrossCheckTrace();
-  calm::bench::WriteObservability(flags);
-  return rc;
+  return calm::bench::WriteObservability(flags) ? rc : 1;
 }

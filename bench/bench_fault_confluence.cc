@@ -398,6 +398,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

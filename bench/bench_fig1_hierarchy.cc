@@ -252,6 +252,5 @@ int main(int argc, char** argv) {
                  outside.detail);
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

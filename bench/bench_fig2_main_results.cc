@@ -203,6 +203,5 @@ int main(int argc, char** argv) {
                  r.ok() && r->has_value());
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

@@ -133,6 +133,5 @@ int main(int argc, char** argv) {
                  stats->control_caught);
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

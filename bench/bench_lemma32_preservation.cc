@@ -132,6 +132,5 @@ int main(int argc, char** argv) {
     report.Check("M ( E: V\\S in E \\ M", !m && e);
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

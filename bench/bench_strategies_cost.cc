@@ -147,6 +147,5 @@ int main(int argc, char** argv) {
       "absence cost is adom-bound: < 3x growth while |E| grows 6x",
       abs_by_edges.back() < 3 * abs_by_edges.front());
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

@@ -224,6 +224,5 @@ int main(int argc, char** argv) {
                  NoViolation(*q, MonotonicityClass::kDomainDistinct, o, flags));
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

@@ -186,6 +186,5 @@ int main(int argc, char** argv) {
         leaked);
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

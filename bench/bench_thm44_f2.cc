@@ -182,6 +182,5 @@ int main(int argc, char** argv) {
         leaked);
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

@@ -175,6 +175,5 @@ int main(int argc, char** argv) {
                  s1.ok() && s2.ok() && s1.value() != s2.value());
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

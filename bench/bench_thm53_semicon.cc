@@ -144,6 +144,5 @@ int main(int argc, char** argv) {
                  rp2.ok() && rp2->has_value());
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

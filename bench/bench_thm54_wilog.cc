@@ -122,6 +122,5 @@ int main(int argc, char** argv) {
                  !d.ok() && d.status().code() == StatusCode::kResourceExhausted);
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

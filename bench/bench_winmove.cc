@@ -196,6 +196,5 @@ int main(int argc, char** argv) {
     report.Check("broadcast leaks the retracted output O(0)", leaked);
   }
 
-  bench::WriteObservability(flags);
-  return report.Finish();
+  return report.Finish(bench::WriteObservability(flags));
 }

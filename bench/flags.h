@@ -208,18 +208,24 @@ inline Flags ParseFlags(int* argc, char** argv,
 }
 
 // Writes the artifacts the observability flags asked for. Call once, after
-// the workload (typically right before Report::Finish).
-inline void WriteObservability(const Flags& flags) {
+// the workload (typically as report.Finish's argument). Prints a "written"
+// line per artifact that landed whole; returns false, after saying why on
+// stderr, when one could not be opened, written or closed, so the binary
+// exits non-zero instead of leaving a truncated file behind a success line.
+[[nodiscard]] inline bool WriteObservability(const Flags& flags) {
+  bool ok = true;
   if (!flags.metrics_out.empty()) {
     std::string text = MetricRegistry::Global().Snapshot().Dump(2);
     std::FILE* f = std::fopen(flags.metrics_out.c_str(), "w");
-    if (f == nullptr) {
+    bool written = f != nullptr &&
+                   std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+                   std::fputc('\n', f) != EOF;
+    if (f != nullptr && std::fclose(f) != 0) written = false;
+    if (!written) {
       std::fprintf(stderr, "cannot write metrics to %s\n",
                    flags.metrics_out.c_str());
+      ok = false;
     } else {
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
       std::printf("metrics snapshot written to %s\n",
                   flags.metrics_out.c_str());
     }
@@ -228,6 +234,7 @@ inline void WriteObservability(const Flags& flags) {
     Status s = Trace::WriteChromeTrace(flags.trace_out);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.message().c_str());
+      ok = false;
     } else {
       size_t dropped = Trace::DroppedCount();
       std::printf("trace written to %s (%zu events%s)\n",
@@ -237,6 +244,7 @@ inline void WriteObservability(const Flags& flags) {
                       : (", " + std::to_string(dropped) + " dropped").c_str());
     }
   }
+  return ok;
 }
 
 // --- cooperative cancellation ----------------------------------------------
@@ -276,7 +284,7 @@ inline void ExitIfCancelled(const Flags& flags) {
     std::fprintf(stderr, "interrupted; resume with --checkpoint_dir %s\n",
                  flags.checkpoint_dir.c_str());
   }
-  WriteObservability(flags);
+  (void)WriteObservability(flags);  // 130 says "interrupted" either way
   std::exit(130);
 }
 

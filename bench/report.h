@@ -93,8 +93,9 @@ class Report {
     stats_.emplace_back(name, object);
   }
 
-  // Prints the summary; returns 0 iff every check passed.
-  int Finish() {
+  // Prints the summary; returns 0 iff every check passed and
+  // `artifacts_written` (WriteObservability's result).
+  int Finish(bool artifacts_written = true) {
     std::printf("\n%zu/%zu claims verified", total_ - failed_, total_);
     if (failed_ > 0) {
       std::printf("; FAILED:\n");
@@ -103,7 +104,7 @@ class Report {
       std::printf(".\n");
     }
     if (!json_path_.empty()) WriteJson();
-    return failed_ == 0 ? 0 : 1;
+    return failed_ == 0 && artifacts_written ? 0 : 1;
   }
 
  private:

@@ -238,9 +238,14 @@ Status Trace::WriteChromeTrace(const std::string& path) {
   if (f == nullptr) {
     return InvalidArgumentError("cannot write trace to " + path);
   }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  // A short write, or a buffered one that only fails at fclose (a full
+  // disk), leaves a truncated document: report it, never success.
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+      std::fputc('\n', f) != EOF;
+  if (std::fclose(f) != 0 || !written) {
+    return InternalError("writing trace to " + path + " failed");
+  }
   return Status::Ok();
 }
 

@@ -95,6 +95,8 @@ class Trace {
   // timestamps in microseconds. Deterministic order: by thread slot, then
   // record order.
   static Json ExportJson();
+  // Writes ExportJson() to `path`: InvalidArgument when the file cannot be
+  // opened, Internal when any write or the close fails.
   static Status WriteChromeTrace(const std::string& path);
 
   // An instant event on the calling thread (fault injections, cache events).

@@ -62,30 +62,15 @@ Result<std::optional<Counterexample>> PairChecker::Check(const Instance& j) {
   return std::optional<Counterexample>();
 }
 
-void PairChecker::CheckBatch(
-    const std::vector<Fact>& candidates, const FactSubsets& js,
-    std::vector<Result<std::optional<Counterexample>>>* out) {
+const std::vector<Result<std::optional<Fact>>>& PairChecker::CheckBatch(
+    const std::vector<Fact>& candidates, const FactSubsets& js) {
   if (!base_ready_) Prepare();
   if (!base_status_.ok()) {
-    out->assign(js.size(), base_status_);
-    return;
+    answers_.assign(js.size(), base_status_);
+  } else {
+    union_eval_->FirstRetractedBatch(candidates, js, base_facts_, &answers_);
   }
-  union_eval_->FirstRetractedBatch(candidates, js, base_facts_, &answers_);
-  out->clear();
-  out->reserve(js.size());
-  for (size_t k = 0; k < js.size(); ++k) {
-    Result<std::optional<Fact>>& a = answers_[k];
-    if (!a.ok()) {
-      out->push_back(a.status());
-    } else if (a->has_value()) {
-      Instance j;
-      for (uint32_t c : js[k]) j.Insert(candidates[c]);
-      out->push_back(std::optional<Counterexample>(
-          Counterexample{i_, std::move(j), **a}));
-    } else {
-      out->push_back(std::optional<Counterexample>());
-    }
-  }
+  return answers_;
 }
 
 Result<std::optional<Counterexample>> CheckPair(const Query& query,
@@ -170,25 +155,25 @@ struct CellOutcome {
   std::optional<Counterexample> cex;
 };
 
-// --- Reduced-sweep plan cache -------------------------------------------
+// --- Sweep plan cache ----------------------------------------------------
 //
-// Everything the reduced sweep enumerates — the canonical I representatives,
-// each I's J-candidate facts, the stabilizer index permutations, and the
-// canonical J-subset stream — depends only on (schema, bounds, class), never
-// on the query. Ladder runs and repeated checks re-derive all of it, and the
-// derivation (orbit canonicalization, automorphism search, subset DFS) costs
-// more than the checks themselves at paper-scale bounds. So the whole
-// enumeration is materialized once per key into a plan: per representative
-// I, its candidates and the J stream in enumeration order, as index subsets
-// of the candidates. Checking walks the plan through a
-// PairChecker in the exact order the streaming sweep would have visited, so
-// verdicts, counterexamples, and stop points are byte-identical — only the
+// Everything a sweep enumerates — its I list, each I's J-candidate facts
+// and its J-subset stream (for a reduced sweep: the canonical I
+// representatives and the J stream filtered by the stabilizer index
+// permutations) — depends only on (schema, bounds, class, reduce), never on
+// the query. Ladder runs and repeated checks re-derive all of it, and the
+// derivation (orbit canonicalization, automorphism search, candidate lists,
+// subset DFS) costs more than the checks themselves at paper-scale bounds.
+// So the whole enumeration is materialized once per key into a plan: per I,
+// its candidates and the J stream in enumeration order, as index subsets
+// of the candidates. Checking walks the plan through a PairChecker in the
+// exact order the streaming sweep would have visited, so verdicts,
+// counterexamples, and stop points are byte-identical — only the
 // enumeration work is amortized, never the checks.
 //
-// The cache sits behind the same genericity gate as the reduction itself
-// (plans are only built when `reduce` holds) and is capped by pair count —
-// oversized spaces fall back to the streaming enumeration, which is always
-// sound.
+// Reduced and full sweeps get plans under different keys, and both are
+// capped by pair count: a sweep streams only when its plan would be over
+// the cap, and the streaming enumeration is always sound.
 struct SweepPlanEntry {
   Instance i;
   std::vector<Fact> candidates;  // CandidateJFacts for the plan's class
@@ -215,13 +200,14 @@ uint64_t SubsetCountBound(uint64_t n, uint64_t max_facts, uint64_t cap) {
 std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
                                               const SweepCell& cell,
                                               const ExhaustiveOptions& options,
+                                              bool reduce,
                                               const std::vector<Value>& domain,
                                               const std::vector<Value>& fresh) {
   constexpr uint64_t kMaxPlanPairs = 1u << 17;
   std::string key = schema.ToString();
   for (size_t v : {options.domain_size, options.fresh_values,
                    options.max_facts_i, cell.max_facts_j,
-                   static_cast<size_t>(cell.cls)}) {
+                   static_cast<size_t>(cell.cls), static_cast<size_t>(reduce)}) {
     key += '|';
     key += std::to_string(v);
   }
@@ -240,8 +226,9 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
   // remembered as nullptr, so later sweeps skip straight to streaming.
   auto plan = std::make_shared<SweepPlan>();
   uint64_t pairs = 0;
-  for (Instance& i : AllCanonicalInstances(schema, domain,
-                                           options.max_facts_i)) {
+  for (Instance& i :
+       reduce ? AllCanonicalInstances(schema, domain, options.max_facts_i)
+              : AllInstances(schema, domain, options.max_facts_i)) {
     SweepPlanEntry entry;
     entry.i = std::move(i);
     entry.candidates = CandidateJFacts(schema, entry.i, fresh, cell.cls);
@@ -253,8 +240,9 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
     }
     ForEachIndexSubset(
         entry.candidates.size(), cell.max_facts_j,
-        FactIndexPermutations(entry.candidates,
-                              StabilizerValueMaps(entry.i, fresh)),
+        reduce ? FactIndexPermutations(entry.candidates,
+                                       StabilizerValueMaps(entry.i, fresh))
+               : std::vector<std::vector<uint32_t>>(),
         [&](std::span<const uint32_t> j) {
           entry.js.Add(j);
           return true;
@@ -266,13 +254,12 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
   return cache->emplace(key, std::move(plan)).first->second;
 }
 
-// A stream's buffered J's and their answers (FindViolations' visit), kept
-// per thread so the buffers' allocations are reused across I's and sweeps.
-// Sweeps never nest on one thread (no query evaluation runs a sweep).
+// A stream's buffered J's (FindViolations' visit), kept per thread so the
+// buffers' allocations are reused across I's and sweeps. Sweeps never nest
+// on one thread (no query evaluation runs a sweep).
 struct BatchBuffer {
   FactSubsets batch;       // J's awaiting a flush
   std::vector<int> kinds;  // each batched J's narrowest class
-  std::vector<Result<std::optional<Counterexample>>> answers;
 };
 
 BatchBuffer& LocalBatchBuffer() {
@@ -330,19 +317,22 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
   // representative is the full stream's first violating instance. The same
   // argument filters each I's J space under the stabilizer maps. Plans are
   // looked up once per stream head per sweep; all plans for these bounds
-  // hold the same I list, so the first head's plan supplies it if it has one.
+  // and this `reduce` hold the same I list, so the first head's plan
+  // supplies it if it has one. Only a stream whose plan is over the cap
+  // streams.
   bool reduce = ResolveSymmetry(query, options.symmetry, options.domain_size,
                                 options.max_facts_i) == SymmetryMode::kForceOn;
   std::vector<std::once_flag> plan_once(n);
   std::vector<std::shared_ptr<const SweepPlan>> plans(n);
   auto plan_for = [&](size_t head) {
     std::call_once(plan_once[head], [&] {
-      plans[head] = GetSweepPlan(schema, cells[head], options, domain, fresh);
+      plans[head] =
+          GetSweepPlan(schema, cells[head], options, reduce, domain, fresh);
     });
     return plans[head].get();
   };
   const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
-  const SweepPlan* i_plan = reduce ? plan_for(head_of(all)) : nullptr;
+  const SweepPlan* i_plan = plan_for(head_of(all));
   std::vector<Instance> is =
       i_plan != nullptr ? std::vector<Instance>()
       : reduce ? AllCanonicalInstances(schema, domain, options.max_facts_i)
@@ -413,6 +403,9 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
   span.Arg("cells", static_cast<int64_t>(n));
   span.Arg("instances", static_cast<int64_t>(space));
   span.Arg("reduced", reduce ? 1 : 0);
+  // 1 when the stream covering every cell walks a cached plan; 0 when its
+  // plan is over the cap and it streams.
+  span.Arg("planned", i_plan != nullptr ? 1 : 0);
   const bool metrics_on = MetricsEnabled();
   // Pair totals feed the span and the progress counters (labeled by the
   // stream's class); they are only tallied when somebody is listening.
@@ -439,6 +432,9 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
     }
     union_batches = &registry.GetCounter("calm.checker.union_batches");
     batch_worlds = &registry.GetHistogram("calm.checker.union_batch_worlds");
+    if (i_plan == nullptr) {
+      registry.GetCounter("calm.checker.streamed_sweeps").Increment();
+    }
   }
 
   ParallelFor(space, options.threads, [&](size_t idx) {
@@ -494,14 +490,10 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
         });
         return live;
       };
-      // One checked j's answer, given the cells live and hit at that
-      // point of the J order. Returns whether the stream goes on.
-      auto settle = [&](uint64_t live, uint64_t hit,
-                        Result<std::optional<Counterexample>>& r) {
-        ++pairs_here;
-        if (r.ok() && !r->has_value()) return true;
-        CellOutcome event{r.status(),
-                          r.ok() ? std::move(r).value() : std::nullopt};
+      // One checked j's stopping event (an error or a violation), given the
+      // cells live and hit at that point of the J order. Returns whether
+      // the stream goes on.
+      auto settle = [&](uint64_t live, uint64_t hit, CellOutcome event) {
         stopped = true;
         if (ckpt != nullptr) {
           // Durable before visible: the stop is journaled before it can
@@ -528,7 +520,7 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
       // Every J of the stream is an index subset of one candidate list: a
       // plan's, or one built here for the streaming DFS. A J's kind is the
       // least kind of its candidates, computed once per stream.
-      const SweepPlan* plan = reduce ? plan_for(head) : nullptr;
+      const SweepPlan* plan = plan_for(head);
       std::vector<Fact> streamed;
       if (plan == nullptr) {
         streamed = CandidateJFacts(schema, i, fresh, cells[head].cls);
@@ -539,10 +531,11 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
       if (tag) kinds = CandidateKinds(candidates, adom_i);
       // With a batching union evaluator, the j's this stream would check
       // are buffered, answered together (PairChecker::CheckBatch) and
-      // settled in J order. Live and hit cells are re-read at settle time,
-      // since a stop earlier in the batch, or on another thread, may have
-      // closed cells; answers past a stream's end are dropped. Otherwise
-      // each j is checked in place, as one Instance edited from the last.
+      // settled in J order. A stop closes cells, so once one has settled,
+      // live and hit cells are re-read per j (a stop on another thread may
+      // close cells too, which only costs extra checks); answers past a
+      // stream's end are dropped. Otherwise each j is checked in place, as
+      // one Instance edited from the last.
       SubsetInstance single(candidates);
       buf.batch.clear();
       buf.kinds.clear();
@@ -552,10 +545,19 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
         batch_worlds->Observe(worlds);
       };
       auto flush = [&] {
-        checker.CheckBatch(candidates, buf.batch, &buf.answers);
+        const std::vector<Result<std::optional<Fact>>>& answers =
+            checker.CheckBatch(candidates, buf.batch);
         count_batch(buf.batch.size());
         bool go = true;
+        bool stop_settled = false;
         for (size_t b = 0; b < buf.batch.size() && go; ++b) {
+          const Result<std::optional<Fact>>& a = answers[b];
+          const bool none = a.ok() && !a->has_value();
+          // Until a stop here, j is as live and hit as visit found it.
+          if (none && !stop_settled) {
+            ++pairs_here;
+            continue;
+          }
           uint64_t hit = 0;
           const uint64_t live =
               cells_at(buf.kinds[b], buf.batch[b].size(), &hit);
@@ -563,7 +565,17 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
             pruned = true;
             go = false;
           } else if (hit != 0) {
-            go = settle(live, hit, buf.answers[b]);
+            ++pairs_here;
+            if (none) continue;
+            // Only a stopping answer builds its witness J.
+            CellOutcome event{a.status(), std::nullopt};
+            if (a.ok()) {
+              Instance j;
+              for (uint32_t c : buf.batch[b]) j.Insert(candidates[c]);
+              event.cex = Counterexample{i, std::move(j), **a};
+            }
+            stop_settled = true;
+            go = settle(live, hit, std::move(event));
           }
         }
         buf.batch.clear();
@@ -592,7 +604,11 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
           Result<std::optional<Counterexample>> r =
               checker.Check(single.Set(j));
           count_batch(1);
-          return settle(live, hit, r);
+          ++pairs_here;
+          if (r.ok() && !r->has_value()) return true;
+          return settle(live, hit,
+                        CellOutcome{r.status(), r.ok() ? std::move(r).value()
+                                                       : std::nullopt});
         }
         buf.batch.Add(j);
         buf.kinds.push_back(kind);

@@ -155,13 +155,14 @@ class PairChecker {
   // evaluating the pair in isolation. Callers are responsible for j's kind.
   Result<std::optional<Counterexample>> Check(const Instance& j);
 
-  // Check for each of `js`, index subsets of `candidates` (distinct facts):
-  // `out` is resized to js.size() and (*out)[k] is exactly Check(J_k), where
-  // J_k holds candidates[c] for every c in js[k]. The union evaluator shares
-  // its work across up to batch_limit() j's; a J_k is built as an Instance
-  // only for a counterexample.
-  void CheckBatch(const std::vector<Fact>& candidates, const FactSubsets& js,
-                  std::vector<Result<std::optional<Counterexample>>>* out);
+  // Answers each of `js`, index subsets of `candidates` (distinct facts),
+  // where J_k holds candidates[c] for every c in js[k]: answer k is Q(i)'s
+  // error, or the fact Check(J_k) would report retracted (nullopt for
+  // none). The answers are the union evaluator's, left in place until the
+  // next batch; it shares its work across up to batch_limit() j's, and no
+  // J_k is built as an Instance.
+  const std::vector<Result<std::optional<Fact>>>& CheckBatch(
+      const std::vector<Fact>& candidates, const FactSubsets& js);
 
   // How many j's one CheckBatch shares work across (the union evaluator's
   // MaxBatch; 1 when Q(i) failed). Evaluates Q(i) on first use, as the
@@ -183,7 +184,7 @@ class PairChecker {
   // Engine-chosen Q(i) <= Q(i u j) tester, built lazily with base_facts_.
   std::unique_ptr<UnionEvaluator> union_eval_;
   size_t batch_limit_ = 1;
-  std::vector<Result<std::optional<Fact>>> answers_;  // CheckBatch scratch
+  std::vector<Result<std::optional<Fact>>> answers_;  // CheckBatch's answers
 };
 
 // Checks one specific pair: returns a counterexample iff Q(i) is not a

@@ -6,8 +6,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -208,19 +210,28 @@ Instance EdgesAsOutput(const Instance& in) {
 // Union evaluation for the closure queries TC and Q_TC: the
 // base reachability bit matrix is decoded once from base_facts — Q(i) is
 // exactly that matrix (or its complement), and the checker hands it to
-// every FirstRetracted call, so re-running the base closure here would be
-// pure waste. Each J then only merges its endpoints into the vertex set,
-// ORs its edges into the adjacency masks, and re-saturates — no Instance
-// materialization, no output-fact emission, no merge. First-retraction
-// scans the base pairs in their output order directly off the two matrices,
-// so the reported fact is byte-identical to the from-scratch sorted merge:
+// every call, so re-running the base closure here would be pure waste.
+// A batch of J's shares one vertex universe: the base vertices at mask
+// indices 0..n-1 in sorted order, then every other endpoint of an E
+// candidate. Each J then only ORs its edges into the base adjacency masks
+// and re-saturates the base vertices' rows — no Instance, no output-fact
+// emission, no merge. This is exact: a vertex no edge of J touches is
+// isolated in i ∪ J, so the universe's other vertices change no
+// reachability between base vertices. First-retraction scans the base
+// pairs in their output order directly off the two matrices, so the
+// reported fact is byte-identical to the from-scratch sorted merge:
 //   Q_TC: first base pair (a, b) with !base_reach(a, b) that became
 //         reachable in the union (the query is antitone in reach);
 //   TC:   first base pair with base_reach(a, b) missing from the union —
 //         always none, since reach only grows, but computed honestly.
-// The factory declines bases past 64 vertices, and unions past 64 delegate
-// to the overlay evaluator (the checker sweeps run at ≤ ~8 values; the cap
-// is a budget, not a limit).
+// A J whose edges touch no base vertex — every J of the domain-disjoint
+// sweeps — is answered without touching the matrices: base vertices have
+// no edges into its component, so every walk from one stays on base edges.
+// FirstRetracted asks one J as a batch over its own facts. The factory
+// declines bases past 64 vertices; a batch whose universe is past 64 is
+// asked one J at a time, and a J whose own union is past 64 goes to the
+// overlay evaluator (the checker sweeps run at ≤ ~8 values; the cap is a
+// budget, not a limit).
 class ClosureUnionEvaluator : public UnionEvaluator {
  public:
   ClosureUnionEvaluator(const Query& query, const Instance& i, bool complement)
@@ -234,13 +245,8 @@ class ClosureUnionEvaluator : public UnionEvaluator {
     verts_.erase(std::unique(verts_.begin(), verts_.end()), verts_.end());
     if (verts_.size() > 64) return;
     viable_ = true;
-    auto index_of = [&](Value v) {
-      return std::lower_bound(verts_.begin(), verts_.end(), v) -
-             verts_.begin();
-    };
     for (const Tuple& t : edges) {
-      edges_.emplace_back(static_cast<uint8_t>(index_of(t[0])),
-                          static_cast<uint8_t>(index_of(t[1])));
+      base_adj_[BaseIndex(t[0])] |= uint64_t{1} << BaseIndex(t[1]);
     }
   }
 
@@ -250,94 +256,136 @@ class ClosureUnionEvaluator : public UnionEvaluator {
 
   Result<std::optional<Fact>> FirstRetracted(
       const Instance& j, const std::vector<Fact>& base_facts) override {
-    const TupleSet& jedges = j.TuplesOf(RelE());
-    // A J edge incident to no base vertex can never change reachability
-    // between base vertices: base vertices have no edges into the fresh
-    // component, so every walk from one stays on base edges. Retractions
-    // (either query) need a base-pair reach change, so such a J — every J
-    // of the domain-disjoint sweeps — is answered without touching the
-    // matrices. This is a property of the graphs, not of the bit encoding,
-    // so it applies even past the vertex budget.
-    bool touches_base = false;
-    for (const Tuple& t : jedges) {
-      if (std::binary_search(verts_.begin(), verts_.end(), t[0]) ||
-          std::binary_search(verts_.begin(), verts_.end(), t[1])) {
-        touches_base = true;
-        break;
-      }
+    one_facts_.clear();
+    one_index_.clear();
+    for (const Tuple& t : j.TuplesOf(RelE())) {
+      one_index_.push_back(static_cast<uint32_t>(one_facts_.size()));
+      one_facts_.emplace_back(RelE(), t);
     }
-    if (!touches_base) return std::optional<Fact>();
-
-    if (reach_.empty() && !verts_.empty()) {
-      // Decode the base matrix from Q(i): for TC each fact IS a reach bit;
-      // for Q_TC the facts are exactly the cleared bits of verts x verts.
-      const uint64_t full =
-          verts_.size() == 64 ? ~uint64_t{0}
-                              : (uint64_t{1} << verts_.size()) - 1;
-      reach_.assign(verts_.size(), complement_ ? full : 0);
-      auto index_of = [&](Value v) {
-        return std::lower_bound(verts_.begin(), verts_.end(), v) -
-               verts_.begin();
-      };
-      for (const Fact& f : base_facts) {
-        const uint64_t bit = uint64_t{1} << index_of(f.args[1]);
-        if (complement_) {
-          reach_[index_of(f.args[0])] &= ~bit;
-        } else {
-          reach_[index_of(f.args[0])] |= bit;
-        }
-      }
+    one_js_.clear();
+    one_js_.Add(one_index_);
+    if (AnswerBatch(one_facts_, one_js_, base_facts, &one_answer_)) {
+      return std::move(one_answer_[0]);
     }
-    uverts_ = verts_;
-    for (const Tuple& t : jedges) {
-      uverts_.push_back(t[0]);
-      uverts_.push_back(t[1]);
+    if (fallback_ == nullptr) {
+      fallback_ = MakeOverlayUnionEvaluator(query_, base_);
     }
-    std::sort(uverts_.begin(), uverts_.end());
-    uverts_.erase(std::unique(uverts_.begin(), uverts_.end()), uverts_.end());
-    if (uverts_.size() > 64) {
-      if (fallback_ == nullptr) {
-        fallback_ = MakeOverlayUnionEvaluator(query_, base_);
-      }
-      return fallback_->FirstRetracted(j, base_facts);
-    }
-
-    auto union_index = [&](Value v) {
-      return std::lower_bound(uverts_.begin(), uverts_.end(), v) -
-             uverts_.begin();
-    };
-    // Base vertices are a subsequence of the union vertices, in order.
-    map_.resize(verts_.size());
-    for (size_t b = 0; b < verts_.size(); ++b) {
-      map_[b] = static_cast<uint8_t>(union_index(verts_[b]));
-    }
-    uint64_t uadj[64] = {};
-    for (const auto& [a, b] : edges_) {
-      uadj[map_[a]] |= uint64_t{1} << map_[b];
-    }
-    for (const Tuple& t : jedges) {
-      uadj[union_index(t[0])] |= uint64_t{1} << union_index(t[1]);
-    }
-
-    // Scan base pairs in output order; only rows starting at base vertices
-    // can hold a retraction, so only those get saturated.
-    for (size_t a = 0; a < verts_.size(); ++a) {
-      const uint64_t base_row = reach_[a];
-      const uint64_t union_row = Saturate(uadj, map_[a]);
-      for (size_t b = 0; b < verts_.size(); ++b) {
-        const bool base_reaches = (base_row >> b) & 1;
-        const bool union_reaches = (union_row >> map_[b]) & 1;
-        if (complement_ ? (!base_reaches && union_reaches)
-                        : (base_reaches && !union_reaches)) {
-          return std::optional<Fact>(Fact(complement_ ? RelO() : RelT(),
-                                          Tuple{verts_[a], verts_[b]}));
-        }
-      }
-    }
-    return std::optional<Fact>();
+    return fallback_->FirstRetracted(j, base_facts);
   }
 
+  void FirstRetractedBatch(
+      const std::vector<Fact>& candidates, const FactSubsets& js,
+      const std::vector<Fact>& base_facts,
+      std::vector<Result<std::optional<Fact>>>* out) override {
+    if (!AnswerBatch(candidates, js, base_facts, out)) {
+      UnionEvaluator::FirstRetractedBatch(candidates, js, base_facts, out);
+    }
+  }
+
+  size_t MaxBatch() const override { return 64; }
+
  private:
+  // One candidate as an edge of the batch universe: bit `to` ORed into row
+  // `from` (to == 0 for a candidate of another relation, a no-op), and
+  // whether an endpoint is a base vertex.
+  struct CandidateEdge {
+    uint64_t to;
+    uint8_t from;
+    bool touches_base;
+  };
+
+  size_t BaseIndex(Value v) const {
+    return std::lower_bound(verts_.begin(), verts_.end(), v) - verts_.begin();
+  }
+
+  // Answers every J of `js` into `out`, as FirstRetractedBatch specifies,
+  // unless the universe exceeds 64 vertices: then returns false and leaves
+  // `out` unspecified.
+  bool AnswerBatch(const std::vector<Fact>& candidates, const FactSubsets& js,
+                   const std::vector<Fact>& base_facts,
+                   std::vector<Result<std::optional<Fact>>>* out) {
+    const size_t nb = verts_.size();
+    extra_.clear();
+    // The universe index of v: its base index, else its place among the
+    // other endpoints, appended on first sight.
+    auto index_of = [&](Value v) {
+      const size_t b = BaseIndex(v);
+      if (b < nb && verts_[b] == v) return b;
+      const size_t e = std::find(extra_.begin(), extra_.end(), v) -
+                       extra_.begin();
+      if (e == extra_.size()) extra_.push_back(v);
+      return nb + e;
+    };
+    edges_.clear();
+    for (const Fact& f : candidates) {
+      if (f.relation != RelE()) {
+        edges_.push_back({0, 0, false});
+        continue;
+      }
+      const size_t from = index_of(f.args[0]);
+      const size_t to = index_of(f.args[1]);
+      if (nb + extra_.size() > 64) return false;
+      edges_.push_back({uint64_t{1} << to, static_cast<uint8_t>(from),
+                        from < nb || to < nb});
+    }
+
+    out->clear();
+    out->reserve(js.size());
+    const size_t nu = nb + extra_.size();
+    for (size_t k = 0; k < js.size(); ++k) {
+      const std::span<const uint32_t> j = js[k];
+      bool touches_base = false;
+      for (uint32_t c : j) touches_base = touches_base || edges_[c].touches_base;
+      if (!touches_base) {
+        out->emplace_back(std::optional<Fact>());
+        continue;
+      }
+      if (reach_.empty()) DecodeBase(base_facts);
+      uint64_t adj[64];
+      std::copy_n(base_adj_, nu, adj);
+      for (uint32_t c : j) adj[edges_[c].from] |= edges_[c].to;
+      out->emplace_back(FirstChanged(adj));
+    }
+    return true;
+  }
+
+  // Decodes the base matrix from Q(i): for TC each fact IS a reach bit;
+  // for Q_TC the facts are exactly the cleared bits of verts x verts.
+  void DecodeBase(const std::vector<Fact>& base_facts) {
+    const uint64_t full = verts_.size() == 64
+                              ? ~uint64_t{0}
+                              : (uint64_t{1} << verts_.size()) - 1;
+    reach_.assign(verts_.size(), complement_ ? full : 0);
+    for (const Fact& f : base_facts) {
+      const uint64_t bit = uint64_t{1} << BaseIndex(f.args[1]);
+      if (complement_) {
+        reach_[BaseIndex(f.args[0])] &= ~bit;
+      } else {
+        reach_[BaseIndex(f.args[0])] |= bit;
+      }
+    }
+  }
+
+  // The first base pair, in output order, whose reach bit the union's
+  // adjacency `adj` changes the query's way. Only rows starting at base
+  // vertices can hold a retraction, so only those get saturated.
+  std::optional<Fact> FirstChanged(const uint64_t adj[64]) const {
+    const size_t nb = verts_.size();
+    const uint64_t base_mask =
+        nb == 64 ? ~uint64_t{0} : (uint64_t{1} << nb) - 1;
+    for (size_t a = 0; a < nb; ++a) {
+      const uint64_t union_row = Saturate(adj, a);
+      const uint64_t changed =
+          (complement_ ? union_row & ~reach_[a] : reach_[a] & ~union_row) &
+          base_mask;
+      if (changed != 0) {
+        return Fact(complement_ ? RelO() : RelT(),
+                    Tuple{verts_[a], verts_[__builtin_ctzll(changed)]});
+      }
+    }
+    return std::nullopt;
+  }
+
   // The set of vertices reachable from `s` by a nonempty path, as a mask.
   static uint64_t Saturate(const uint64_t adj[64], size_t s) {
     uint64_t reached = adj[s];
@@ -359,11 +407,18 @@ class ClosureUnionEvaluator : public UnionEvaluator {
   const Instance& base_;
   const bool complement_;
   bool viable_ = false;
-  std::vector<Value> verts_;  // sorted base vertex set
-  std::vector<std::pair<uint8_t, uint8_t>> edges_;  // base E, as indexes
+  std::vector<Value> verts_;     // sorted base vertex set
+  uint64_t base_adj_[64] = {};   // base E rows, by base index
   std::vector<uint64_t> reach_;  // base closure rows, parallel to verts_
-  std::vector<Value> uverts_;    // per-call scratch: union vertex set
-  std::vector<uint8_t> map_;     // per-call scratch: base -> union index
+  // Per-batch scratch: the universe's non-base vertices and each
+  // candidate's edge.
+  std::vector<Value> extra_;
+  std::vector<CandidateEdge> edges_;
+  // FirstRetracted's one-J batch.
+  std::vector<Fact> one_facts_;
+  std::vector<uint32_t> one_index_;
+  FactSubsets one_js_;
+  std::vector<Result<std::optional<Fact>>> one_answer_;
   std::unique_ptr<UnionEvaluator> fallback_;  // overlay route, built lazily
 };
 

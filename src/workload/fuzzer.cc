@@ -693,8 +693,10 @@ Result<Classification> ClassifyProgram(const GeneratedProgram& program,
     }
 
     // Stage 4: symmetry differential — the canonicalizer's orbit pruning
-    // must not change a single verdict or witness byte.
-    if (options.differential) {
+    // must not change a single verdict or witness byte. Without the
+    // reduction there is no pruning to compare: the reference would re-run
+    // the very sweep above.
+    if (options.differential && symmetry == SymmetryMode::kForceOn) {
       ExhaustiveOptions full = base;
       full.symmetry = SymmetryMode::kOff;
       Result<Ladder> reference = ComputeLadder(*query, options.max_i, full);

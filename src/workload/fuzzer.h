@@ -116,6 +116,8 @@ struct ClassifyOptions {
   size_t fresh_values = 2;
   // Re-run the ladder with symmetry reduction off and assert byte-identical
   // rows (the fuzzer doubling as a differential harness for the canonicalizer).
+  // Only programs whose ladder ran reduced (the genericity probe passed)
+  // have a reduced sweep to compare.
   bool differential = true;
   // Run the Theorem 4.3/4.4/4.5 strategy transducers (async + BSP + one
   // seeded fault plan) for guarantee-carrying shapes.

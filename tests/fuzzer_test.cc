@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include "base/durable.h"
 #include "base/failpoint.h"
+#include "base/trace.h"
 #include "datalog/parser.h"
 #include "datalog/program.h"
 
@@ -361,6 +363,54 @@ TEST(FuzzerClassify, ConformantProgramHasCleanRecord) {
   EXPECT_EQ(c->record.strategy, "absence");
   EXPECT_GT(c->record.bsp_supersteps, 0u);
   EXPECT_EQ(c->record.ladder.rows.size(), 2u);
+}
+
+// FNV-1a over a record's encoding: everything the corpus keeps of it.
+uint64_t RecordDigest(const CorpusRecord& record) {
+  durable::ByteWriter w;
+  EncodeCorpusRecord(record, &w);
+  uint64_t h = 14695981039346656037ull;
+  for (char c : w.data()) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The symmetry differential re-runs a ladder only when the first one ran
+// reduced: a program whose genericity probe fails (a body constant) runs
+// one ladder sweep, a generic one two, counted by checker.find_violation
+// spans. Both records are pinned, so skipping the differential for the
+// first program left its classification as it was.
+TEST(FuzzerClassify, DifferentialRunsOnlyForReducedLadders) {
+  struct Case {
+    const char* text;
+    size_t sweeps;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"O(x) :- E(x, 1).\n.output O\n", 1, 9742388342394802164ull},
+      {"O(x) :- E(x, y), E(y, x).\n.output O\n", 2, 14244123226354986521ull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    GeneratedProgram gp;
+    gp.shape = ProgramShape::kPositive;
+    gp.seed = 7;
+    gp.text = c.text;
+    gp.uses_constants = c.sweeps == 1;
+    Trace::Reset();
+    Trace::SetEnabled(true);
+    Result<Classification> classified = ClassifyProgram(gp, ClassifyOptions{});
+    Trace::SetEnabled(false);
+    ASSERT_TRUE(classified.ok()) << classified.status().ToString();
+    for (const Divergence& d : classified->divergences) {
+      ADD_FAILURE() << d.stage << ": " << d.detail;
+    }
+    EXPECT_EQ(Trace::SpanCount("checker.find_violation"), c.sweeps);
+    EXPECT_EQ(RecordDigest(classified->record), c.digest);
+  }
+  Trace::Reset();
 }
 
 }  // namespace

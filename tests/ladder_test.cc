@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "base/enumerator.h"
+#include "base/metrics.h"
 #include "datalog/ilog.h"
 #include "datalog/parser.h"
 #include "datalog/program.h"
@@ -269,6 +273,195 @@ TEST(LadderOnePassTest, RejectsMoreCellsThanAMaskHoldsAndCheckpoints) {
   o.checkpoint_dir = ::testing::TempDir() + "ladder_checkpoint";
   EXPECT_EQ(ComputeLadder(*tc, 2, o).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// --- Full sweeps walk their plans ------------------------------------------
+
+// The one-pass ladder with the symmetry reduction off, as plain nested
+// loops: every I of AllInstances in order; at each I the still-open cells
+// are covered by streams as the sweep covers them (the widest open class at
+// its largest open bound, serving the open cells up to that bound, then
+// what is left), and each stream is every index subset of its class's
+// candidates (ForEachIndexSubset, no permutations), built as an Instance
+// and checked by CheckPair once for all open served cells holding it. A
+// cell closes on its first event; a stream ends when its served cells have
+// all closed. `pairs` counts the checks.
+struct NestedLoopLadder {
+  std::vector<Result<std::optional<Counterexample>>> cells;  // ladder order
+  uint64_t pairs = 0;
+};
+
+NestedLoopLadder RunNestedLoopLadder(const Query& q, size_t max_i,
+                                     const ExhaustiveOptions& o) {
+  const Schema& schema = q.input_schema();
+  const std::vector<Value> fresh = IntDomain(o.fresh_values, 1000);
+  const size_t n = 3 * max_i;
+  auto cls_of = [](size_t c) { return static_cast<int>(c % 3); };
+  auto bound_of = [](size_t c) { return c / 3 + 1; };
+  NestedLoopLadder ref;
+  ref.cells.assign(n, std::optional<Counterexample>());
+  std::vector<bool> open(n, true);
+  for (const Instance& i :
+       AllInstances(schema, IntDomain(o.domain_size), o.max_facts_i)) {
+    std::vector<bool> unserved = open;
+    while (std::find(unserved.begin(), unserved.end(), true) !=
+           unserved.end()) {
+      size_t head = n;
+      for (size_t c = 0; c < n; ++c) {
+        if (unserved[c] && (head == n || cls_of(c) < cls_of(head) ||
+                            (cls_of(c) == cls_of(head) &&
+                             bound_of(c) > bound_of(head)))) {
+          head = c;
+        }
+      }
+      std::vector<bool> served(n, false);
+      for (size_t c = 0; c < n; ++c) {
+        served[c] = unserved[c] && bound_of(c) <= bound_of(head);
+        if (served[c]) unserved[c] = false;
+      }
+      const std::vector<Fact> candidates = CandidateJFacts(
+          schema, i, fresh, static_cast<MonotonicityClass>(cls_of(head)));
+      const std::vector<MonotonicityClass> kinds =
+          CandidateKinds(candidates, i.ActiveDomain());
+      ForEachIndexSubset(
+          candidates.size(), bound_of(head), {},
+          [&](std::span<const uint32_t> subset) {
+            Instance j;
+            int kind = 2;
+            for (uint32_t c : subset) {
+              j.Insert(candidates[c]);
+              kind = std::min(kind, static_cast<int>(kinds[c]));
+            }
+            std::vector<size_t> hit;
+            for (size_t c = 0; c < n; ++c) {
+              if (served[c] && open[c] && cls_of(c) <= kind &&
+                  subset.size() <= bound_of(c)) {
+                hit.push_back(c);
+              }
+            }
+            if (hit.empty()) return true;
+            ++ref.pairs;
+            Result<std::optional<Counterexample>> r = CheckPair(q, i, j);
+            if (r.ok() && !r->has_value()) return true;
+            for (size_t c : hit) {
+              ref.cells[c] = r;
+              open[c] = false;
+            }
+            for (size_t c = 0; c < n; ++c) {
+              if (served[c] && open[c]) return true;
+            }
+            return false;
+          });
+    }
+  }
+  return ref;
+}
+
+uint64_t CounterTotal(const char* name) {
+  uint64_t total = 0;
+  for (const char* cls : {"M", "Mdistinct", "Mdisjoint"}) {
+    total += MetricRegistry::Global().GetCounter(name, {{"class", cls}}).Value();
+  }
+  return total;
+}
+
+// Symmetry-off ladders at the survey's bounds walk cached plans (no sweep
+// streams) and equal the nested loops in verdicts, witnesses and, at one
+// thread, pairs checked — or fail with the first erroring cell's error.
+// Over {E/2, F/1}: a stratified program, a well-founded one, a Datalog(!=)
+// one, and the stratified one under a fact cap that fails some unions. A
+// reduced ladder over the same bounds runs first, so a full sweep handed
+// the reduced plan would check fewer pairs.
+TEST(LadderPlanTest, FullLaddersMatchNestedLoops) {
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(true);
+  const workload::ClassifyOptions survey;
+  ExhaustiveOptions o;
+  o.domain_size = survey.domain_size;
+  o.max_facts_i = survey.max_facts_i;
+  o.fresh_values = survey.fresh_values;
+  const std::string stratified =
+      "P(x) :- E(x, y), !F(y).\n"
+      "O(x, y) :- E(x, y), F(x), !P(y).\n.output O\n";
+  datalog::EvalOptions capped;
+  capped.max_total_facts = 7;
+  struct Program {
+    std::string text;
+    datalog::DatalogQuery::Semantics semantics;
+    datalog::EvalOptions options;
+  };
+  const Program programs[] = {
+      {stratified, datalog::DatalogQuery::Semantics::kStratified, {}},
+      {"W(x) :- E(x, y), F(y), !W(y).\nO(x) :- F(x), !W(x).\n.output O\n",
+       datalog::DatalogQuery::Semantics::kWellFounded, {}},
+      {"O(x, z) :- E(x, y), E(y, z), F(y), x != z.\n.output O\n",
+       datalog::DatalogQuery::Semantics::kStratified, {}},
+      {stratified, datalog::DatalogQuery::Semantics::kStratified, capped},
+  };
+  const size_t max_i = survey.max_i;
+  size_t violations = 0, errors = 0;
+  for (const Program& p : programs) {
+    Result<datalog::Program> parsed = datalog::Parse(p.text);
+    ASSERT_TRUE(parsed.ok()) << p.text;
+    Result<datalog::DatalogQuery> q = datalog::DatalogQuery::Create(
+        *parsed, "plan", p.semantics, p.options);
+    ASSERT_TRUE(q.ok()) << p.text;
+    ASSERT_EQ(q->input_schema().ToString(), Schema({{"E", 2}, {"F", 1}}).ToString());
+    o.symmetry = SymmetryMode::kForceOn;
+    o.threads = 1;
+    (void)ComputeLadder(*q, max_i, o);
+
+    o.symmetry = SymmetryMode::kOff;
+    const NestedLoopLadder ref = RunNestedLoopLadder(*q, max_i, o);
+    const Status* first_error = nullptr;
+    for (const auto& cell : ref.cells) {
+      if (!cell.ok() && first_error == nullptr) first_error = &cell.status();
+      violations += cell.ok() && cell->has_value();
+    }
+    errors += first_error != nullptr;
+    for (size_t threads : {1u, 4u}) {
+      o.threads = threads;
+      const std::string where =
+          p.text + " cap " + std::to_string(p.options.max_total_facts) +
+          " threads " + std::to_string(threads);
+      Counter& streamed =
+          MetricRegistry::Global().GetCounter("calm.checker.streamed_sweeps");
+      const uint64_t streamed0 = streamed.Value();
+      const uint64_t pairs0 = CounterTotal("calm.checker.pairs_checked");
+      Result<Ladder> ladder = ComputeLadder(*q, max_i, o);
+      const uint64_t pairs = CounterTotal("calm.checker.pairs_checked") - pairs0;
+      EXPECT_EQ(streamed.Value(), streamed0) << where;
+      if (threads == 1) {
+        EXPECT_EQ(pairs, ref.pairs) << where;
+      }
+      if (first_error != nullptr) {
+        ASSERT_FALSE(ladder.ok()) << where;
+        EXPECT_EQ(ladder.status().ToString(), first_error->ToString())
+            << where;
+        continue;
+      }
+      ASSERT_TRUE(ladder.ok()) << where << ": " << ladder.status();
+      for (size_t r = 0; r < max_i; ++r) {
+        const LadderRow& row = ladder->rows[r];
+        const std::optional<Counterexample>* got[] = {
+            &row.m_witness, &row.distinct_witness, &row.disjoint_witness};
+        for (size_t k = 0; k < 3; ++k) {
+          const std::optional<Counterexample>& want = *ref.cells[3 * r + k];
+          const std::string cell = where + " row " + std::to_string(r + 1) +
+                                   " class " + std::to_string(k);
+          ASSERT_EQ(got[k]->has_value(), want.has_value()) << cell;
+          if (!want.has_value()) continue;
+          EXPECT_TRUE((*got[k])->i == want->i && (*got[k])->j == want->j &&
+                      (*got[k])->retracted == want->retracted)
+              << cell << ": " << (*got[k])->ToString() << " vs "
+              << want->ToString();
+        }
+      }
+    }
+  }
+  SetMetricsEnabled(metrics_were_on);
+  EXPECT_GT(violations, 0u);
+  EXPECT_EQ(errors, 1u) << "only the capped program should fail";
 }
 
 }  // namespace

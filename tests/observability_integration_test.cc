@@ -19,6 +19,7 @@
 #include "datalog/evaluator.h"
 #include "datalog/program.h"
 #include "monotonicity/checker.h"
+#include "monotonicity/ladder.h"
 #include "monotonicity/preservation.h"
 #include "net/fault.h"
 #include "net/message_buffer.h"
@@ -120,6 +121,56 @@ TEST_F(ObservabilityTest, CheckerSpanRecordsSearchProgress) {
     EXPECT_GT(args->GetInt("pairs").value(), 0);
   }
   EXPECT_TRUE(saw);
+}
+
+// Sweeps say whether they walked a cached plan. A symmetry-off ladder at
+// the survey's bounds (domain 2, |I| <= 2, two rows, 2 fresh values) is
+// planned: its checker.find_violation span carries planned=1 and
+// calm.checker.streamed_sweeps does not move. A ladder at deep_sweep's bounds
+// (domain 4, |I| <= 4, three rows, 2 fresh values) streams: its plan is
+// over kMaxPlanPairs, so the span carries planned=0 and the counter counts
+// it. Plans depend only on the schema, the bounds and whether the sweep is
+// reduced, so Q_TC (reduced, like TC, and quick to stop) streams exactly
+// when deep_sweep's TC ladder does.
+TEST_F(ObservabilityTest, FindViolationSpansSayWhetherTheSweepWasPlanned) {
+  SetMetricsEnabled(true);
+  MetricRegistry& registry = MetricRegistry::Global();
+  Counter& streamed = registry.GetCounter("calm.checker.streamed_sweeps");
+  struct Case {
+    std::unique_ptr<Query> query;
+    size_t domain_size, max_facts_i, max_i;
+    SymmetryMode symmetry;
+    int64_t reduced, planned;
+  };
+  Case cases[] = {
+      {queries::MakeTransitiveClosure(), 2, 2, 2, SymmetryMode::kOff, 0, 1},
+      {queries::MakeComplementTransitiveClosure(), 4, 4, 3,
+       SymmetryMode::kAuto, 1, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query->name());
+    Trace::Reset();
+    Trace::SetEnabled(true);
+    registry.ResetValues();
+    ExhaustiveOptions o;
+    o.domain_size = c.domain_size;
+    o.max_facts_i = c.max_facts_i;
+    o.fresh_values = 2;
+    o.symmetry = c.symmetry;
+    ASSERT_TRUE(monotonicity::ComputeLadder(*c.query, c.max_i, o).ok());
+    Trace::SetEnabled(false);
+    ASSERT_EQ(Trace::SpanCount("checker.find_violation"), 1u);
+    const Json exported = Trace::ExportJson();
+    for (const Json& e : exported.Find("traceEvents")->items()) {
+      if (e.GetString("name").value() != "checker.find_violation") continue;
+      const Json* args = e.Find("args");
+      EXPECT_EQ(args->GetInt("cells").value(),
+                static_cast<int64_t>(3 * c.max_i));
+      EXPECT_EQ(args->GetInt("reduced").value(), c.reduced);
+      EXPECT_EQ(args->GetInt("planned").value(), c.planned);
+    }
+    EXPECT_EQ(streamed.Value(), c.planned == 1 ? 0u : 1u);
+  }
 }
 
 // Batched union checks are observable: every checked pair rides in some

@@ -8,6 +8,8 @@
 
 #include "base/json.h"
 #include "base/metrics.h"
+#include "bench/flags.h"
+#include "bench/report.h"
 #include "monotonicity/checker.h"
 #include "queries/graph_queries.h"
 
@@ -171,6 +173,57 @@ TEST_F(TraceTest, ChromeTraceFileRoundTripsThroughJson) {
   ASSERT_TRUE(parsed->Find("traceEvents")->is_array());
   EXPECT_EQ(parsed->Find("traceEvents")->items().size(), 4u);
   EXPECT_EQ(DeterministicPart(*parsed), DeterministicPart(Trace::ExportJson()));
+}
+
+// A write that fails after the open succeeded (/dev/full takes the open and
+// fails every write) is an error, never a truncated success.
+TEST_F(TraceTest, WriteFailuresAreReported) {
+  Trace::SetEnabled(true);
+  RecordSampleSpans();
+  const Status full = Trace::WriteChromeTrace("/dev/full");
+  EXPECT_EQ(full.code(), StatusCode::kInternal) << full;
+  EXPECT_EQ(Trace::WriteChromeTrace(::testing::TempDir() + "/no_such_dir/t.json")
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The bench flag path: WriteObservability prints a "written" line only for
+// an artifact that landed whole and returns false when one did not, and
+// Report::Finish then exits non-zero even with every claim verified.
+TEST_F(TraceTest, BenchArtifactWriteFailuresFailTheBinary) {
+  Trace::SetEnabled(true);
+  RecordSampleSpans();
+  const std::string good = ::testing::TempDir() + "/trace_test_artifact.json";
+  struct Case {
+    std::string metrics_out;
+    std::string trace_out;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"/dev/full", "", false}, {"", "/dev/full", false},
+      {"/dev/full", "/dev/full", false}, {good, "", true}, {"", good, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("metrics_out=" + c.metrics_out + " trace_out=" + c.trace_out);
+    bench::Flags flags;
+    flags.metrics_out = c.metrics_out;
+    flags.trace_out = c.trace_out;
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const bool ok = bench::WriteObservability(flags);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ok, c.ok);
+    EXPECT_EQ(out.find("written") != std::string::npos, c.ok) << out;
+    EXPECT_EQ(err.empty(), c.ok) << err;
+    std::remove(good.c_str());
+  }
+  ::testing::internal::CaptureStdout();
+  bench::Report report("artifacts");
+  report.Check("a verified claim", true);
+  EXPECT_EQ(report.Finish(/*artifacts_written=*/false), 1);
+  EXPECT_EQ(report.Finish(/*artifacts_written=*/true), 0);
+  ::testing::internal::GetCapturedStdout();
 }
 
 // The pin behind the whole design: instrumentation only observes. Checker

@@ -16,6 +16,7 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -381,8 +382,8 @@ TEST(UnionBatchTest, ScratchIsPlainAfterABatch) {
 }
 
 // Every invention-free program takes the masked route, stratified and
-// well-founded alike, 64 J's per batch. An ILOG program is not served, and
-// the native closure queries keep the per-J default.
+// well-founded alike, 64 J's per batch. An ILOG program is not served. The
+// native closure queries answer 64 J's per batch from their matrices.
 TEST(UnionBatchTest, OnlyInventionFreeProgramsBatch) {
   Instance i;
   DatalogQuery tc = DatalogQuery::FromTextOrDie(
@@ -399,7 +400,7 @@ TEST(UnionBatchTest, OnlyInventionFreeProgramsBatch) {
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   EXPECT_FALSE(prepared->SupportsUnionBatch());
   EXPECT_EQ(queries::MakeTransitiveClosure()->MakeUnionEvaluator(i)->MaxBatch(),
-            1u);
+            64u);
 }
 
 // --- Well-founded batches ---------------------------------------------------
@@ -781,6 +782,81 @@ TEST(UnionEvaluatorTest, ClosureEvaluatorsMatchOverlayAtTheMaskWidth) {
     }
   }
   EXPECT_GT(retractions, 0u) << "no J retracted anything";
+}
+
+// The closure evaluators' batches: FirstRetractedBatch over every J of at
+// most two candidates answers, J by J, what FirstRetracted and the overlay
+// evaluator answer. A 60-vertex path base and candidate endpoints outside
+// it (sorting below and above the base) make batch universes of 63, 64 and
+// 65 vertices; the 65-vertex batch is answered one J at a time. Candidates
+// close cycles over the base, bridge through outside vertices, touch no
+// base vertex at all, or belong to a relation other than E.
+TEST(UnionEvaluatorTest, ClosureBatchesMatchPerJAndOverlay) {
+  std::vector<std::unique_ptr<Query>> queries;
+  queries.push_back(queries::MakeTransitiveClosure());
+  queries.push_back(queries::MakeComplementTransitiveClosure());
+  auto e = [](uint64_t a, uint64_t b) { return Fact("E", {V(a), V(b)}); };
+  const uint64_t first = 100, last = 159;
+  Instance base;
+  for (uint64_t v = first; v < last; ++v) base.Insert(e(v, v + 1));
+  const std::set<Value> adom = base.ActiveDomain();
+  size_t retractions = 0, off_base = 0;
+  for (uint64_t universe : {63u, 64u, 65u}) {
+    // The outside endpoints: 5, 6, 1000, 1001, ... (universe - 60 of them).
+    std::vector<uint64_t> outside = {5, 6};
+    while (outside.size() < universe - 60) {
+      outside.push_back(1000 + outside.size() - 2);
+    }
+    std::vector<Fact> candidates = {e(last, first), e(first + 30, first + 10),
+                                    Fact("F", {V(first)})};
+    for (size_t k = 0; k + 1 < outside.size(); ++k) {
+      candidates.push_back(e(outside[k], outside[k + 1]));
+    }
+    candidates.push_back(e(last, outside.back()));
+    candidates.push_back(e(outside.back(), first));
+    candidates.push_back(e(outside[0], first + 20));
+    FactSubsets js;
+    ForEachIndexSubset(candidates.size(), 2, {},
+                       [&](std::span<const uint32_t> j) {
+                         js.Add(j);
+                         return true;
+                       });
+    ASSERT_LE(js.size(), 64u);
+    for (const auto& q : queries) {
+      SCOPED_TRACE(q->name() + " universe " + std::to_string(universe));
+      std::vector<Fact> base_facts;
+      ASSERT_TRUE(q->EvalFacts(base, &base_facts).ok());
+      std::unique_ptr<UnionEvaluator> engine = q->MakeUnionEvaluator(base);
+      ASSERT_EQ(engine->MaxBatch(), 64u);
+      std::unique_ptr<UnionEvaluator> per_j = q->MakeUnionEvaluator(base);
+      std::unique_ptr<UnionEvaluator> overlay =
+          MakeOverlayUnionEvaluator(*q, base);
+      std::vector<Result<std::optional<Fact>>> batch;
+      engine->FirstRetractedBatch(candidates, js, base_facts, &batch);
+      ASSERT_EQ(batch.size(), js.size());
+      for (size_t k = 0; k < js.size(); ++k) {
+        Instance j;
+        bool touches_base = false;
+        for (uint32_t c : js[k]) {
+          j.Insert(candidates[c]);
+          const Fact& f = candidates[c];
+          touches_base = touches_base ||
+                         (f.arity() == 2 && (adom.count(f.args[0]) > 0 ||
+                                             adom.count(f.args[1]) > 0));
+        }
+        const Result<std::optional<Fact>> a = per_j->FirstRetracted(j, base_facts);
+        const Result<std::optional<Fact>> b =
+            overlay->FirstRetracted(j, base_facts);
+        ASSERT_TRUE(batch[k].ok() && a.ok() && b.ok()) << j.ToString();
+        EXPECT_EQ(Describe(batch[k]), Describe(b)) << "j: " << j.ToString();
+        EXPECT_EQ(Describe(a), Describe(b)) << "j: " << j.ToString();
+        retractions += b->has_value();
+        off_base += !touches_base;
+      }
+    }
+  }
+  EXPECT_GT(retractions, 0u) << "no J retracted anything";
+  EXPECT_GT(off_base, 0u) << "every J touched the base";
 }
 
 // --- Checker level ----------------------------------------------------------
