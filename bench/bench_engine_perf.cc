@@ -453,6 +453,24 @@ void BM_LadderCached(benchmark::State& state) {
 }
 BENCHMARK(BM_LadderCached)->Unit(benchmark::kMillisecond);
 
+// The ladder at deep_sweep's bounds (domain 4, |I| <= 4, |J| <= 3, 2 fresh
+// values): native TC's sweep is over the plan cap, so it streams, and it
+// checks every pair. Its time is the J enumeration with the orbit test and
+// the closure evaluator's batches; the plan is built on the first iteration.
+void BM_LadderDeep(benchmark::State& state) {
+  auto tc = queries::MakeTransitiveClosure();
+  monotonicity::ExhaustiveOptions o;
+  o.domain_size = 4;
+  o.max_facts_i = 4;
+  o.fresh_values = 2;
+  o.threads = 1;
+  for (auto _ : state) {
+    auto r = monotonicity::ComputeLadder(*tc, 3, o);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_LadderDeep)->Unit(benchmark::kMillisecond);
+
 // The fuzz-classification pipeline per program: generation, fragment check,
 // the bounded monotonicity ladder with witness audit, the differential
 // (symmetry off) re-run, and both preservation sweeps — everything the

@@ -238,24 +238,39 @@ std::vector<std::vector<uint32_t>> FactIndexPermutations(
 
 namespace {
 
-// ForEachIndexSubset's DFS over the current subset `cur`.
+// ForEachIndexSubset's DFS over the current subset S = `cur`. `masks` holds
+// S as a bit set of `words` 64-bit words, then each permutation's image of
+// S the same way; a DFS level flips one bit in each.
 struct IndexSubsetDfs {
   size_t n;
   size_t max_size;
   const std::vector<std::vector<uint32_t>>& index_perms;
   const std::function<bool(std::span<const uint32_t>)>& fn;
+  size_t words;
+  std::vector<uint64_t> masks;
   std::vector<uint32_t> cur;
-  std::vector<uint32_t> mapped;
 
-  // Whether no permutation maps `cur` to a lexicographically smaller list.
-  bool Least() {
-    for (const std::vector<uint32_t>& perm : index_perms) {
-      mapped.clear();
-      for (uint32_t fi : cur) mapped.push_back(perm[fi]);
-      std::sort(mapped.begin(), mapped.end());
-      if (std::lexicographical_compare(mapped.begin(), mapped.end(),
-                                       cur.begin(), cur.end())) {
-        return false;
+  void Flip(uint32_t i) {
+    masks[i / 64] ^= uint64_t{1} << (i % 64);
+    for (size_t p = 0; p < index_perms.size(); ++p) {
+      const uint32_t image = index_perms[p][i];
+      masks[(p + 1) * words + image / 64] ^= uint64_t{1} << (image % 64);
+    }
+  }
+
+  // Whether no permutation maps S to a lexicographically smaller list. An
+  // image P has |S| members too, and sorted lists of equal length compare
+  // at their least differing index, the least of S xor P: S is the smaller
+  // iff that index is in S. So S is least iff every P equals S or has it
+  // there.
+  bool Least() const {
+    for (size_t p = 1; p <= index_perms.size(); ++p) {
+      const uint64_t* image = &masks[p * words];
+      for (size_t w = 0; w < words; ++w) {
+        const uint64_t diff = masks[w] ^ image[w];
+        if (diff == 0) continue;
+        if ((masks[w] & diff & -diff) == 0) return false;
+        break;
       }
     }
     return true;
@@ -265,10 +280,13 @@ struct IndexSubsetDfs {
     if (cur.size() == max_size) return true;
     for (uint32_t i = start; i < n; ++i) {
       cur.push_back(i);
-      // A non-least subset only extends to non-least subsets (extensions
-      // append indices above the current maximum on both sides of the
-      // comparison), so its whole subtree prunes.
+      Flip(i);
+      // A non-least subset only extends to non-least subsets: its image
+      // P < S first differs at some x in P, below max(S) and so below the
+      // added index; the added image either lands below x, a new least
+      // difference in P, or leaves x the least. So its whole subtree prunes.
       const bool go = !Least() || (fn(cur) && Rec(i + 1));
+      Flip(i);
       cur.pop_back();
       if (!go) return false;
     }
@@ -282,7 +300,9 @@ bool ForEachIndexSubset(
     size_t n, size_t max_size,
     const std::vector<std::vector<uint32_t>>& index_perms,
     const std::function<bool(std::span<const uint32_t>)>& fn) {
-  IndexSubsetDfs dfs{n, max_size, index_perms, fn, {}, {}};
+  const size_t words = (n + 63) / 64;
+  IndexSubsetDfs dfs{n, max_size, index_perms, fn, words, {}, {}};
+  dfs.masks.resize((index_perms.size() + 1) * words);
   return dfs.Rec(0);
 }
 

@@ -157,30 +157,35 @@ struct CellOutcome {
 
 // --- Sweep plan cache ----------------------------------------------------
 //
-// Everything a sweep enumerates — its I list, each I's J-candidate facts
-// and its J-subset stream (for a reduced sweep: the canonical I
-// representatives and the J stream filtered by the stabilizer index
-// permutations) — depends only on (schema, bounds, class, reduce), never on
-// the query. Ladder runs and repeated checks re-derive all of it, and the
-// derivation (orbit canonicalization, automorphism search, candidate lists,
-// subset DFS) costs more than the checks themselves at paper-scale bounds.
-// So the whole enumeration is materialized once per key into a plan: per I,
-// its candidates and the J stream in enumeration order, as index subsets
-// of the candidates. Checking walks the plan through a PairChecker in the
-// exact order the streaming sweep would have visited, so verdicts,
+// Everything a sweep enumerates — its I list, and per I the J-candidate
+// facts and the J-subset stream (for a reduced sweep: the canonical I
+// representatives, and J's filtered by the stabilizer index permutations) —
+// depends only on (schema, bounds, class, reduce), never on the query.
+// Ladder runs and repeated checks would re-derive all of it, and the
+// derivation (orbit canonicalization, automorphism search, candidate lists)
+// costs more than the checks themselves at paper-scale bounds. So it is
+// derived once per key into a plan: the I list and, per I, its candidates
+// (compactly, as indices into one fact universe) and the stabilizer's
+// index permutations of them. When the J streams' summed SubsetCountBound
+// is under kMaxPlanPairs (decided before any J list is built), the plan
+// also materializes each I's J stream, as index subsets of its candidates;
+// over the cap, a visit draws its J's from ForEachIndexSubset over the
+// stored permutations, which costs no memory per J. Checking walks the plan
+// through a PairChecker in the same J order either way, so verdicts,
 // counterexamples, and stop points are byte-identical — only the
-// enumeration work is amortized, never the checks.
-//
-// Reduced and full sweeps get plans under different keys, and both are
-// capped by pair count: a sweep streams only when its plan would be over
-// the cap, and the streaming enumeration is always sound.
+// enumeration work is amortized, never the checks. Reduced and full sweeps
+// get plans under different keys.
 struct SweepPlanEntry {
   Instance i;
-  std::vector<Fact> candidates;  // CandidateJFacts for the plan's class
-  FactSubsets js;                // J's, enumeration order
+  std::vector<uint32_t> candidates;  // CandidateJFacts, as universe indices
+  // The stabilizer's index permutations of the candidates (reduced only).
+  std::vector<std::vector<uint32_t>> perms;
+  FactSubsets js;  // J's in enumeration order, when materialized
 };
 
 struct SweepPlan {
+  std::vector<Fact> universe;  // every fact over the domain and fresh values
+  bool materialized = false;   // every entry holds its J list
   std::vector<SweepPlanEntry> entries;
 };
 
@@ -218,36 +223,47 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = cache->find(key);
-    if (it != cache->end()) return it->second;  // nullptr: over the cap
+    if (it != cache->end()) return it->second;
   }
 
   // Build outside the lock: concurrent misses may build duplicate plans, but
-  // the plans are identical and the first insert wins. An over-cap key is
-  // remembered as nullptr, so later sweeps skip straight to streaming.
+  // the plans are identical and the first insert wins.
   auto plan = std::make_shared<SweepPlan>();
+  std::vector<Value> values = domain;
+  values.insert(values.end(), fresh.begin(), fresh.end());
+  plan->universe = AllFactsOver(schema, values);
+  std::unordered_map<Fact, uint32_t, FactHash> index;
+  for (uint32_t u = 0; u < plan->universe.size(); ++u) {
+    index.emplace(plan->universe[u], u);
+  }
+  std::vector<Instance> is =
+      reduce ? AllCanonicalInstances(schema, domain, options.max_facts_i)
+             : AllInstances(schema, domain, options.max_facts_i);
+  plan->entries.resize(is.size());
   uint64_t pairs = 0;
-  for (Instance& i :
-       reduce ? AllCanonicalInstances(schema, domain, options.max_facts_i)
-              : AllInstances(schema, domain, options.max_facts_i)) {
-    SweepPlanEntry entry;
-    entry.i = std::move(i);
-    entry.candidates = CandidateJFacts(schema, entry.i, fresh, cell.cls);
-    pairs += SubsetCountBound(entry.candidates.size(), cell.max_facts_j,
-                              kMaxPlanPairs);
-    if (pairs >= kMaxPlanPairs) {  // too big to materialize
-      plan.reset();
-      break;
+  for (size_t k = 0; k < is.size(); ++k) {
+    SweepPlanEntry& entry = plan->entries[k];
+    entry.i = std::move(is[k]);
+    const std::vector<Fact> candidates =
+        CandidateJFacts(schema, entry.i, fresh, cell.cls);
+    entry.candidates.reserve(candidates.size());
+    for (const Fact& f : candidates) entry.candidates.push_back(index.at(f));
+    if (reduce) {
+      entry.perms = FactIndexPermutations(candidates,
+                                          StabilizerValueMaps(entry.i, fresh));
     }
-    ForEachIndexSubset(
-        entry.candidates.size(), cell.max_facts_j,
-        reduce ? FactIndexPermutations(entry.candidates,
-                                       StabilizerValueMaps(entry.i, fresh))
-               : std::vector<std::vector<uint32_t>>(),
-        [&](std::span<const uint32_t> j) {
-          entry.js.Add(j);
-          return true;
-        });
-    plan->entries.push_back(std::move(entry));
+    pairs += SubsetCountBound(candidates.size(), cell.max_facts_j,
+                              kMaxPlanPairs);
+  }
+  plan->materialized = pairs < kMaxPlanPairs;
+  if (plan->materialized) {
+    for (SweepPlanEntry& entry : plan->entries) {
+      ForEachIndexSubset(entry.candidates.size(), cell.max_facts_j,
+                         entry.perms, [&](std::span<const uint32_t> j) {
+                           entry.js.Add(j);
+                           return true;
+                         });
+    }
   }
 
   std::lock_guard<std::mutex> lock(mu);
@@ -258,8 +274,9 @@ std::shared_ptr<const SweepPlan> GetSweepPlan(const Schema& schema,
 // buffers' allocations are reused across I's and sweeps. Sweeps never nest
 // on one thread (no query evaluation runs a sweep).
 struct BatchBuffer {
-  FactSubsets batch;       // J's awaiting a flush
-  std::vector<int> kinds;  // each batched J's narrowest class
+  std::vector<Fact> candidates;  // the stream's candidate facts
+  FactSubsets batch;             // J's awaiting a flush
+  std::vector<int> kinds;        // each batched J's narrowest class
 };
 
 BatchBuffer& LocalBatchBuffer() {
@@ -318,8 +335,7 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
   // argument filters each I's J space under the stabilizer maps. Plans are
   // looked up once per stream head per sweep; all plans for these bounds
   // and this `reduce` hold the same I list, so the first head's plan
-  // supplies it if it has one. Only a stream whose plan is over the cap
-  // streams.
+  // supplies it.
   bool reduce = ResolveSymmetry(query, options.symmetry, options.domain_size,
                                 options.max_facts_i) == SymmetryMode::kForceOn;
   std::vector<std::once_flag> plan_once(n);
@@ -332,12 +348,8 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
     return plans[head].get();
   };
   const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
-  const SweepPlan* i_plan = plan_for(head_of(all));
-  std::vector<Instance> is =
-      i_plan != nullptr ? std::vector<Instance>()
-      : reduce ? AllCanonicalInstances(schema, domain, options.max_facts_i)
-               : AllInstances(schema, domain, options.max_facts_i);
-  const size_t space = i_plan != nullptr ? i_plan->entries.size() : is.size();
+  const SweepPlan& i_plan = *plan_for(head_of(all));
+  const size_t space = i_plan.entries.size();
 
   // Candidate indices are partitioned across the pool. A cell's winner is
   // its first stopping event at the least index, which is exactly what its
@@ -403,9 +415,9 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
   span.Arg("cells", static_cast<int64_t>(n));
   span.Arg("instances", static_cast<int64_t>(space));
   span.Arg("reduced", reduce ? 1 : 0);
-  // 1 when the stream covering every cell walks a cached plan; 0 when its
-  // plan is over the cap and it streams.
-  span.Arg("planned", i_plan != nullptr ? 1 : 0);
+  // 1 when the stream covering every cell walks materialized J lists; 0
+  // when its plan is over the cap and it streams.
+  span.Arg("planned", i_plan.materialized ? 1 : 0);
   const bool metrics_on = MetricsEnabled();
   // Pair totals feed the span and the progress counters (labeled by the
   // stream's class); they are only tallied when somebody is listening.
@@ -432,7 +444,7 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
     }
     union_batches = &registry.GetCounter("calm.checker.union_batches");
     batch_worlds = &registry.GetHistogram("calm.checker.union_batch_worlds");
-    if (i_plan == nullptr) {
+    if (!i_plan.materialized) {
       registry.GetCounter("calm.checker.streamed_sweeps").Increment();
     }
   }
@@ -452,13 +464,12 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
       }
     });
     if (open == 0) return;
-    const Instance& i = i_plan != nullptr ? i_plan->entries[idx].i : is[idx];
+    const Instance& i = i_plan.entries[idx].i;
     // One checker per outer I: Q(i) is computed at most once and reused
     // across every stream below.
     PairChecker checker(query, i);
     BatchBuffer& buf = LocalBatchBuffer();
     std::set<Value> adom_i;
-    std::optional<std::vector<std::map<Value, Value>>> stabilizer;
     // A candidate pruned mid-enumeration (a lower index already stopped, or
     // a cancel arrived) was NOT fully examined, so it must not be journaled
     // as Done — the Done record means "every J was checked".
@@ -517,16 +528,16 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
         });
         return (live & ~hit) != 0;
       };
-      // Every J of the stream is an index subset of one candidate list: a
-      // plan's, or one built here for the streaming DFS. A J's kind is the
-      // least kind of its candidates, computed once per stream.
-      const SweepPlan* plan = plan_for(head);
-      std::vector<Fact> streamed;
-      if (plan == nullptr) {
-        streamed = CandidateJFacts(schema, i, fresh, cells[head].cls);
+      // Every J of the stream is an index subset of the plan entry's
+      // candidate list, copied here out of the plan's universe. A J's kind
+      // is the least kind of its candidates, computed once per stream.
+      const SweepPlan& plan = *plan_for(head);
+      const SweepPlanEntry& entry = plan.entries[idx];
+      std::vector<Fact>& candidates = buf.candidates;
+      candidates.clear();
+      for (uint32_t u : entry.candidates) {
+        candidates.push_back(plan.universe[u]);
       }
-      const std::vector<Fact>& candidates =
-          plan != nullptr ? plan->entries[idx].candidates : streamed;
       std::vector<MonotonicityClass> kinds;
       if (tag) kinds = CandidateKinds(candidates, adom_i);
       // With a batching union evaluator, the j's this stream would check
@@ -614,22 +625,14 @@ Result<std::vector<std::optional<Counterexample>>> FindViolations(
         buf.kinds.push_back(kind);
         return buf.batch.size() < limit || flush();
       };
-      if (plan != nullptr) {
-        // Plan path: walk the precomputed J stream; checks, order, and stop
-        // points match the streaming path exactly.
-        const FactSubsets& js = plan->entries[idx].js;
-        for (size_t k = 0; k < js.size(); ++k) {
-          if (!visit(js[k])) break;
+      if (plan.materialized) {
+        // Walk the precomputed J stream; checks, order, and stop points
+        // match the streaming path exactly.
+        for (size_t k = 0; k < entry.js.size(); ++k) {
+          if (!visit(entry.js[k])) break;
         }
       } else {
-        std::vector<std::vector<uint32_t>> perms;
-        if (reduce) {
-          if (!stabilizer.has_value()) {
-            stabilizer = StabilizerValueMaps(i, fresh);
-          }
-          perms = FactIndexPermutations(candidates, *stabilizer);
-        }
-        ForEachIndexSubset(candidates.size(), bound(head), perms, visit);
+        ForEachIndexSubset(candidates.size(), bound(head), entry.perms, visit);
       }
       if (!buf.batch.empty()) flush();
       if (observing) {

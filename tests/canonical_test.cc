@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <set>
 #include <span>
@@ -253,21 +254,20 @@ std::vector<Instance> JStream(const Schema& schema, const Instance& i,
   return out;
 }
 
-// The reference stream: the Instance DFS the sweeps ran before J's became
-// index subsets. It inserts and erases candidate facts in one Instance and
-// keeps the subsets least in their orbit under `perms`.
-void ReferenceSubsets(const std::vector<Fact>& facts, size_t start,
-                      size_t remaining,
+// The reference DFS over subsets of {0..n-1} of at most `remaining` more
+// members: it keeps the subsets least in their orbit under `perms` by
+// mapping each one, sorting the image and comparing the lists.
+void ReferenceSubsets(size_t n, size_t start, size_t remaining,
                       const std::vector<std::vector<uint32_t>>& perms,
-                      Instance& current, std::vector<uint32_t>& cur_idx,
-                      std::vector<Instance>* out) {
+                      std::vector<uint32_t>& cur_idx,
+                      std::vector<std::vector<uint32_t>>* out) {
   if (remaining == 0) return;
-  for (size_t f = start; f < facts.size(); ++f) {
-    current.Insert(facts[f]);
+  std::vector<uint32_t> mapped;
+  for (size_t f = start; f < n; ++f) {
     cur_idx.push_back(static_cast<uint32_t>(f));
     bool least = true;
     for (const std::vector<uint32_t>& perm : perms) {
-      std::vector<uint32_t> mapped;
+      mapped.clear();
       for (uint32_t c : cur_idx) mapped.push_back(perm[c]);
       std::sort(mapped.begin(), mapped.end());
       least = least && !std::lexicographical_compare(
@@ -275,27 +275,32 @@ void ReferenceSubsets(const std::vector<Fact>& facts, size_t start,
                            cur_idx.end());
     }
     if (least) {
-      out->push_back(current);
-      ReferenceSubsets(facts, f + 1, remaining - 1, perms, current, cur_idx,
-                       out);
+      out->push_back(cur_idx);
+      ReferenceSubsets(n, f + 1, remaining - 1, perms, cur_idx, out);
     }
     cur_idx.pop_back();
-    current.Erase(facts[f]);
   }
 }
 
+// The reference stream: the reference DFS's subsets of the candidates, each
+// built as an Instance.
 std::vector<Instance> ReferenceJStream(const Schema& schema, const Instance& i,
                                        const std::vector<Value>& fresh,
                                        MonotonicityClass cls, size_t k,
                                        bool reduced) {
   std::vector<Fact> candidates =
       monotonicity::CandidateJFacts(schema, i, fresh, cls);
-  Instance current;
   std::vector<uint32_t> cur_idx;
+  std::vector<std::vector<uint32_t>> subsets;
+  ReferenceSubsets(candidates.size(), 0, k,
+                   StreamPerms(candidates, i, fresh, reduced), cur_idx,
+                   &subsets);
   std::vector<Instance> out;
-  ReferenceSubsets(candidates, 0, k,
-                   StreamPerms(candidates, i, fresh, reduced), current,
-                   cur_idx, &out);
+  for (const std::vector<uint32_t>& subset : subsets) {
+    Instance j;
+    for (uint32_t c : subset) j.Insert(candidates[c]);
+    out.push_back(std::move(j));
+  }
   return out;
 }
 
@@ -389,6 +394,61 @@ TEST(SweepStreamTest, NarrowStreamsAreFilteredWideStreams) {
             return true;
           });
     }
+  }
+}
+
+// The bit-set orbit test at and past the 64-bit word boundary: over n = 63,
+// 64, 65 and 130 indices, ForEachIndexSubset visits exactly the reference
+// DFS's subsets, in its order, under a random permutation group per n:
+// Sym(B1) x Sym(B2) x Sym(B3) on disjoint blocks of sizes 2, 2 and 3 (24
+// permutations; the identity is dropped, as FactIndexPermutations drops
+// it). B1 = {0, n-1} pairs the first and last bits; B2 and B3 are random,
+// so images cross words whenever n > 64. Subsets go up to pairs, and up to
+// triples at n = 65 (kept small: the reference is slow under TSan).
+TEST(SweepStreamTest, BitSetDfsMatchesReferenceAcrossWordBoundaries) {
+  for (size_t n : {63u, 64u, 65u, 130u}) {
+    std::mt19937_64 rng(n);
+    std::vector<uint32_t> identity(n);
+    std::iota(identity.begin(), identity.end(), 0);
+    std::vector<uint32_t> order = identity;
+    std::shuffle(order.begin() + 1, order.end() - 1, rng);
+    const std::vector<std::vector<uint32_t>> blocks = {
+        {0, static_cast<uint32_t>(n - 1)},
+        {order[1], order[2]},
+        {order[3], order[4], order[5]}};
+    std::vector<std::vector<uint32_t>> group = {identity};
+    for (const std::vector<uint32_t>& block : blocks) {
+      std::vector<uint32_t> sorted = block;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<std::vector<uint32_t>> grown;
+      for (const std::vector<uint32_t>& g : group) {
+        std::vector<uint32_t> image = sorted;
+        do {
+          std::vector<uint32_t> h = g;
+          for (size_t t = 0; t < sorted.size(); ++t) h[sorted[t]] = image[t];
+          grown.push_back(std::move(h));
+        } while (std::next_permutation(image.begin(), image.end()));
+      }
+      group = std::move(grown);
+    }
+    group.erase(group.begin());  // the identity, generated first
+    ASSERT_EQ(group.size(), 23u);
+    const size_t k = n == 65 ? 3 : 2;
+    std::vector<std::vector<uint32_t>> got, want;
+    ForEachIndexSubset(n, k, group, [&](std::span<const uint32_t> subset) {
+      got.emplace_back(subset.begin(), subset.end());
+      return true;
+    });
+    std::vector<uint32_t> cur_idx;
+    ReferenceSubsets(n, 0, k, group, cur_idx, &want);
+    EXPECT_EQ(got, want) << "n " << n;
+    // The group prunes: some subsets are not least in their orbit.
+    size_t all = 0, choose = 1;
+    for (size_t j = 1; j <= k; ++j) {
+      choose = choose * (n - j + 1) / j;
+      all += choose;
+    }
+    EXPECT_LT(want.size(), all) << "n " << n;
   }
 }
 

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "base/enumerator.h"
+#include "base/json.h"
 #include "base/metrics.h"
+#include "base/trace.h"
 #include "datalog/ilog.h"
 #include "datalog/parser.h"
 #include "datalog/program.h"
@@ -462,6 +464,102 @@ TEST(LadderPlanTest, FullLaddersMatchNestedLoops) {
   SetMetricsEnabled(metrics_were_on);
   EXPECT_GT(violations, 0u);
   EXPECT_EQ(errors, 1u) << "only the capped program should fail";
+}
+
+// --- Streamed sweeps --------------------------------------------------------
+
+// The ladder's table, then each row's three witnesses ("none" for none).
+std::string LadderText(const Ladder& ladder) {
+  std::string text = ladder.ToString();
+  for (const LadderRow& row : ladder.rows) {
+    for (const auto* w :
+         {&row.m_witness, &row.distinct_witness, &row.disjoint_witness}) {
+      text += w->has_value() ? (*w)->ToString() : std::string("none");
+      text += "\n";
+    }
+  }
+  return text;
+}
+
+// At deep_sweep's bounds (domain 4, |I| <= 4, |J| <= 3, 2 fresh values)
+// every ladder's widest stream is over kMaxPlanPairs, so its sweep streams:
+// the span says planned=0 and each I's J's come from ForEachIndexSubset at
+// visit time. Three specimens pin their ladder text, rows and witnesses, at
+// 1 and 4 threads, and their pairs checked at 1 thread: Q_TC, whose cells
+// stop early; TC (native), which sweeps every pair; and dup2, over two
+// binary relations, whose I's over four values have 72 M candidates (two
+// mask words). dup2's M cells close at its second I, so a two-word stream
+// runs only when another thread reaches such an I first; canonical_test's
+// BitSetDfsMatchesReferenceAcrossWordBoundaries covers that DFS.
+TEST(LadderStreamTest, DeepLaddersMatchPinnedText) {
+  struct Specimen {
+    std::unique_ptr<Query> query;
+    int64_t pairs;
+    std::string text;
+  };
+  const std::string table = "  i  M^i  M^i_distinct  M^i_disjoint\n";
+  std::vector<Specimen> specimens;
+  const std::string qtc_i = "I = {E(0, 0), E(0, 1)}, J = {";
+  const std::string qtc_o = "}, retracted output fact: O(1, 0)\n";
+  specimens.push_back(
+      {Own(queries::ComplementTcProgram()), 2285,
+       table + "  1  no   yes           yes\n"
+               "  2  no   no            yes\n"
+               "  3  no   no            yes\n" +
+           qtc_i + "E(1, 0)" + qtc_o + "none\nnone\n" +
+           qtc_i + "E(0, 1000), E(1, 0)" + qtc_o +
+           qtc_i + "E(1, 1000), E(1000, 0)" + qtc_o + "none\n" +
+           qtc_i + "E(0, 1000), E(0, 1001), E(1, 0)" + qtc_o +
+           qtc_i + "E(0, 1000), E(1, 1000), E(1000, 0)" + qtc_o + "none\n"});
+  std::string all_none;
+  for (int k = 0; k < 9; ++k) all_none += "none\n";
+  specimens.push_back({queries::MakeTransitiveClosure(), 237290,
+                       table + "  1  yes  yes           yes\n"
+                               "  2  yes  yes           yes\n"
+                               "  3  yes  yes           yes\n" +
+                           all_none});
+  const std::string dup_i = "I = {R1(0, 0)}, J = {";
+  const std::string dup_o = "}, retracted output fact: O(0, 0)\n";
+  specimens.push_back(
+      {Own(queries::DuplicateProgram(2)), 33958,
+       table + "  1  no   yes           yes\n"
+               "  2  no   no            no \n"
+               "  3  no   no            no \n" +
+           dup_i + "R2(0, 0)" + dup_o + "none\nnone\n" +
+           dup_i + "R1(0, 1000), R2(0, 0)" + dup_o +
+           dup_i + "R1(0, 1000), R2(0, 1000)" + dup_o +
+           dup_i + "R1(1000, 1000), R2(1000, 1000)" + dup_o +
+           dup_i + "R1(0, 1000), R1(0, 1001), R2(0, 0)" + dup_o +
+           dup_i + "R1(0, 1000), R1(0, 1001), R2(0, 1000)" + dup_o +
+           dup_i + "R1(1000, 1000), R1(1000, 1001), R2(1000, 1000)" + dup_o});
+  for (const Specimen& s : specimens) {
+    for (size_t threads : {1u, 4u}) {
+      const std::string where =
+          s.query->name() + " threads " + std::to_string(threads);
+      ExhaustiveOptions o;
+      o.domain_size = 4;
+      o.max_facts_i = 4;
+      o.fresh_values = 2;
+      o.threads = threads;
+      Trace::Reset();
+      Trace::SetEnabled(true);
+      Result<Ladder> ladder = ComputeLadder(*s.query, 3, o);
+      Trace::SetEnabled(false);
+      ASSERT_TRUE(ladder.ok()) << where << ": " << ladder.status();
+      EXPECT_EQ(LadderText(*ladder), s.text) << where;
+      ASSERT_EQ(Trace::SpanCount("checker.find_violation"), 1u) << where;
+      const Json exported = Trace::ExportJson();
+      for (const Json& e : exported.Find("traceEvents")->items()) {
+        if (e.GetString("name").value() != "checker.find_violation") continue;
+        const Json* args = e.Find("args");
+        EXPECT_EQ(args->GetInt("planned").value(), 0) << where;
+        if (threads == 1) {
+          EXPECT_EQ(args->GetInt("pairs").value(), s.pairs) << where;
+        }
+      }
+    }
+  }
+  Trace::Reset();
 }
 
 }  // namespace

@@ -123,11 +123,11 @@ TEST_F(ObservabilityTest, CheckerSpanRecordsSearchProgress) {
   EXPECT_TRUE(saw);
 }
 
-// Sweeps say whether they walked a cached plan. A symmetry-off ladder at
-// the survey's bounds (domain 2, |I| <= 2, two rows, 2 fresh values) is
-// planned: its checker.find_violation span carries planned=1 and
+// Sweeps say whether their plan materialized its J lists. A symmetry-off
+// ladder at the survey's bounds (domain 2, |I| <= 2, two rows, 2 fresh
+// values) is planned: its checker.find_violation span carries planned=1 and
 // calm.checker.streamed_sweeps does not move. A ladder at deep_sweep's bounds
-// (domain 4, |I| <= 4, three rows, 2 fresh values) streams: its plan is
+// (domain 4, |I| <= 4, three rows, 2 fresh values) streams: its J space is
 // over kMaxPlanPairs, so the span carries planned=0 and the counter counts
 // it. Plans depend only on the schema, the bounds and whether the sweep is
 // reduced, so Q_TC (reduced, like TC, and quick to stop) streams exactly

@@ -1081,6 +1081,53 @@ TEST(UnionBatchCheckerTest, WideCandidateListsMatchPerJ) {
   EXPECT_EQ(violations, 8u);
 }
 
+// A capped program's error answers stop the batched sweep as per-J errors
+// do. Under max_total_facts = 7 this stratified program evaluates every I
+// of the spaces below but fails on some unions I u J, so masked batches
+// fall back and answer those J's with an error. The batched ladder must
+// fail with the first erroring cell's status, exactly as the per-J
+// forwarding query's ladder does, at 1 and 4 threads: once over a
+// materialized plan (domain 2, |I| <= 2, two rows) and once over a streamed
+// one (domain 3, |I| <= 2, three rows, full sweep: over kMaxPlanPairs).
+TEST(UnionBatchCheckerTest, ErrorAnswersFailLikePerJ) {
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(true);
+  datalog::EvalOptions capped;
+  capped.max_total_facts = 7;
+  const DatalogQuery q = DatalogQuery::FromTextOrDie(
+      "P(x) :- E(x, y), !F(y).\n"
+      "O(x, y) :- E(x, y), F(x), !P(y).\n.output O\n",
+      "capped", DatalogQuery::Semantics::kStratified, capped);
+  PerJQuery per_j(q);
+  Counter& streamed =
+      MetricRegistry::Global().GetCounter("calm.checker.streamed_sweeps");
+  Counter& fallbacks =
+      MetricRegistry::Global().GetCounter("calm.eval.union_batch_fallbacks");
+  for (const bool stream : {false, true}) {
+    monotonicity::ExhaustiveOptions o;
+    o.domain_size = stream ? 3 : 2;
+    o.max_facts_i = 2;
+    o.fresh_values = 2;
+    o.symmetry = SymmetryMode::kOff;
+    const size_t max_i = stream ? 3 : 2;
+    for (size_t threads : {1u, 4u}) {
+      o.threads = threads;
+      const std::string ctx = std::string(stream ? "streamed" : "planned") +
+                              " threads " + std::to_string(threads);
+      const uint64_t streamed0 = streamed.Value();
+      const uint64_t fallbacks0 = fallbacks.Value();
+      const SweepRecord a = RunLadder(q, o, max_i);
+      EXPECT_EQ(streamed.Value() - streamed0, stream ? 1u : 0u) << ctx;
+      EXPECT_GT(fallbacks.Value(), fallbacks0) << ctx;
+      const SweepRecord b = RunLadder(per_j, o, max_i);
+      EXPECT_EQ(a.verdicts.rfind("error: RESOURCE_EXHAUSTED", 0), 0u)
+          << ctx << ": " << a.verdicts;
+      EXPECT_EQ(a.verdicts, b.verdicts) << ctx;
+    }
+  }
+  SetMetricsEnabled(metrics_were_on);
+}
+
 // Win-move is domain-disjoint monotone, so a one-cell Mdisjoint sweep finds
 // no violation and checks every pair. At domain 4 with three facts, I can
 // hold the chain 0 -> 1 -> 2 -> 3, where Win(0) first enters lo in the
